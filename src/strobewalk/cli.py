@@ -45,6 +45,7 @@ from .symmetry import (
     saturation_check,
     stabilizer,
     symmetry_projector,
+    upper_bound,
 )
 
 CONFIG_EXIT = 2
@@ -290,7 +291,7 @@ def cmd_analyze(args) -> dict:
     group = automorphisms(graph)
     stab = stabilizer(group, psi_d)
     projector = symmetry_projector(stab)
-    saturated, symmetric_dark_dim = saturation_check(sd, stab, psi_d)
+    saturated, symmetric_dark_dim = saturation_check(sd, stab, psi_d, projector=projector)
 
     if args.init == "all":
         inits = [(str(r), localized_state(graph.node_count, r)) for r in range(graph.node_count)]
@@ -301,8 +302,7 @@ def cmd_analyze(args) -> dict:
     results = []
     for label, psi_in in inits:
         rep = pdet_spectral(sd, psi_d, psi_in, dark_tol=dark_tol)
-        bound = float(np.real(np.vdot(psi_in, projector @ psi_in)))
-        bound = min(max(bound, 0.0), 1.0)
+        bound = upper_bound(stab, psi_in, projector=projector)
         results.append(
             {
                 "init": label,

@@ -75,9 +75,10 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
     not fixed by node orbits).  Classes are ordered by their least member;
     the class of the detection node is always a singleton.
 
-    The entry between classes A and B sums the original couplings over all
-    member pairs, scaled by ``1/sqrt(|A| * |B|)``; couplings internal to a
-    class fold into its diagonal (on-site) entry.
+    ``h_s = lift.T @ h @ lift``: the entry between classes A and B sums the
+    original couplings over all member pairs, scaled by
+    ``1/sqrt(|A| * |B|)``; couplings internal to a class fold into its
+    diagonal (on-site) entry.
     """
     h = np.asarray(h)
     psi_d = as_state(detect_state, stab.dim)
@@ -101,15 +102,8 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
     for cls in classes:
         lift[list(cls.members), cls.id] = 1.0 / math.sqrt(cls.multiplicity)
 
-    h_s = np.zeros((k, k), dtype=np.result_type(h.dtype, np.float64))
-    for a in range(k):
-        mem_a = classes[a].members
-        for b in range(a, k):
-            mem_b = classes[b].members
-            scale = math.sqrt(classes[a].multiplicity * classes[b].multiplicity)
-            total = sum(h[x, y] for x in mem_a for y in mem_b)
-            h_s[a, b] = total / scale
-            h_s[b, a] = np.conj(h_s[a, b])
+    h_s = lift.T @ h @ lift
+    h_s = (h_s + h_s.conj().T) / 2.0
 
     detect_class = next(c.id for c in classes if detect_node in c.members)
     if classes[detect_class].multiplicity != 1:

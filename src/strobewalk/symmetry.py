@@ -3,9 +3,20 @@
 The permutations that preserve the weighted adjacency structure and the
 on-site energies commute with the walk Hamiltonian.  The subgroup that
 additionally fixes the detection state (up to a unit phase factor) maps
-initial states onto partners with identical detection statistics.  From
-that subgroup follow, without any spectral information about the initial
-state:
+initial states onto partners with identical detection statistics.
+
+Both groups come from one individualization-refinement search on colored
+graphs (McKay and Piperno, "Practical graph isomorphism II", J. Symb.
+Comput. 60, 2014).  The search fixes base points one at a time, keeps one
+verified generator per new image of each base point, and returns the
+generators with the exact order: the product of the basic orbit lengths
+along the base.  No element list is built.  Node orbits follow from the
+generators by union-find, and the symmetric subspace is the joint phase
+eigenspace of the generator matrices.  ``elements`` closes the generators
+on request, for groups of at most ``DEFAULT_ORDER_CAP`` elements.
+
+From the stabilizer follow, without any spectral information about the
+initial state:
 
 * the dimension ``orbit_rank`` of the span of a state's symmetry orbit,
 * the projector onto the symmetric subspace and the symmetric component
@@ -19,9 +30,9 @@ state:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +41,7 @@ from .detection import bright_eigenstates
 from .errors import AsymmetricStateError, GroupSearchError, StateError, StrobewalkError
 from .graphs import WeightedGraph
 from .spectral import SpectralDecomposition
-from .states import as_state
+from .states import as_state, localized_node
 
 __all__ = [
     "Permutation",
@@ -49,10 +60,13 @@ __all__ = [
 
 #: ||S psi_d - p psi_d|| below this admits S into the stabilizer.
 STABILIZER_TOL = 1e-10
-#: Relative singular-value cutoff for orbit span ranks.
+#: Relative cutoff for the dimension of an orbit span.
 RANK_TOL = 1e-10
+#: Singular values below this span the joint phase eigenspace of the generators.
+NULL_TOL = 1e-8
 
 DEFAULT_NODE_CAP = 64
+#: Largest group whose elements ``elements`` lists.
 DEFAULT_ORDER_CAP = 10**6
 
 
@@ -99,82 +113,103 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
 
 
-def _compose_images(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[i] for i in q)
+def _close(
+    generators: Sequence[tuple[int, ...]], phases: Sequence[complex], n: int, order: int
+) -> list[tuple[tuple[int, ...], complex]]:
+    """Every element generated, with its phase, sorted by image tuple.
 
-
-def _closure_of(generators: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    """Subgroup generated by the given images, by breadth-first products."""
+    The phase of a product is the product of the phases, since
+    ``S T psi_d = p_T S psi_d = p_S p_T psi_d``.
+    """
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupSearchError(
+            f"group order {order} exceeds the cap of {DEFAULT_ORDER_CAP} for listing elements; "
+            "use a generator-based workflow (generators, order, node_orbits) for groups this large"
+        )
     ident = tuple(range(n))
-    known = {ident}
+    known = {ident: 1.0 + 0j}
     frontier = [ident]
     while frontier:
         fresh = []
         for a in frontier:
-            for g in generators:
-                prod = _compose_images(g, a)
+            phase_a = known[a]
+            for g, phase_g in zip(generators, phases):
+                prod = tuple(g[i] for i in a)
                 if prod not in known:
-                    known.add(prod)
+                    phase = phase_g * phase_a
+                    known[prod] = phase / abs(phase)
                     fresh.append(prod)
         frontier = fresh
-    return known
+    if len(known) != order:
+        raise StrobewalkError(f"generators close to {len(known)} elements, not the order {order}")
+    return sorted(known.items())
 
 
-def _generating_set(images: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Greedy small generating set, verified to reproduce the element set.
+def _orbits_of(images: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the nodes under the given images, by union-find, ordered by least member."""
+    root = list(range(n))
 
-    The reconstruction doubles as a closure proof: the generated subgroup
-    is closed by construction, so equality with the element set certifies
-    that the input was a group.
-    """
-    target = set(images)
-    gens: list[tuple[int, ...]] = []
-    known: set[tuple[int, ...]] = {tuple(range(n))}
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
     for img in images:
-        if img not in known:
-            gens.append(img)
-            known = _closure_of(gens, n)
-    if known != target:
-        raise StrobewalkError("element set is not closed under composition")
-    return gens
+        for r, s in enumerate(img):
+            a, b = find(r), find(s)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(find(v), []).append(v)
+    return tuple(tuple(m) for m in members.values())
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """All graph automorphisms, with a small generating subset.
+    """Automorphism group of a weighted graph, kept as generators and order.
 
-    Every element, viewed as a permutation matrix, commutes with the walk
-    Hamiltonian of the graph it was computed from (for any coupling
-    constant), since it preserves weights and on-site energies.
+    Every generator, viewed as a permutation matrix, commutes with the walk
+    Hamiltonian of ``graph`` (for any coupling constant), since it preserves
+    weights and on-site energies; so does every element.
     """
 
-    elements: tuple[Permutation, ...]
+    graph: WeightedGraph
     generators: tuple[Permutation, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    order: int
 
     @property
     def dim(self) -> int:
-        return self.elements[0].size
+        return self.graph.node_count
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted by image tuple; closes the generators on first use."""
+        closed = _close([g.image for g in self.generators], [1.0] * len(self.generators),
+                        self.dim, self.order)
+        return tuple(Permutation(img) for img, _ in closed)
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGroup:
     """Symmetries fixing the detection state up to a unit phase.
 
-    Each entry pairs a permutation S with the phase p = <psi_d|S|psi_d>,
-    so that ``S psi_d = p psi_d``.  For a detection state localized on a
-    node every phase is 1.
+    Kept as generators, each paired with its phase p = <psi_d|S|psi_d>, so
+    that ``S psi_d = p psi_d``.  For a detection state localized on a node
+    every phase is 1.
     """
 
-    elements: tuple[tuple[Permutation, complex], ...]
+    generators: tuple[tuple[Permutation, complex], ...]
+    order: int
     dim: int
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[tuple[Permutation, complex], ...]:
+        """Every element with its phase, sorted by image tuple; closes the generators on first use."""
+        closed = _close([perm.image for perm, _ in self.generators],
+                        [phase for _, phase in self.generators], self.dim, self.order)
+        return tuple((Permutation(img), complex(phase)) for img, phase in closed)
 
     @property
     def permutations(self) -> tuple[Permutation, ...]:
@@ -182,136 +217,244 @@ class StabilizerGroup:
 
     @property
     def has_trivial_phases(self) -> bool:
-        return all(abs(phase - 1.0) <= 1e-9 for _, phase in self.elements)
+        return all(abs(phase - 1.0) <= 1e-9 for _, phase in self.generators)
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        return _orbits_of([perm.image for perm, _ in self.generators], self.dim)
 
 
-def _adjacency_dicts(graph: WeightedGraph) -> list[dict[int, float]]:
-    adj: list[dict[int, float]] = [dict() for _ in range(graph.node_count)]
-    for i, j, w in graph.edges:
-        adj[i][j] = w
-        adj[j][i] = w
-    return adj
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Colors 0..k-1 numbering the distinct keys in sorted order."""
+    return np.unique(keys, return_inverse=True)[1].astype(np.intp)
 
 
-def _refined_colors(graph: WeightedGraph, adj: list[dict[int, float]]) -> list[int]:
-    """Equitable-partition node coloring.
+@dataclass
+class _Path:
+    """First path of a search tree: the base and the coloring at each level.
 
-    Starts from (on-site energy, incident weight multiset) and repeatedly
-    appends the multiset of (weight, neighbor color) pairs until the
-    partition stops splitting.  Weights compare exactly, matching the
-    exact-preservation requirement on automorphisms.
+    ``colors[j]`` and ``certs[j]`` hold the refined coloring after ``j``
+    individualizations; ``base[j]`` is taken from the cell of color
+    ``cells[j]`` of ``colors[j]``.
     """
-    n = graph.node_count
-    initial = [
-        (graph.onsite[v], tuple(sorted(adj[v].values())))
-        for v in range(n)
-    ]
-    palette: dict = {}
-    colors = [palette.setdefault(key, len(palette)) for key in initial]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted((w, colors[u]) for u, w in adj[v].items())))
-            for v in range(n)
-        ]
-        palette = {}
-        new_colors = [palette.setdefault(key, len(palette)) for key in keys]
-        if len(set(new_colors)) == len(set(colors)):
-            return new_colors
-        colors = new_colors
+
+    colors: list[np.ndarray]
+    certs: list[bytes]
+    cells: list[int] = field(default_factory=list)
+    base: list[int] = field(default_factory=list)
+
+    @property
+    def depth(self) -> int:
+        return len(self.base)
 
 
-def automorphisms(
-    graph: WeightedGraph,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> SymmetryGroup:
+def _orbit(point: int, generators: Sequence[tuple[int, ...]]) -> set[int]:
+    seen = {point}
+    stack = [point]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def _salts(count: int, bits: int) -> np.ndarray:
+    """``count`` fixed pseudo-random odd integers below ``2**bits`` (splitmix64), as floats."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(64 - bits)) | np.uint64(1)).astype(float)
+
+
+class _Search:
+    """Individualization-refinement search on one weighted graph.
+
+    Colorings are arrays of colors 0..k-1.  A refinement round splits each
+    cell by a salted sum over the (weight, color) pairs of a node's
+    neighbors and numbers the new cells by sorted (old color, sum) keys,
+    never by first appearance.  So it commutes with every automorphism that
+    preserves the input coloring, and two colorings related by such an
+    automorphism yield the same certificate.
+    """
+
+    def __init__(self, graph: WeightedGraph):
+        n = graph.node_count
+        self.n = n
+        ends = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2)
+        self.tails, self.heads = ends[:, 0], ends[:, 1]
+        self.edge_weights = np.array([w for _, _, w in graph.edges], dtype=float)
+        weights, layer = np.unique(self.edge_weights, return_inverse=True)
+        # One block of columns per distinct weight: adj[i, layer * n + j] = 1 for each edge.
+        self.adj = np.zeros((n, len(weights) * n))
+        self.adj[self.tails, layer * n + self.heads] = 1.0
+        self.adj[self.heads, layer * n + self.tails] = 1.0
+        # NaN marks a missing edge, so it never equals a weight, not even 0.
+        self.weight = np.full((n, n), np.nan)
+        self.weight[self.tails, self.heads] = self.weight[self.heads, self.tails] = self.edge_weights
+        self.onsite = np.array(graph.onsite)
+        # Salts small enough that every neighbor sum is an exact float64
+        # integer, so a sum never depends on where its row sits in the matrix.
+        self.salt = _salts(len(weights) * n, 52 - n.bit_length()).reshape(len(weights), n)
+
+    def refine(self, colors: np.ndarray) -> tuple[np.ndarray, bytes]:
+        """Equitable refinement of ``colors`` and a certificate of its rounds."""
+        n = self.n
+        k = int(colors.max()) + 1
+        parts = [np.bincount(colors, minlength=k).tobytes()]
+        while k < n:
+            sums = self.adj @ self.salt[:, colors].ravel()
+            order = np.lexsort((sums, colors))
+            sorted_colors, sorted_sums = colors[order], sums[order]
+            step = np.empty(n, dtype=bool)
+            step[0] = True
+            np.not_equal(sorted_colors[1:], sorted_colors[:-1], out=step[1:])
+            step[1:] |= sorted_sums[1:] != sorted_sums[:-1]
+            parts.append(sorted_sums.tobytes())
+            new_k = int(np.count_nonzero(step))
+            if new_k == k:
+                break
+            colors = np.empty(n, dtype=np.intp)
+            colors[order] = np.cumsum(step) - 1
+            k = new_k
+        return colors, b"".join(parts)
+
+    @staticmethod
+    def individualize(colors: np.ndarray, v: int) -> np.ndarray:
+        """Split node ``v`` off its cell, ahead of the rest of the cell."""
+        c = colors[v]
+        out = colors + (colors > c) + (colors == c)
+        out[v] = c
+        return out
+
+    def descend(self, colors: np.ndarray, cert: bytes) -> _Path:
+        """Individualize the least node of the smallest non-singleton cell until discrete."""
+        path = _Path([colors], [cert])
+        while int(colors.max()) + 1 < self.n:
+            sizes = np.bincount(colors)
+            sizes[sizes == 1] = self.n + 1
+            cell = int(np.argmin(sizes))
+            b = int(np.flatnonzero(colors == cell)[0])
+            colors, cert = self.refine(self.individualize(colors, b))
+            path.colors.append(colors)
+            path.certs.append(cert)
+            path.cells.append(cell)
+            path.base.append(b)
+        return path
+
+    def preserves_structure(self, img: np.ndarray) -> bool:
+        """Whether node ``r -> img[r]`` keeps on-site energies and weighted edges exactly.
+
+        A bijection that maps every edge onto an edge of the same weight maps
+        the edge set onto itself.
+        """
+        return (np.array_equal(self.onsite[img], self.onsite)
+                and np.array_equal(self.weight[img[self.tails], img[self.heads]], self.edge_weights))
+
+    def match(self, path: _Path, level: int, colors: np.ndarray,
+              source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+        """A map from the path's leaf onto a leaf below ``colors``, or None.
+
+        ``colors`` must carry the certificate of ``path.colors[level]``.  The
+        map must carry coloring ``source`` onto ``target`` and preserve the
+        structure.  Every node of each target cell is tried, so a map is
+        found whenever one exists.
+        """
+        if level == path.depth:
+            inverse = np.empty(self.n, dtype=np.intp)
+            inverse[colors] = np.arange(self.n)
+            img = inverse[path.colors[level]]
+            if np.array_equal(target[img], source) and self.preserves_structure(img):
+                return img
+            return None
+        for t in np.flatnonzero(colors == path.cells[level]).tolist():
+            img = self.extend(path, level, colors, t, source, target)
+            if img is not None:
+                return img
+        return None
+
+    def extend(self, path: _Path, level: int, colors: np.ndarray, v: int,
+               source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+        """:meth:`match` below ``colors`` with ``v`` in place of ``path.base[level]``."""
+        child, cert = self.refine(self.individualize(colors, v))
+        if cert != path.certs[level + 1]:
+            return None
+        return self.match(path, level + 1, child, source, target)
+
+    def chain(self, colors0: np.ndarray) -> tuple[list[tuple[int, ...]], int]:
+        """Generators and order of the automorphisms that preserve ``colors0``.
+
+        Levels are closed from the deepest up.  At level j the generators
+        found so far generate the pointwise stabilizer of the base points
+        below j; every node of the target cell outside the orbit of the
+        base point under them is tried once, and a failed node rules out
+        its whole orbit.
+        """
+        path = self.descend(*self.refine(colors0))
+        generators: list[tuple[int, ...]] = []
+        order = 1
+        for level in reversed(range(path.depth)):
+            colors = path.colors[level]
+            orbit = _orbit(path.base[level], generators)
+            ruled_out: set[int] = set()
+            for v in np.flatnonzero(colors == path.cells[level]).tolist():
+                if v in orbit or v in ruled_out:
+                    continue
+                img = self.extend(path, level, colors, v, colors0, colors0)
+                if img is None:
+                    ruled_out |= _orbit(v, generators)
+                else:
+                    generators.append(tuple(img.tolist()))
+                    orbit = _orbit(path.base[level], generators)
+            order *= len(orbit)
+        return generators, order
+
+    def isomorphism(self, source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+        """An automorphism of the graph carrying coloring ``source`` onto ``target``.
+
+        Returns ``img`` with ``target[img] == source``, or None if there is none.
+        """
+        src, src_cert = self.refine(source)
+        dst, dst_cert = self.refine(target)
+        if src_cert != dst_cert:
+            return None
+        return self.match(self.descend(src, src_cert), 0, dst, source, target)
+
+
+def automorphisms(graph: WeightedGraph, *, node_cap: int = DEFAULT_NODE_CAP) -> SymmetryGroup:
     """Full automorphism group of a weighted graph with on-site energies.
 
     An automorphism must preserve edge weights and on-site energies
-    exactly.  The search colors nodes by equitable-partition refinement and
-    backtracks over color-compatible assignments; elements come out in
-    lexicographic order of their image tuples.
+    exactly.  The group comes back as generators and its exact order; see
+    the module docstring for the search.
 
     Raises :class:`GroupSearchError` when the graph exceeds ``node_cap``
-    nodes or the group grows past ``order_cap`` elements; groups that large
-    call for a generator-based workflow rather than full enumeration.
+    nodes.
     """
     n = graph.node_count
     if n > node_cap:
         raise GroupSearchError(f"graph has {n} nodes, above the cap of {node_cap}")
-    adj = _adjacency_dicts(graph)
-    colors = _refined_colors(graph, adj)
-    candidates = [[v for v in range(n) if colors[v] == colors[u]] for u in range(n)]
-
-    found: list[tuple[int, ...]] = []
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(u: int):
-        if u == n:
-            found.append(tuple(mapping))
-            if len(found) > order_cap:
-                raise GroupSearchError(
-                    f"automorphism group order exceeds the cap of {order_cap}; "
-                    "use a generator-based workflow for groups this large"
-                )
-            return
-        adj_u = adj[u]
-        mapped_neighbors = [(x, w) for x, w in adj_u.items() if x < u]
-        for v in candidates[u]:
-            if used[v]:
-                continue
-            adj_v = adj[v]
-            ok = True
-            count = 0
-            for y in adj_v:
-                if used[y]:
-                    count += 1
-            if count != len(mapped_neighbors):
-                continue
-            for x, w in mapped_neighbors:
-                if adj_v.get(mapping[x]) != w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = v
-            used[v] = True
-            extend(u + 1)
-            mapping[u] = -1
-            used[v] = False
-
-    extend(0)
-    generators = _generating_set(found, n)
+    search = _Search(graph)
+    generators, order = search.chain(_dense_ranks(search.onsite))
     return SymmetryGroup(
-        elements=tuple(Permutation(img) for img in found),
+        graph=graph,
         generators=tuple(Permutation(img) for img in generators),
+        order=order,
     )
 
 
-def _brute_force_automorphisms(graph: WeightedGraph) -> list[Permutation]:
-    """Filter all n! permutations; test oracle for small graphs only."""
-    if graph.node_count > 8:
-        raise GroupSearchError("brute force is limited to 8 nodes")
-    adj = _adjacency_dicts(graph)
-    out = []
-    for perm in itertools.permutations(range(graph.node_count)):
-        if any(graph.onsite[perm[v]] != graph.onsite[v] for v in range(graph.node_count)):
-            continue
-        good = True
-        for v, nbrs in enumerate(adj):
-            mapped = {perm[u]: w for u, w in nbrs.items()}
-            if mapped != adj[perm[v]]:
-                good = False
-                break
-        if good:
-            out.append(Permutation(perm))
-    return out
-
-
-def _images_array(perms: Sequence[Permutation]) -> np.ndarray:
-    return np.array([p.image for p in perms], dtype=np.intp)
+def _amplitude_classes(values: np.ndarray, representatives: np.ndarray, tol: float) -> np.ndarray | None:
+    """Index of the representative within ``tol`` of each value, or None if one has none."""
+    dist = np.abs(values[:, None] - representatives[None, :])
+    ids = np.argmin(dist, axis=1)
+    if np.any(dist[np.arange(len(values)), ids] > tol):
+        return None
+    return ids
 
 
 def stabilizer(
@@ -323,24 +466,82 @@ def stabilizer(
     """Subgroup whose elements fix the detection state up to a unit phase.
 
     Membership requires ``||S psi_d - p psi_d|| < tol`` with
-    ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored with the
-    element.  The surviving set is re-verified to be closed under
-    composition.
+    ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored with each
+    generator.  The search runs on the graph colored by the detection
+    amplitudes, which for a localized detector just individualizes its
+    node.  The phase-1 kernel comes from a chain search on that coloring.
+    Each further phase ``p`` needs one coset representative, an automorphism
+    carrying the coloring of ``psi_d / p`` onto that of ``psi_d``.  The
+    order is the kernel order times the number of phases found.
     """
     psi_d = as_state(detect_state, group.dim)
-    images = _images_array(group.elements)
-    inverse_images = np.argsort(images, axis=1)
-    transformed = psi_d[inverse_images]  # row k holds S_k psi_d
-    phases = transformed @ np.conj(psi_d)
-    residuals = np.linalg.norm(transformed - phases[:, None] * psi_d[None, :], axis=1)
-    keep = (residuals < tol) & (np.abs(np.abs(phases) - 1.0) < tol)
+    search = _Search(group.graph)
+    representatives: list[complex] = []
+    for z in psi_d:
+        if all(abs(z - r) > tol for r in representatives):
+            representatives.append(z)
+    reps = np.array(representatives)
+    onsite = _dense_ranks(search.onsite)
 
-    members = []
-    for k in np.flatnonzero(keep):
-        phase = complex(phases[k] / abs(phases[k]))
-        members.append((group.elements[k], phase))
-    _generating_set([perm.image for perm, _ in members], group.dim)
-    return StabilizerGroup(elements=tuple(members), dim=group.dim)
+    def coloring(ids: np.ndarray) -> np.ndarray:
+        return onsite * len(reps) + ids
+
+    target = coloring(_amplitude_classes(psi_d, reps, tol))
+    kernel, kernel_order = search.chain(_dense_ranks(target))
+    images = list(kernel)
+
+    anchor = psi_d[int(np.argmax(np.abs(psi_d)))]
+    phases = [1.0 + 0j]
+    for z in psi_d[np.abs(np.abs(psi_d) - abs(anchor)) <= tol]:
+        p = anchor / z
+        p /= abs(p)
+        if any(abs(p - q) <= tol for q in phases):
+            continue
+        ids = _amplitude_classes(psi_d / p, reps, tol)
+        if ids is None:
+            continue
+        source = coloring(ids)
+        if not np.array_equal(np.sort(source), np.sort(target)):
+            continue
+        img = search.isomorphism(_dense_ranks(source), _dense_ranks(target))
+        if img is not None:
+            phases.append(p)
+            images.append(tuple(img.tolist()))
+
+    generators = []
+    for img in images:
+        moved = np.empty_like(psi_d)
+        moved[list(img)] = psi_d
+        phase = complex(np.vdot(psi_d, moved))
+        if abs(abs(phase) - 1.0) >= tol or np.linalg.norm(moved - phase * psi_d) >= tol:
+            raise StrobewalkError(f"stabilizer generator {img} does not fix the detection state")
+        generators.append((Permutation(img), phase / abs(phase)))
+    return StabilizerGroup(generators=tuple(generators), order=kernel_order * len(phases),
+                           dim=group.dim)
+
+
+def _invariant_span_dim(stab: StabilizerGroup, psi: np.ndarray, rank_tol: float) -> int:
+    """Dimension of the smallest generator-invariant subspace containing ``psi``."""
+    n = stab.dim
+    moves = [np.argsort(perm.image) for perm, _ in stab.generators]  # (S v)[i] = v[moves[i]]
+    basis = np.empty((n, n), dtype=complex)
+    basis[:, 0] = psi / np.linalg.norm(psi)
+    size, done = 1, 0
+    while done < size < n:
+        vec = basis[:, done]
+        done += 1
+        for move in moves:
+            w = vec[move]
+            for _ in range(2):  # re-orthogonalize against roundoff
+                q = basis[:, :size]
+                w = w - q @ (q.conj().T @ w)
+            norm = np.linalg.norm(w)
+            if norm > rank_tol:
+                basis[:, size] = w / norm
+                size += 1
+                if size == n:
+                    break
+    return size
 
 
 def orbit_rank(stab: StabilizerGroup, initial_state: np.ndarray, *, rank_tol: float = RANK_TOL) -> int:
@@ -348,30 +549,41 @@ def orbit_rank(stab: StabilizerGroup, initial_state: np.ndarray, *, rank_tol: fl
 
     This counts how many linearly independent states share the initial
     state's detection statistics; the total detection probability is
-    bounded by the reciprocal of this number for localized states.
+    bounded by the reciprocal of this number for localized states.  For a
+    localized state it is the size of the node's orbit; otherwise it is the
+    dimension of the smallest subspace that contains the state and is
+    invariant under the generators, with directions below ``rank_tol``
+    cut.
     """
     psi = as_state(initial_state, stab.dim)
-    images = _images_array(stab.permutations)
-    inverse_images = np.argsort(images, axis=1)
-    orbit = psi[inverse_images]
-    svals = np.linalg.svd(orbit, compute_uv=False)
-    return int(np.sum(svals > rank_tol * max(1.0, float(svals[0]))))
+    node = localized_node(psi)
+    if node is not None:
+        return next(len(orbit) for orbit in stab._orbits if node in orbit)
+    return _invariant_span_dim(stab, psi, rank_tol)
 
 
 def symmetry_projector(stab: StabilizerGroup) -> np.ndarray:
     """Projector onto the stabilizer-symmetric subspace.
 
-    Averages the group elements weighted by their conjugated detection
-    phases, which fixes the detection state exactly.  The result is
-    Hermitian and idempotent and commutes with any Hamiltonian the group
-    commutes with.
+    The subspace holds the states on which every element acts as its
+    phase, ``S psi = p psi``; it contains the detection state.  With
+    trivial phases it is spanned by the uniform states of the node orbits,
+    so the projector is ``lift @ lift.T`` with entries ``1/|orbit|`` within
+    each orbit.  Otherwise it is the joint eigenspace of the generator
+    matrices.  The result is Hermitian and idempotent and commutes with any
+    Hamiltonian the group commutes with.
     """
     dim = stab.dim
-    p = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for perm, phase in stab.elements:
-        p[list(perm.image), cols] += np.conj(phase)
-    p /= stab.order
+    if stab.has_trivial_phases:
+        p = np.zeros((dim, dim), dtype=complex)
+        for orbit in stab._orbits:
+            p[np.ix_(orbit, orbit)] = 1.0 / len(orbit)
+        return p
+    eye = np.eye(dim)
+    stacked = np.vstack([perm.matrix() - phase * eye for perm, phase in stab.generators])
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    span = vh[svals < NULL_TOL].conj().T
+    p = span @ span.conj().T
     return (p + p.conj().T) / 2.0
 
 
@@ -432,7 +644,12 @@ def equivalent_dark_basis(orbit_states: Sequence[np.ndarray]) -> list[np.ndarray
     return dark
 
 
-def upper_bound(stab: StabilizerGroup, initial_state: np.ndarray) -> float:
+def upper_bound(
+    stab: StabilizerGroup,
+    initial_state: np.ndarray,
+    *,
+    projector: np.ndarray | None = None,
+) -> float:
     """Symmetry bound on the total detection probability.
 
     Equals the initial state's weight in the symmetric subspace,
@@ -440,7 +657,7 @@ def upper_bound(stab: StabilizerGroup, initial_state: np.ndarray) -> float:
     ``1/orbit_rank``.  The exact detection probability never exceeds it.
     """
     psi = as_state(initial_state, stab.dim)
-    p = symmetry_projector(stab)
+    p = symmetry_projector(stab) if projector is None else projector
     value = float(np.real(np.vdot(psi, p @ psi)))
     return min(max(value, 0.0), 1.0)
 
@@ -449,6 +666,8 @@ def saturation_check(
     sd: SpectralDecomposition,
     stab: StabilizerGroup,
     detect_state: np.ndarray,
+    *,
+    projector: np.ndarray | None = None,
 ) -> tuple[bool, int]:
     """Whether the symmetry bound is exact, and the symmetric dark count.
 
@@ -459,7 +678,7 @@ def saturation_check(
     state that makes the bound strict for some states.
     """
     psi_d = as_state(detect_state, stab.dim)
-    p = symmetry_projector(stab)
+    p = symmetry_projector(stab) if projector is None else projector
     trace = float(np.real(np.trace(p)))
     sym_dim = round(trace)
     if abs(trace - sym_dim) > 1e-8:
@@ -471,14 +690,4 @@ def saturation_check(
 
 def node_orbits(stab: StabilizerGroup) -> list[tuple[int, ...]]:
     """Orbits of the node set under the stabilizer, ordered by least member."""
-    images = _images_array(stab.permutations)
-    seen = [False] * stab.dim
-    orbits = []
-    for v in range(stab.dim):
-        if seen[v]:
-            continue
-        orbit = sorted(set(int(x) for x in images[:, v]))
-        for x in orbit:
-            seen[x] = True
-        orbits.append(tuple(orbit))
-    return orbits
+    return list(stab._orbits)

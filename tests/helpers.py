@@ -1,5 +1,6 @@
 """Shared cached builders and independent oracles for the test suite."""
 
+import itertools
 from functools import cache
 
 import numpy as np
@@ -89,3 +90,46 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 10) -> sw.WeightedGr
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)
+
+
+def brute_force_automorphisms(g: sw.WeightedGraph) -> list[sw.Permutation]:
+    """Filter all n! permutations; test oracle for graphs of at most 8 nodes."""
+    if g.node_count > 8:
+        raise ValueError("brute force is limited to 8 nodes")
+    adj = [dict() for _ in range(g.node_count)]
+    for i, j, w in g.edges:
+        adj[i][j] = w
+        adj[j][i] = w
+    out = []
+    for perm in itertools.permutations(range(g.node_count)):
+        if any(g.onsite[perm[v]] != g.onsite[v] for v in range(g.node_count)):
+            continue
+        if all({perm[u]: w for u, w in nbrs.items()} == adj[perm[v]] for v, nbrs in enumerate(adj)):
+            out.append(sw.Permutation(perm))
+    return out
+
+
+def brute_force_stabilizer(perms: list[sw.Permutation], node: int) -> list[sw.Permutation]:
+    """The elements of an explicit element list that fix ``node``."""
+    return [p for p in perms if p.image[node] == node]
+
+
+def brute_force_orbits(perms: list[sw.Permutation], n: int) -> list[tuple[int, ...]]:
+    """Node orbits under an explicit element list, ordered by least member."""
+    orbits = {tuple(sorted({p.image[v] for p in perms})) for v in range(n)}
+    return sorted(orbits)
+
+
+def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
+    """Group order, and per detector node the stabilizer order, node orbits
+    and the orbit-stabilizer identity ``|G| = |orbit(d)| * |G_d|``."""
+    n = g.node_count
+    brute = brute_force_automorphisms(g)
+    group = sw.automorphisms(g)
+    assert group.order == len(brute)
+    for d in range(n):
+        expected = brute_force_stabilizer(brute, d)
+        stab = sw.stabilizer(group, sw.localized_state(n, d))
+        assert stab.order == len(expected), d
+        assert sw.node_orbits(stab) == brute_force_orbits(expected, n), d
+        assert group.order == len({p.image[d] for p in brute}) * stab.order, d

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 import strobewalk as sw
+from strobewalk import symmetry
 from strobewalk.cli import main
 
 import helpers
@@ -95,6 +96,34 @@ class TestAnalyze:
             assert row["pdet"] == pytest.approx(1.0 / 6.0, abs=1e-9)
             assert row["upper_bound_fraction"] == "1/6"
 
+    def test_tree5_root_table(self, capsys, schema):
+        # 63 nodes and a group of order 2^31: the paper's 2^-k law in generation k
+        report = run_json(capsys, "analyze", "--graph", "tree:5", "--detect", "0", "--init", "all")
+        jsonschema.validate(report, schema)
+        assert report["group_order"] == report["stabilizer_order"] == 2**31
+        for row in report["results"]:
+            generation = (int(row["init"]) + 1).bit_length() - 1
+            assert row["pdet"] == pytest.approx(2.0**-generation, abs=1e-9)
+            assert row["upper_bound"] == pytest.approx(2.0**-generation, abs=1e-12)
+            assert row["orbit_rank"] == 2**generation
+        bright = report["results"][0]["bright_dim"]
+        assert bright == 6
+        assert sum(row["pdet"] for row in report["results"]) == pytest.approx(bright, abs=1e-9)
+
+    def test_no_command_lists_group_elements(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a CLI path closed the generators into an element list")
+
+        monkeypatch.setattr(symmetry, "_close", refuse)
+        wave = tmp_path / "wave.json"
+        wave.write_text(json.dumps(
+            {"amplitudes": [[z.real, z.imag] for z in helpers.ring_eigenstate(6, 3)]}))
+        for argv in (["analyze", "--graph", "hypercube:4", "--detect", "3", "--init", "all"],
+                     ["analyze", "--graph", "ring:6", "--detect", str(wave), "--init", "all"],
+                     ["quotient", "--graph", "tree:3", "--detect", "4"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+
 
 class TestSimulate:
     def test_tree_series_next_to_spectral(self, capsys, schema):
@@ -152,6 +181,12 @@ class TestQuotientCommand:
         report = run_json(capsys, "quotient", "--graph", "complete:8", "--detect", "0")
         jsonschema.validate(report, schema)
         assert report["reduced_dim"] == 2
+
+    def test_tree5_generations(self, capsys, schema):
+        report = run_json(capsys, "quotient", "--graph", "tree:5", "--detect", "0")
+        jsonschema.validate(report, schema)
+        assert report["reduced_dim"] == 6
+        assert [c["multiplicity"] for c in report["classes"]] == [2**k for k in range(6)]
 
     def test_writes_graph_file_next_to_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -112,15 +112,24 @@ def test_random_hermitian_eigendecomposition_invariants(seed):
     np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
 
 
-@given(st.integers(min_value=0, max_value=99))
-def test_random_graph_group_axioms_and_commutation(seed):
+@given(st.integers(min_value=0, max_value=99), st.booleans())
+def test_random_graph_group_axioms_and_commutation(seed, decorate):
     rng = np.random.default_rng(seed)
     g = helpers.random_graph(rng, max_nodes=7)
+    n = g.node_count
+    if decorate:
+        # heavier links and raised nodes break some of the symmetry
+        g = sw.WeightedGraph(
+            node_count=n,
+            edges=tuple((i, j, float(rng.choice([1.0, 2.0]))) for i, j, _ in g.edges),
+            onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(n)),
+        )
     h = sw.hamiltonian(g, 1.0)
     group = sw.automorphisms(g)
     images = {p.image for p in group.elements}
-    assert tuple(range(g.node_count)) in images
+    assert tuple(range(n)) in images
     for p in group.elements:
         assert p.inverse().image in images
         m = p.matrix()
         assert np.max(np.abs(m @ h - h @ m)) < 1e-10
+    helpers.assert_search_matches_brute_force(g)

@@ -73,6 +73,19 @@ class TestSymmetrize:
             h = helpers.ham("tree:2")
             np.testing.assert_allclose(q.lift.T @ h @ q.lift, q.h_s, atol=1e-10)
 
+    def test_entries_are_scaled_member_pair_sums(self):
+        # reference loop: sum over member pairs, scaled by 1/sqrt(|A| |B|)
+        h = helpers.random_hermitian(np.random.default_rng(2), 7)
+        for node in (0, 1, 3):
+            stab = helpers.node_stabilizer("tree:2", node)
+            q = sw.symmetrize(h, stab, helpers.basis("tree:2", node))
+            for a in q.classes:
+                for b in q.classes:
+                    total = sum(h[x, y] for x in a.members for y in b.members)
+                    expected = total / math.sqrt(a.multiplicity * b.multiplicity)
+                    assert q.h_s[a.id, b.id] == pytest.approx(expected, abs=1e-13)
+            np.testing.assert_array_equal(q.h_s, q.h_s.conj().T)
+
     def test_projector_factorizes_through_the_lift(self):
         # P = L L^H, and the symmetrized matrix is P H P restricted to the classes.
         for node in (0, 1, 3):

@@ -7,7 +7,7 @@ import pytest
 
 import strobewalk as sw
 from strobewalk.errors import AsymmetricStateError, GroupSearchError, StateError
-from strobewalk.symmetry import _brute_force_automorphisms, identity_permutation
+from strobewalk.symmetry import identity_permutation
 
 import helpers
 
@@ -51,7 +51,7 @@ class TestAutomorphisms:
         g = helpers.graph(spec)
         if g.node_count > 8:
             pytest.skip("brute force capped at 8 nodes")
-        expected = {p.image for p in _brute_force_automorphisms(g)}
+        expected = {p.image for p in helpers.brute_force_automorphisms(g)}
         got = {p.image for p in helpers.group(spec).elements}
         assert got == expected
 
@@ -64,7 +64,7 @@ class TestAutomorphisms:
         )
         group = sw.automorphisms(g)
         assert {p.image for p in group.elements} == {(0, 1, 2, 3), (1, 0, 3, 2)}
-        assert {p.image for p in _brute_force_automorphisms(g)} == {(0, 1, 2, 3), (1, 0, 3, 2)}
+        assert {p.image for p in helpers.brute_force_automorphisms(g)} == {(0, 1, 2, 3), (1, 0, 3, 2)}
 
     def test_onsite_energy_breaks_symmetry(self):
         g = sw.WeightedGraph(
@@ -120,9 +120,11 @@ class TestAutomorphisms:
             sw.automorphisms(g)
 
     def test_order_cap_advises_generators(self):
-        g = sw.build_named("complete:8")
+        # The search itself has no order cap; listing the elements has.
+        group = sw.automorphisms(sw.build_named("complete:10"))
+        assert group.order == math.factorial(10)
         with pytest.raises(GroupSearchError, match="generator-based"):
-            sw.automorphisms(g, order_cap=100)
+            group.elements
 
 
 class TestStabilizer:
@@ -193,7 +195,7 @@ class TestOrbitRank:
 
 class TestProjector:
     def test_singleton_group_gives_identity(self):
-        stab = sw.StabilizerGroup(elements=((identity_permutation(4), 1.0 + 0j),), dim=4)
+        stab = sw.StabilizerGroup(generators=(), order=1, dim=4)
         np.testing.assert_allclose(sw.symmetry_projector(stab), np.eye(4), atol=1e-15)
 
     def test_ring8_two_element_projector(self):
@@ -421,3 +423,92 @@ class TestLatticeBounds:
         antipode = sw.localized_state(16, 2 * 4 + 2)
         assert sw.orbit_rank(stab, antipode) == 1
         assert sw.upper_bound(stab, antipode) == pytest.approx(1.0)
+
+
+class TestSearchAgainstBruteForce:
+    @pytest.mark.parametrize("spec", ["ring:5", "ring:6", "ring:7", "ring:8", "tree:2", "cross:3",
+                                      "cross:4", "cross:5", "square_center", "complete:4",
+                                      "complete:5", "complete:6"])
+    def test_every_detector_node(self, spec):
+        helpers.assert_search_matches_brute_force(helpers.graph(spec))
+
+    def test_weighted_graph_with_onsite_energies(self):
+        # ring:6 with two heavy links and one raised node: only the mirror through 0 and 3 survives
+        g = sw.WeightedGraph(
+            node_count=6,
+            edges=((0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 5, 2.0)),
+            onsite=(0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+        )
+        helpers.assert_search_matches_brute_force(g)
+        assert sw.automorphisms(g).order == 2
+
+    def test_zero_weight_edge_is_still_an_edge(self):
+        # a path 0-1-2 whose second link has weight 0 has no symmetry
+        g = sw.WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.0)), onsite=(0.0,) * 3)
+        helpers.assert_search_matches_brute_force(g)
+        assert sw.automorphisms(g).order == 1
+
+
+class TestClosedFormOrders:
+    """Orders far beyond what listing the elements could reach."""
+
+    @pytest.mark.parametrize(
+        "spec, order",
+        [("tree:5", 2**31), ("hypercube:6", 2**6 * math.factorial(6)),
+         ("complete:12", math.factorial(12)), ("lattice:8x8", 8 * 8 * 8), ("ring:64", 128)],
+    )
+    def test_group_and_detector_stabilizer_orders(self, spec, order):
+        group = helpers.group(spec)
+        assert group.order == order
+        n = group.dim
+        stab = sw.stabilizer(group, sw.localized_state(n, 0))
+        # node 0 is the tree root (fixed by every automorphism); the other graphs are vertex-transitive
+        assert stab.order == (order if spec.startswith("tree") else order // n)
+        for p in group.generators:
+            m = p.matrix()
+            h = helpers.ham(spec)
+            assert np.max(np.abs(m @ h - h @ m)) == 0.0
+
+    def test_tree5_stabilizer_orbits_are_generations(self):
+        stab = helpers.node_stabilizer("tree:5", 0)
+        assert sw.node_orbits(stab) == [tuple(range(2**k - 1, 2 ** (k + 1) - 1)) for k in range(6)]
+
+    def test_ring6_eigenstate_stabilizer_orders(self):
+        orders = [sw.stabilizer(helpers.group("ring:6"), helpers.ring_eigenstate(6, k)).order
+                  for k in range(6)]
+        assert orders == [12, 6, 6, 12, 6, 6]
+
+
+class TestGeneratorRoutesMatchElementSums:
+    """The generator-based projector and orbit rank against sums over every element."""
+
+    CASES = [("ring:6", 3), ("ring:6", 1), ("ring:8", None), ("tree:2", None), ("hypercube:3", None)]
+
+    @staticmethod
+    def _stab(spec, wave):
+        if wave is None:
+            return helpers.node_stabilizer(spec, 0)
+        return sw.stabilizer(helpers.group(spec), helpers.ring_eigenstate(helpers.graph(spec).node_count, wave))
+
+    @pytest.mark.parametrize("spec, wave", CASES)
+    def test_projector_is_the_phase_weighted_group_average(self, spec, wave):
+        stab = self._stab(spec, wave)
+        expected = sum(np.conj(phase) * perm.matrix() for perm, phase in stab.elements) / stab.order
+        np.testing.assert_allclose(sw.symmetry_projector(stab), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("spec, wave", CASES)
+    def test_orbit_rank_is_the_rank_of_the_orbit(self, spec, wave):
+        stab = self._stab(spec, wave)
+        rng = np.random.default_rng(8)
+        n = stab.dim
+        states = [helpers.random_state(rng, n), sw.localized_state(n, 1), sw.uniform_state(n, [0, 1])]
+        for psi in states:
+            orbit = np.array([perm.apply(psi) for perm in stab.permutations])
+            assert sw.orbit_rank(stab, psi) == np.linalg.matrix_rank(orbit, tol=1e-8)
+
+    def test_elements_close_the_generators_with_phases(self):
+        stab = self._stab("ring:6", 3)
+        psi_d = helpers.ring_eigenstate(6, 3)
+        assert len(stab.elements) == stab.order == 12
+        for perm, phase in stab.elements:
+            np.testing.assert_allclose(perm.apply(psi_d), phase * psi_d, atol=1e-12)
