@@ -19,19 +19,18 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .detection import DetectionSetup, first_detection_amplitudes, pdet_series, pdet_spectral
+from . import __version__, detection, spectral, symmetry
+from .detection import DetectionSetup, _DetectorProjection, pdet_series
 from .errors import (
     GraphFormatError,
     GraphInvariantError,
     GraphSpecError,
-    GroupSearchError,
     NonLocalizedDetectionError,
-    SpectralError,
     StateError,
     StrobewalkError,
 )
@@ -40,9 +39,9 @@ from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
 from .spectral import diagonalize, fold_sectors, is_resonant, resonant_periods
 from .states import as_state, localized_state
 from .symmetry import (
+    _symmetric_dark_dim,
     automorphisms,
     orbit_rank,
-    saturation_check,
     stabilizer,
     symmetry_projector,
     upper_bound,
@@ -51,7 +50,15 @@ from .symmetry import (
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
 
-_TOL_KEYS = ("phase", "dark", "rank", "resonance", "series-rel", "series-cap")
+#: The ``--tol`` keys and their defaults, the library's own.
+_TOL_DEFAULTS = {
+    "phase": spectral.PHASE_GROUP_TOL,
+    "dark": detection.DARK_OVERLAP_TOL,
+    "rank": symmetry.RANK_TOL,
+    "resonance": spectral.RESONANCE_TOL,
+    "series-rel": detection.SERIES_REL_TOL,
+    "series-cap": detection.DEFAULT_SERIES_CAP,
+}
 
 
 class ConfigError(ValueError):
@@ -59,12 +66,12 @@ class ConfigError(ValueError):
 
 
 def _parse_tolerances(entries: list[str]) -> dict[str, float]:
-    tols: dict[str, float] = {}
-    for entry in entries or []:
+    tols = dict(_TOL_DEFAULTS)
+    for entry in entries:
         key, sep, value = entry.partition("=")
-        if not sep or key not in _TOL_KEYS:
+        if not sep or key not in _TOL_DEFAULTS:
             raise ConfigError(
-                f"bad --tol entry {entry!r}; expected KEY=VALUE with KEY in {', '.join(_TOL_KEYS)}"
+                f"bad --tol entry {entry!r}; expected KEY=VALUE with KEY in {', '.join(_TOL_DEFAULTS)}"
             )
         try:
             tols[key] = float(value)
@@ -152,10 +159,6 @@ def _fraction_of(value: float, max_denominator: int = 64) -> str | None:
     return None
 
 
-def _graph_summary(source: str, graph) -> dict:
-    return {"source": source, "nodes": graph.node_count, "edges": graph.edge_count}
-
-
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -174,16 +177,10 @@ def _to_csv(report: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     command = report["command"]
     if command == "analyze":
-        writer.writerow(
-            ["init", "pdet", "pdet_fraction", "orbit_rank", "upper_bound",
-             "upper_bound_fraction", "saturated", "bright_dim", "dark_dim"]
-        )
-        for row in report["results"]:
-            writer.writerow(
-                [row["init"], row["pdet"], row["pdet_fraction"], row["orbit_rank"],
-                 row["upper_bound"], row["upper_bound_fraction"], row["saturated"],
-                 row["bright_dim"], row["dark_dim"]]
-            )
+        columns = ["init", "pdet", "pdet_fraction", "orbit_rank", "upper_bound",
+                   "upper_bound_fraction", "saturated", "bright_dim", "dark_dim"]
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in report["results"])
     elif command == "simulate":
         writer.writerow(["n", "first_detection_probability", "partial_sum"])
         for n, (f, s) in enumerate(zip(report["first_detection"], report["partial_sums"]), start=1):
@@ -211,8 +208,7 @@ def _to_csv(report: dict) -> str:
 def _to_text(report: dict) -> str:
     lines = [f"strobewalk {report['command']}  graph={report['graph']['source']} "
              f"({report['graph']['nodes']} nodes)"]
-    for warning in report.get("warnings", []):
-        lines.append(f"warning: {warning}")
+    lines += [f"warning: {warning}" for warning in report["warnings"]]
     command = report["command"]
     if command == "analyze":
         lines.append(
@@ -273,42 +269,94 @@ def _to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args) -> dict:
-    tols = _parse_tolerances(args.tol)
-    graph = _load_graph_source(args.graph)
-    h = hamiltonian(graph, 1.0)
-    tau = _parse_tau(args.tau)
-    es = diagonalize(h)
-    sd = fold_sectors(es, tau, phase_tol=tols.get("phase", 1e-8))
-    warnings = list(sd.warnings)
-    resonant = is_resonant(es, tau, tol=tols.get("resonance", 1e-9))
-    if resonant:
+class _Query:
+    """The inputs the commands share, each computed at most once.
+
+    ``--tol``, the graph and the Hamiltonian come first, for every command;
+    the rest is computed on first use, in the order the command asks.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.tols = _parse_tolerances(args.tol)
+        self.graph = _load_graph_source(args.graph)
+        self.h = hamiltonian(self.graph, 1.0)
+
+    @cached_property
+    def tau(self) -> float:
+        return _parse_tau(self.args.tau)
+
+    @cached_property
+    def eigensystem(self):
+        return diagonalize(self.h)
+
+    @cached_property
+    def sectors(self):
+        return fold_sectors(self.eigensystem, self.tau, phase_tol=self.tols["phase"])
+
+    @cached_property
+    def resonant(self) -> bool:
+        return is_resonant(self.eigensystem, self.tau, tol=self.tols["resonance"])
+
+    @cached_property
+    def detect(self) -> np.ndarray:
+        return _parse_state(self.args.detect, self.graph.node_count, "detect")
+
+    @cached_property
+    def group(self):
+        return automorphisms(self.graph)
+
+    @cached_property
+    def stab(self):
+        return stabilizer(self.group, self.detect)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        return symmetry_projector(self.stab)
+
+    @cached_property
+    def projection(self) -> _DetectorProjection:
+        return _DetectorProjection(self.sectors, self.detect)
+
+    def dark_warnings(self) -> list[str]:
+        weight = self.projection.near_dark(self.tols["dark"])
+        if weight is None:
+            return []
+        return [f"a sector dropped as dark has detector weight {weight:.3e}, above the square of "
+                f"the dark tolerance {self.tols['dark']:g}: it may be weakly bright; a smaller "
+                "--tol dark= keeps it"]
+
+
+def cmd_analyze(q: _Query) -> dict:
+    args, tau = q.args, q.tau
+    warnings = list(q.sectors.warnings)
+    if q.resonant:
         warnings.append(
             f"tau={tau} is a resonant detection period: sectors merge and the "
             "symmetry analysis relies on the folded sectors"
         )
-    psi_d = _parse_state(args.detect, graph.node_count, "detect")
-    group = automorphisms(graph)
-    stab = stabilizer(group, psi_d)
-    projector = symmetry_projector(stab)
-    saturated, symmetric_dark_dim = saturation_check(sd, stab, psi_d, projector=projector)
+    # The saturation count keeps the library default dark tolerance.
+    bright_dim = q.projection.bright(detection.DARK_OVERLAP_TOL).size
+    symmetric_dark_dim = _symmetric_dark_dim(q.projector, bright_dim)
+    saturated = symmetric_dark_dim == 0
 
+    n = q.graph.node_count
     if args.init == "all":
-        inits = [(str(r), localized_state(graph.node_count, r)) for r in range(graph.node_count)]
+        labels, states = [str(r) for r in range(n)], np.eye(n, dtype=complex)
     else:
-        inits = [(args.init, _parse_state(args.init, graph.node_count, "init"))]
+        labels, states = [args.init], _parse_state(args.init, n, "init")[:, None]
+    warnings += q.dark_warnings()
 
-    dark_tol = tols.get("dark", 1e-12)
     results = []
-    for label, psi_in in inits:
-        rep = pdet_spectral(sd, psi_d, psi_in, dark_tol=dark_tol)
-        bound = upper_bound(stab, psi_in, projector=projector)
+    reports = q.projection.reports(states, dark_tol=q.tols["dark"])
+    for label, psi_in, rep in zip(labels, states.T, reports):
+        bound = upper_bound(q.stab, psi_in, projector=q.projector)
         results.append(
             {
                 "init": label,
                 "pdet": rep.pdet,
                 "pdet_fraction": _fraction_of(rep.pdet),
-                "orbit_rank": orbit_rank(stab, psi_in, rank_tol=tols.get("rank", 1e-10)),
+                "orbit_rank": orbit_rank(q.stab, psi_in, rank_tol=q.tols["rank"]),
                 "upper_bound": bound,
                 "upper_bound_fraction": _fraction_of(bound),
                 "saturated": saturated,
@@ -318,13 +366,11 @@ def cmd_analyze(args) -> dict:
             }
         )
     return {
-        "command": "analyze",
-        "graph": _graph_summary(args.graph, graph),
         "tau": tau,
-        "tau_resonant": resonant,
+        "tau_resonant": q.resonant,
         "detect": args.detect,
-        "group_order": group.order,
-        "stabilizer_order": stab.order,
+        "group_order": q.group.order,
+        "stabilizer_order": q.stab.order,
         "saturated": saturated,
         "symmetric_dark_dim": symmetric_dark_dim,
         "results": results,
@@ -332,41 +378,26 @@ def cmd_analyze(args) -> dict:
     }
 
 
-def cmd_simulate(args) -> dict:
-    tols = _parse_tolerances(args.tol)
-    graph = _load_graph_source(args.graph)
-    h = hamiltonian(graph, 1.0)
-    tau = _parse_tau(args.tau)
-    psi_d = _parse_state(args.detect, graph.node_count, "detect")
+def cmd_simulate(q: _Query) -> dict:
+    args, tau, psi_d = q.args, q.tau, q.detect
     if args.init == "all":
         raise ConfigError("simulate requires a single --init state")
-    psi_in = _parse_state(args.init, graph.node_count, "init")
-
-    es = diagonalize(h)
+    psi_in = _parse_state(args.init, q.graph.node_count, "init")
+    setup = DetectionSetup(hamiltonian=q.h, detect_state=psi_d, initial_state=psi_in, tau=tau)
+    q.eigensystem = setup.eigensystem  # the setup's diagonalization serves the whole query
     warnings = []
-    resonant = is_resonant(es, tau, tol=tols.get("resonance", 1e-9))
-    if resonant:
+    if q.resonant:
         warnings.append(
             f"tau={tau} is a resonant detection period; the series may not converge"
         )
-    setup = DetectionSetup(hamiltonian=h, detect_state=psi_d, initial_state=psi_in, tau=tau)
-    series = pdet_series(
-        setup,
-        rel_tol=tols.get("series-rel", 1e-6),
-        n_cap=int(tols.get("series-cap", 100_000)),
-    )
-    amps = first_detection_amplitudes(setup, series.n_used)
-    probs = np.abs(amps) ** 2
-    partial = np.cumsum(probs)
-    sd = fold_sectors(es, tau, phase_tol=tols.get("phase", 1e-8))
-    spectral = pdet_spectral(sd, psi_d, psi_in, dark_tol=tols.get("dark", 1e-12))
+    series = pdet_series(setup, rel_tol=q.tols["series-rel"], n_cap=int(q.tols["series-cap"]))
+    (exact,) = q.projection.reports(psi_in[:, None], dark_tol=q.tols["dark"])
+    warnings += q.dark_warnings()
     if not series.converged:
         warnings.append(f"series did not converge within n={series.n_used}")
     return {
-        "command": "simulate",
-        "graph": _graph_summary(args.graph, graph),
         "tau": tau,
-        "tau_resonant": resonant,
+        "tau_resonant": q.resonant,
         "detect": args.detect,
         "init": args.init,
         "series": {
@@ -374,83 +405,56 @@ def cmd_simulate(args) -> dict:
             "n_used": series.n_used,
             "converged": series.converged,
         },
-        "spectral_pdet": spectral.pdet,
-        "first_detection": [float(f) for f in probs],
-        "partial_sums": [float(s) for s in partial],
+        "spectral_pdet": exact.pdet,
+        "first_detection": series.probabilities.tolist(),
+        "partial_sums": np.cumsum(series.probabilities).tolist(),
         "warnings": warnings,
     }
 
 
-def cmd_quotient(args) -> dict:
-    graph = _load_graph_source(args.graph)
-    h = hamiltonian(graph, 1.0)
-    psi_d = _parse_state(args.detect, graph.node_count, "detect")
-    group = automorphisms(graph)
-    stab = stabilizer(group, psi_d)
-    q = symmetrize(h, stab, psi_d)
-    qgraph, _ = quotient_graph(q)
-    spectrum = symmetric_eigensystem(q)
-    graph_doc = json.loads(save_graph(qgraph).decode("utf-8"))
-    report = {
-        "command": "quotient",
-        "graph": _graph_summary(args.graph, graph),
-        "tau": None,
-        "detect": args.detect,
-        "original_dim": q.original_dim,
-        "reduced_dim": q.reduced_dim,
-        "detect_class": q.detect_class,
+def cmd_quotient(q: _Query) -> dict:
+    qs = symmetrize(q.h, q.stab, q.detect)
+    graph_bytes = save_graph(quotient_graph(qs)[0])
+    if q.args.out:
+        Path(q.args.out + ".graph.json").write_bytes(graph_bytes)
+    return {
+        "detect": q.args.detect,
+        "original_dim": qs.original_dim,
+        "reduced_dim": qs.reduced_dim,
+        "detect_class": qs.detect_class,
         "classes": [
             {"id": cls.id, "members": list(cls.members), "multiplicity": cls.multiplicity}
-            for cls in q.classes
+            for cls in qs.classes
         ],
-        "symmetric_spectrum": [float(e) for e in spectrum.eigenvalues],
-        "quotient_graph": graph_doc,
-        "warnings": [],
+        "symmetric_spectrum": symmetric_eigensystem(qs).eigenvalues.tolist(),
+        "quotient_graph": json.loads(graph_bytes.decode("utf-8")),
     }
-    if args.out:
-        Path(args.out + ".graph.json").write_bytes(save_graph(qgraph))
-    return report
 
 
-def cmd_resonances(args) -> dict:
-    graph = _load_graph_source(args.graph)
-    h = hamiltonian(graph, 1.0)
-    es = diagonalize(h)
-    lo, hi = _parse_tau_range(args.tau)
-    periods = [p for p in resonant_periods(es, hi) if p.tau > lo]
+def cmd_resonances(q: _Query) -> dict:
+    lo, hi = _parse_tau_range(q.args.tau)
     return {
-        "command": "resonances",
-        "graph": _graph_summary(args.graph, graph),
-        "tau": None,
         "range": [lo, hi],
         "resonances": [
-            {"tau": p.tau, "pairs": [list(pair) for pair in p.pairs]} for p in periods
+            {"tau": p.tau, "pairs": [list(pair) for pair in p.pairs]}
+            for p in resonant_periods(q.eigensystem, hi) if p.tau > lo
         ],
-        "warnings": [],
     }
 
 
-def cmd_spectrum(args) -> dict:
-    tols = _parse_tolerances(args.tol)
-    graph = _load_graph_source(args.graph)
-    h = hamiltonian(graph, 1.0)
-    tau = _parse_tau(args.tau)
-    es = diagonalize(h)
-    sd = fold_sectors(es, tau, phase_tol=tols.get("phase", 1e-8))
+def cmd_spectrum(q: _Query) -> dict:
     return {
-        "command": "spectrum",
-        "graph": _graph_summary(args.graph, graph),
-        "tau": tau,
-        "eigenvalues": [float(e) for e in es.eigenvalues],
+        "tau": q.tau,
+        "eigenvalues": q.eigensystem.eigenvalues.tolist(),
         "sectors": [
             {
                 "phase": float(s.phase),
                 "degeneracy": s.degeneracy,
-                "energies": [float(e) for e in s.energies],
+                "energies": s.energies.tolist(),
             }
-            for s in sd.sectors
+            for s in q.sectors.sectors
         ],
-        "warnings": list(sd.warnings),
+        "warnings": list(q.sectors.warnings),
     }
 
 
@@ -462,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, detect=False, init=False, tau_default="1.0"):
+    def add_common(p, run, detect=False, init=False, tau_default="1.0"):
+        p.set_defaults(run=run)
         p.add_argument("--graph", required=True, help="generator spec (e.g. ring:6) or graph JSON path")
         if detect:
             p.add_argument("--detect", required=True, help="detection node id or state file path")
@@ -470,41 +475,35 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--init", required=True, help="initial node id, state file path, or 'all'")
         p.add_argument("--tau", default=tau_default, help="detection period (default %(default)s)")
         p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                       help=f"override a tolerance; keys: {', '.join(_TOL_KEYS)}")
+                       help=f"override a tolerance; keys: {', '.join(_TOL_DEFAULTS)}")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     add_common(sub.add_parser("analyze", help="detection probability, bound and saturation"),
-               detect=True, init=True)
+               cmd_analyze, detect=True, init=True)
     add_common(sub.add_parser("simulate", help="direct protocol summation next to the spectral value"),
-               detect=True, init=True)
+               cmd_simulate, detect=True, init=True)
     add_common(sub.add_parser("quotient", help="symmetrized (quotient) system for a detection node"),
-               detect=True)
+               cmd_quotient, detect=True)
     add_common(sub.add_parser("resonances", help="resonant detection periods up to a bound"),
-               tau_default="6.2831853")
-    add_common(sub.add_parser("spectrum", help="eigenvalues and quasienergy sectors"))
+               cmd_resonances, tau_default="6.2831853")
+    add_common(sub.add_parser("spectrum", help="eigenvalues and quasienergy sectors"), cmd_spectrum)
     return parser
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "simulate": cmd_simulate,
-    "quotient": cmd_quotient,
-    "resonances": cmd_resonances,
-    "spectrum": cmd_spectrum,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
+        q = _Query(args)
+        graph = {"source": args.graph, "nodes": q.graph.node_count, "edges": q.graph.edge_count}
+        report = {"command": args.command, "graph": graph, "tau": None, "warnings": [],
+                  **args.run(q)}
     except (ConfigError, GraphSpecError, GraphFormatError, GraphInvariantError,
             StateError, NonLocalizedDetectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
-    except (SpectralError, GroupSearchError, StrobewalkError) as exc:
+    except StrobewalkError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     _emit(report, args.format, args.out)

@@ -16,13 +16,13 @@ cross-check throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .errors import StateError
-from .spectral import SpectralDecomposition, diagonalize, evolution_operator
+from .spectral import EigenSystem, SpectralDecomposition, diagonalize, evolution_operator
 from .states import as_state
 
 __all__ = [
@@ -44,17 +44,26 @@ DARK_OVERLAP_TOL = 1e-12
 #: Window length for the geometric tail extrapolation of the series.
 SERIES_WINDOW = 32
 
+#: Default relative tail tolerance and step cap of ``pdet_series``.
+SERIES_REL_TOL = 1e-6
 DEFAULT_SERIES_CAP = 100_000
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionSetup:
-    """Hamiltonian, detection state, initial state and detection period."""
+    """Hamiltonian, detection state, initial state and detection period.
+
+    The Hamiltonian is diagonalized once, on construction: ``eigensystem``
+    and the one-period evolution ``unitary = U(tau)`` serve every protocol
+    run on this setup.
+    """
 
     hamiltonian: np.ndarray
     detect_state: np.ndarray
     initial_state: np.ndarray
     tau: float
+    eigensystem: EigenSystem = field(init=False, repr=False)
+    unitary: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -66,19 +75,26 @@ class DetectionSetup:
         object.__setattr__(self, "initial_state", as_state(self.initial_state, dim))
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise StateError(f"tau must be positive and finite, got {self.tau}")
+        es = diagonalize(h)
+        object.__setattr__(self, "eigensystem", es)
+        object.__setattr__(self, "unitary", evolution_operator(es, self.tau))
 
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesResult:
-    """Outcome of the direct protocol summation."""
+    """Outcome of the direct protocol summation.
+
+    ``probabilities`` holds the first-detection probability of each summed
+    attempt, 1..``n_used``; ``estimate`` is their compensated sum.
+    """
 
     estimate: float
-    n_used: int
     converged: bool
+    probabilities: np.ndarray = field(repr=False)
+
+    @property
+    def n_used(self) -> int:
+        return self.probabilities.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +145,13 @@ def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    es = diagonalize(setup.hamiltonian)
-    u = evolution_operator(es, setup.tau)
-    stream = _amplitude_stream(u, setup.detect_state, setup.initial_state)
+    stream = _amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
     return np.array([next(stream) for _ in range(n_max)], dtype=complex)
 
 
 def pdet_series(
     setup: DetectionSetup,
-    rel_tol: float = 1e-6,
+    rel_tol: float = SERIES_REL_TOL,
     n_cap: int = DEFAULT_SERIES_CAP,
 ) -> SeriesResult:
     """Total detection probability by direct summation of the protocol.
@@ -154,23 +168,18 @@ def pdet_series(
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    es = diagonalize(setup.hamiltonian)
-    u = evolution_operator(es, setup.tau)
-    stream = _amplitude_stream(u, setup.detect_state, setup.initial_state)
+    stream = _amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
 
     terms: list[float] = []
     window_sums: list[float] = []
     running_total = 0.0
     current = 0.0
     converged = False
-    n = 0
-    while n < n_cap:
-        amp = next(stream)
+    for n, amp in zip(range(1, n_cap + 1), stream):
         term = abs(amp) ** 2
         terms.append(term)
         current += term
         running_total += term
-        n += 1
         if n % SERIES_WINDOW:
             continue
         window_sums.append(current)
@@ -195,7 +204,53 @@ def pdet_series(
         if tail < rel_tol * max(running_total, 1e-12):
             converged = True
             break
-    return SeriesResult(estimate=math.fsum(terms), n_used=len(terms), converged=converged)
+    return SeriesResult(estimate=math.fsum(terms), converged=converged, probabilities=np.array(terms))
+
+
+class _DetectorProjection:
+    """The detection state projected onto every sector, once.
+
+    ``columns[:, l]`` is ``P_l psi_d`` and ``weights[l]`` its squared norm
+    ``<psi_d| P_l |psi_d>``; sectors of weight at most ``dark_tol`` are the
+    completely dark levels.
+    """
+
+    def __init__(self, sd: SpectralDecomposition, detect_state: np.ndarray):
+        psi_d = as_state(detect_state, sd.dim)
+        coeffs = [sector.vectors.conj().T @ psi_d for sector in sd.sectors]
+        self.sd = sd
+        self.weights = np.array([float(np.real(c.conj() @ c)) for c in coeffs])
+        self.columns = np.column_stack([sector.vectors @ c for sector, c in zip(sd.sectors, coeffs)])
+
+    def bright(self, dark_tol: float) -> np.ndarray:
+        """Indices of the sectors that overlap the detection state."""
+        return np.flatnonzero(self.weights > dark_tol)
+
+    def near_dark(self, dark_tol: float) -> float | None:
+        """Largest weight dropped as dark that still exceeds ``dark_tol**2``;
+        roundoff leaves truly dark sectors far below, so it may be bright."""
+        w = self.weights[(self.weights > dark_tol**2) & (self.weights <= dark_tol)]
+        return float(np.max(w)) if w.size else None
+
+    def reports(self, initial_states: np.ndarray, *, dark_tol: float) -> list[DetectionReport]:
+        """One report per column of ``initial_states``, from one matrix product: bright
+        sector ``l`` contributes ``|<psi_d| P_l |psi_in>|^2 / <psi_d| P_l |psi_d>``."""
+        bright = self.bright(dark_tol)
+        excluded = tuple(np.flatnonzero(self.weights <= dark_tol).tolist())
+        amps = self.columns[:, bright].conj().T @ initial_states
+        contributions = np.abs(amps) ** 2 / self.weights[bright, None]
+        return [
+            DetectionReport(
+                pdet=math.fsum(column),
+                per_sector=tuple(zip(bright.tolist(), column.tolist())),
+                bright_dim=bright.size,
+                dark_dim=self.sd.dim - bright.size,
+                excluded_sectors=excluded,
+                method="spectral",
+                sector_degeneracies=self.sd.degeneracies,
+            )
+            for column in contributions.T
+        ]
 
 
 def bright_eigenstates(
@@ -213,47 +268,8 @@ def bright_eigenstates(
     subspace: any initial state is eventually detected with probability
     equal to its squared projection onto that span.
     """
-    psi_d = as_state(detect_state, sd.dim)
-    out = []
-    for idx, sector in enumerate(sd.sectors):
-        coeff = sector.vectors.conj().T @ psi_d
-        weight = float(np.real(coeff.conj() @ coeff))
-        if weight > dark_tol:
-            out.append((idx, (sector.vectors @ coeff) / math.sqrt(weight)))
-    return out
-
-
-def _pdet_from_sectors(
-    sd: SpectralDecomposition,
-    psi_d: np.ndarray,
-    psi_in: np.ndarray,
-    *,
-    method: str,
-    dark_tol: float,
-    discarded_weight: float = 0.0,
-) -> DetectionReport:
-    per_sector = []
-    excluded = []
-    for idx, sector in enumerate(sd.sectors):
-        d_coeff = sector.vectors.conj().T @ psi_d
-        weight = float(np.real(d_coeff.conj() @ d_coeff))
-        if weight <= dark_tol:
-            excluded.append(idx)
-            continue
-        in_coeff = sector.vectors.conj().T @ psi_in
-        amp = complex(d_coeff.conj() @ in_coeff)
-        per_sector.append((idx, abs(amp) ** 2 / weight))
-    bright_dim = len(per_sector)
-    return DetectionReport(
-        pdet=math.fsum(c for _, c in per_sector),
-        per_sector=tuple(per_sector),
-        bright_dim=bright_dim,
-        dark_dim=sd.dim - bright_dim,
-        excluded_sectors=tuple(excluded),
-        method=method,
-        sector_degeneracies=sd.degeneracies,
-        discarded_weight=discarded_weight,
-    )
+    proj = _DetectorProjection(sd, detect_state)
+    return [(int(l), proj.columns[:, l] / math.sqrt(proj.weights[l])) for l in proj.bright(dark_tol)]
 
 
 def pdet_spectral(
@@ -273,9 +289,8 @@ def pdet_spectral(
     not depend on the basis chosen inside degenerate sectors, nor on the
     detection period as long as the sector structure is the same.
     """
-    psi_d = as_state(detect_state, sd.dim)
     psi_in = as_state(initial_state, sd.dim)
-    return _pdet_from_sectors(sd, psi_d, psi_in, method="spectral", dark_tol=dark_tol)
+    return _DetectorProjection(sd, detect_state).reports(psi_in[:, None], dark_tol=dark_tol)[0]
 
 
 def dark_space_basis(
@@ -291,9 +306,8 @@ def dark_space_basis(
     column has vanishing first-detection amplitude at every attempt.
     """
     bright = bright_eigenstates(sd, detect_state, dark_tol=dark_tol)
-    dim = sd.dim
     if not bright:
-        return np.eye(dim, dtype=complex)
+        return np.eye(sd.dim, dtype=complex)
     b = np.column_stack([state for _, state in bright])
     # Null space of B^H via SVD: the trailing right-singular directions.
     _, svals, vh = np.linalg.svd(b.conj().T, full_matrices=True)

@@ -12,16 +12,16 @@ diagonalization cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .detection import DARK_OVERLAP_TOL, DetectionReport, _pdet_from_sectors
+from .detection import DARK_OVERLAP_TOL, DetectionReport, _DetectorProjection
 from .errors import NonLocalizedDetectionError, StrobewalkError
 from .graphs import WeightedGraph
 from .spectral import EigenSystem, diagonalize, energy_sectors, fold_sectors
-from .states import as_state, localized_node
+from .states import as_state, localized_node, localized_state
 from .symmetry import StabilizerGroup, node_orbits
 
 __all__ = [
@@ -139,16 +139,9 @@ def pdet_symmetrized(
     discarded = max(0.0, 1.0 - float(np.real(np.vdot(reduced, reduced))))
     es = diagonalize(q.h_s)
     sd = energy_sectors(es) if tau is None else fold_sectors(es, tau)
-    detect_reduced = np.zeros(q.reduced_dim, dtype=complex)
-    detect_reduced[q.detect_class] = 1.0
-    return _pdet_from_sectors(
-        sd,
-        detect_reduced,
-        reduced,
-        method="symmetrized",
-        dark_tol=dark_tol,
-        discarded_weight=discarded,
-    )
+    (report,) = _DetectorProjection(sd, localized_state(q.reduced_dim, q.detect_class)).reports(
+        reduced[:, None], dark_tol=dark_tol)
+    return replace(report, method="symmetrized", discarded_weight=discarded)
 
 
 def quotient_graph(q: QuotientSystem) -> tuple[WeightedGraph, dict[int, tuple[int, ...]]]:

@@ -73,11 +73,6 @@ class Sector:
     def degeneracy(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def energy(self) -> float:
-        """Representative (lowest) member energy."""
-        return float(self.energies[0])
-
     def projector(self) -> np.ndarray:
         v = self.vectors
         return v @ v.conj().T
@@ -169,13 +164,8 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
 
 def _group_indices(keys: np.ndarray, tol: float) -> list[list[int]]:
     """Cluster ascending keys: break wherever the gap exceeds tol."""
-    groups: list[list[int]] = []
-    for idx in range(keys.shape[0]):
-        if groups and keys[idx] - keys[groups[-1][-1]] <= tol:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return groups
+    bounds = [0, *(np.flatnonzero(np.diff(keys) > tol) + 1).tolist(), keys.shape[0]]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
 def _near_degenerate_warnings(keys: np.ndarray, groups: list[list[int]], tol: float, what: str) -> list[str]:
@@ -190,6 +180,11 @@ def _near_degenerate_warnings(keys: np.ndarray, groups: list[list[int]], tol: fl
     return notes
 
 
+def _energy_tol(ev: np.ndarray, rtol: float) -> float:
+    """Grouping tolerance ``rtol`` relative to the scale ``max(1, max|E|)``."""
+    return rtol * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
+
+
 def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> SpectralDecomposition:
     """Group eigenpairs into degenerate energy levels.
 
@@ -197,8 +192,7 @@ def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> Spect
     ``max(1, max|E|)``.
     """
     ev = es.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
-    tol = rtol * scale
+    tol = _energy_tol(ev, rtol)
     groups = _group_indices(ev, tol)
     sectors = tuple(
         Sector(energies=ev[g].copy(), vectors=es.eigenvectors[:, g].copy(), phase=None)
@@ -259,8 +253,9 @@ def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:
 
 
 def _distinct_levels(es: EigenSystem) -> np.ndarray:
-    sd = energy_sectors(es)
-    return np.array([s.energy for s in sd.sectors])
+    """Lowest member energy of each degenerate level, as ``energy_sectors`` groups them."""
+    ev = es.eigenvalues
+    return ev[[g[0] for g in _group_indices(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]]
 
 
 def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
@@ -298,9 +293,6 @@ def is_resonant(es: EigenSystem, tau: float, *, tol: float = RESONANCE_TOL) -> b
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     levels = _distinct_levels(es)
-    for l0 in range(levels.shape[0]):
-        for l1 in range(l0 + 1, levels.shape[0]):
-            phase = math.fmod(abs(levels[l1] - levels[l0]) * tau, TWO_PI)
-            if phase < tol or TWO_PI - phase < tol:
-                return True
-    return False
+    gaps = levels[None, :] - levels[:, None]
+    phases = np.fmod(gaps[gaps > 0] * tau, TWO_PI)  # the levels ascend: each pair once
+    return bool(np.any((phases < tol) | (TWO_PI - phases < tol)))

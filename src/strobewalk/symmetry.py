@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import bright_eigenstates
+from .detection import DARK_OVERLAP_TOL, _DetectorProjection
 from .errors import AsymmetricStateError, GroupSearchError, StateError, StrobewalkError
 from .graphs import WeightedGraph
 from .spectral import SpectralDecomposition
@@ -662,12 +662,19 @@ def upper_bound(
     return min(max(value, 0.0), 1.0)
 
 
+def _symmetric_dark_dim(projector: np.ndarray, bright_dim: int) -> int:
+    """Dimension of the symmetric subspace minus the number of bright states."""
+    trace = float(np.real(np.trace(projector)))
+    sym_dim = round(trace)
+    if abs(trace - sym_dim) > 1e-8:
+        raise StrobewalkError(f"projector trace {trace} is not near an integer")
+    return sym_dim - bright_dim
+
+
 def saturation_check(
     sd: SpectralDecomposition,
     stab: StabilizerGroup,
     detect_state: np.ndarray,
-    *,
-    projector: np.ndarray | None = None,
 ) -> tuple[bool, int]:
     """Whether the symmetry bound is exact, and the symmetric dark count.
 
@@ -677,14 +684,8 @@ def saturation_check(
     for every initial state; each missing dimension is a symmetric dark
     state that makes the bound strict for some states.
     """
-    psi_d = as_state(detect_state, stab.dim)
-    p = symmetry_projector(stab) if projector is None else projector
-    trace = float(np.real(np.trace(p)))
-    sym_dim = round(trace)
-    if abs(trace - sym_dim) > 1e-8:
-        raise StrobewalkError(f"projector trace {trace} is not near an integer")
-    bright_count = len(bright_eigenstates(sd, psi_d))
-    symmetric_dark_dim = sym_dim - bright_count
+    bright_dim = _DetectorProjection(sd, detect_state).bright(DARK_OVERLAP_TOL).size
+    symmetric_dark_dim = _symmetric_dark_dim(symmetry_projector(stab), bright_dim)
     return symmetric_dark_dim == 0, symmetric_dark_dim
 
 

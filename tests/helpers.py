@@ -1,6 +1,7 @@
 """Shared cached builders and independent oracles for the test suite."""
 
 import itertools
+import math
 from functools import cache
 
 import numpy as np
@@ -133,3 +134,47 @@ def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
         assert stab.order == len(expected), d
         assert sw.node_orbits(stab) == brute_force_orbits(expected, n), d
         assert group.order == len({p.image[d] for p in brute}) * stab.order, d
+
+
+def _oracle_levels(es: sw.EigenSystem) -> np.ndarray:
+    """Lowest energy of each level; a level starts where the step from the
+    previous eigenvalue exceeds 1e-8 * max(1, max|E|)."""
+    ev = es.eigenvalues
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(ev))))
+    levels = [ev[0]]
+    for prev, e in zip(ev, ev[1:]):
+        if e - prev > tol:
+            levels.append(e)
+    return np.array(levels)
+
+
+def oracle_resonant_periods(es: sw.EigenSystem, tau_max: float) -> list[sw.ResonantPeriod]:
+    """Nested-loop resonant periods over the levels of ``energy_sectors``."""
+    levels = _oracle_levels(es)
+    hits = []
+    for l0 in range(levels.shape[0]):
+        for l1 in range(l0 + 1, levels.shape[0]):
+            base = 2.0 * math.pi / abs(levels[l1] - levels[l0])
+            k = 1
+            while k * base <= tau_max * (1.0 + 1e-12):
+                hits.append((k * base, (l0, l1, k)))
+                k += 1
+    hits.sort(key=lambda t: t[0])
+    merged: list[sw.ResonantPeriod] = []
+    for tau_c, pair in hits:
+        if merged and abs(tau_c - merged[-1].tau) <= 1e-9 * max(1.0, tau_c):
+            merged[-1] = sw.ResonantPeriod(tau=merged[-1].tau, pairs=merged[-1].pairs + (pair,))
+        else:
+            merged.append(sw.ResonantPeriod(tau=tau_c, pairs=(pair,)))
+    return merged
+
+
+def oracle_is_resonant(es: sw.EigenSystem, tau: float, tol: float) -> bool:
+    """Pair-by-pair resonance test over the levels of ``energy_sectors``."""
+    levels = _oracle_levels(es)
+    for l0 in range(levels.shape[0]):
+        for l1 in range(l0 + 1, levels.shape[0]):
+            phase = math.fmod(abs(levels[l1] - levels[l0]) * tau, 2.0 * math.pi)
+            if phase < tol or 2.0 * math.pi - phase < tol:
+                return True
+    return False

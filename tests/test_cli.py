@@ -2,13 +2,15 @@
 
 import json
 import math
+import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import strobewalk as sw
-from strobewalk import symmetry
+from strobewalk import detection, spectral, symmetry
 from strobewalk.cli import main
 
 import helpers
@@ -25,6 +27,32 @@ def run_json(capsys, *argv):
     out = capsys.readouterr().out
     assert code == 0
     return json.loads(out)
+
+
+def spy(monkeypatch, module, name):
+    """Record the calls of ``module.name`` through every strobewalk binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "strobewalk" or key.startswith("strobewalk."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, recording)
+    return calls
+
+
+def disordered_ring(tmp_path, seed):
+    """ring:64 with on-site energies uniform in [-1, 1], as a graph file."""
+    onsite = np.random.default_rng(seed).uniform(-1.0, 1.0, 64)
+    g = sw.WeightedGraph(node_count=64, edges=helpers.graph("ring:64").edges, onsite=tuple(onsite))
+    path = tmp_path / f"ring64-{seed}.json"
+    path.write_bytes(sw.save_graph(g))
+    return str(path)
 
 
 class TestAnalyze:
@@ -75,6 +103,59 @@ class TestAnalyze:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+        # every command in every format, twice in one process: nothing cached leaks
+        for base in TestFormatsAndErrors.BASE_ARGS.values():
+            for fmt in ("text", "csv", "json"):
+                outputs = []
+                for _ in range(2):
+                    assert main([*base, "--format", fmt]) == 0
+                    outputs.append(capsys.readouterr().out)
+                assert outputs[0] == outputs[1], (base, fmt)
+
+    @pytest.mark.parametrize("spec, detect, tau", [("lattice:4x4", "5", "1.3"), ("tree:3", "0", "1.0"),
+                                                   ("ring:7", "2", "0.8")])
+    def test_all_inits_agree_with_the_per_init_library_calls(self, capsys, spec, detect, tau):
+        report = run_json(capsys, "analyze", "--graph", spec, "--detect", detect,
+                          "--init", "all", "--tau", tau)
+        sd = sw.fold_sectors(helpers.eigensystem(spec), float(tau))
+        stab = helpers.node_stabilizer(spec, int(detect))
+        psi_d = helpers.basis(spec, int(detect))
+        for row in report["results"]:
+            psi = helpers.basis(spec, int(row["init"]))
+            rep = sw.pdet_spectral(sd, psi_d, psi)
+            assert abs(row["pdet"] - rep.pdet) <= 1e-15
+            assert abs(row["upper_bound"] - sw.upper_bound(stab, psi)) <= 1e-15
+            assert row["orbit_rank"] == sw.orbit_rank(stab, psi)
+            assert (row["bright_dim"], row["dark_dim"]) == (rep.bright_dim, rep.dark_dim)
+            assert row["excluded_sectors"] == list(rep.excluded_sectors)
+
+    def test_all_inits_project_the_detector_once(self, capsys, monkeypatch):
+        projections = spy(monkeypatch, detection, "_DetectorProjection")
+        report = run_json(capsys, "analyze", "--graph", "lattice:4x4", "--detect", "5", "--init", "all")
+        assert len(report["results"]) == 16
+        assert len(projections) == 1
+
+    def test_near_dark_sector_warns(self, capsys, schema, tmp_path):
+        # seed 0 drops two sectors as dark; one has detector weight 1.9e-14 >> roundoff
+        path = disordered_ring(tmp_path, 0)
+        report = run_json(capsys, "analyze", "--graph", path, "--detect", "0", "--init", "all")
+        jsonschema.validate(report, schema)
+        (warning,) = [w for w in report["warnings"] if "--tol dark=" in w]
+        assert "1.905e-14" in warning
+        assert min(row["pdet"] for row in report["results"]) < 0.7
+        # the smaller tolerance the warning names keeps the sector: every node is detected
+        kept = run_json(capsys, "analyze", "--graph", path, "--detect", "0", "--init", "all",
+                        "--tol", "dark=1e-20")
+        assert not kept["warnings"]
+        assert all(row["pdet"] == pytest.approx(1.0, abs=1e-9) for row in kept["results"])
+        sim = run_json(capsys, "simulate", "--graph", path, "--detect", "0", "--init", "1",
+                       "--tol", "series-cap=64")
+        assert any("--tol dark=" in w for w in sim["warnings"])
+
+    def test_roundoff_dark_sectors_do_not_warn(self, capsys):
+        report = run_json(capsys, "analyze", "--graph", "tree:4", "--detect", "0", "--init", "all")
+        assert report["results"][0]["dark_dim"] > 0
+        assert not any("dark" in w for w in report["warnings"])
 
     def test_graph_file_source(self, capsys, schema, tmp_path):
         path = tmp_path / "pair.json"
@@ -146,6 +227,16 @@ class TestSimulate:
         jsonschema.validate(report, schema)
         assert report["series"]["estimate"] < 1e-20
         assert max(report["first_detection"]) < 1e-24
+
+    def test_one_diagonalization_and_one_protocol_run(self, capsys, monkeypatch, schema):
+        diagonalizations = spy(monkeypatch, spectral, "diagonalize")
+        runs = spy(monkeypatch, detection, "_amplitude_stream")
+        report = run_json(capsys, "simulate", "--graph", "ring:16", "--detect", "0",
+                          "--init", "5", "--tau", "1.3")
+        jsonschema.validate(report, schema)
+        assert (len(diagonalizations), len(runs)) == (1, 1)
+        assert len(report["first_detection"]) == report["series"]["n_used"]
+        assert report["partial_sums"][-1] == pytest.approx(report["series"]["estimate"], abs=1e-12)
 
     def test_resonant_tau_warns_and_may_not_converge(self, capsys, schema):
         report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0",
@@ -295,6 +386,8 @@ class TestFormatsAndErrors:
             ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "0", "--tol", "bogus=1"],
             ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "all"],
             ["resonances", "--graph", "ring:6", "--tau", "scan:5:2"],
+            ["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "bogus=1"],
+            ["quotient", "--graph", "ring:6", "--detect", "0", "--tol", "bogus=1"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):

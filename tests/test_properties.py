@@ -133,3 +133,49 @@ def test_random_graph_group_axioms_and_commutation(seed, decorate):
         m = p.matrix()
         assert np.max(np.abs(m @ h - h @ m)) < 1e-10
     helpers.assert_search_matches_brute_force(g)
+
+
+def _level_eigensystem(levels) -> sw.EigenSystem:
+    ev = np.sort(np.asarray(levels, dtype=float))
+    return sw.EigenSystem(eigenvalues=ev, eigenvectors=np.eye(ev.shape[0], dtype=complex))
+
+
+def _disordered_eigensystem(args) -> sw.EigenSystem:
+    spec, seed, strength = args
+    g = helpers.graph(spec)
+    onsite = np.random.default_rng(seed).uniform(-strength, strength, g.node_count)
+    return sw.diagonalize(sw.hamiltonian(
+        sw.WeightedGraph(node_count=g.node_count, edges=g.edges, onsite=tuple(onsite)), 1.0))
+
+
+eigensystems = st.one_of(
+    # random levels, possibly closer than the grouping tolerance
+    st.lists(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False), min_size=1, max_size=10)
+    .map(_level_eigensystem),
+    # degenerate levels on a half-integer grid, repeated up to three times
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 3)), min_size=1, max_size=6)
+    .map(lambda items: _level_eigensystem([k / 2 for k, m in items for _ in range(m)])),
+    # equal gaps detuned by delta: periods that nearly coincide, merged or not
+    st.tuples(st.floats(min_value=0.3, max_value=3.0), st.sampled_from([1e-12, 1e-10, 5e-10, 3e-9, 1e-8]))
+    .map(lambda args: _level_eigensystem([0.0, args[0], args[0] * (2.0 + args[1])])),
+    # named graphs, clean (degenerate) or with seeded on-site disorder
+    st.tuples(st.sampled_from(["ring:8", "tree:2", "cross:4", "hypercube:3", "lattice:3x3", "complete:5"]),
+              st.integers(0, 1000), st.sampled_from([0.0, 0.3, 1.0])).map(_disordered_eigensystem),
+)
+
+
+@given(eigensystems, st.data())
+def test_resonance_search_matches_the_nested_loop_oracle(es, data):
+    periods = helpers.oracle_resonant_periods(es, 12.0)
+    assert sw.resonant_periods(es, 12.0) == periods
+    taus = [data.draw(st.floats(min_value=0.01, max_value=12.0))]
+    if periods:
+        # at a resonance, and detuned so that the phase of its first pair misses by
+        # a multiple of the tolerance, on either side of it
+        at = data.draw(st.sampled_from(periods))
+        k = at.pairs[0][2]
+        taus += [at.tau * (1.0 + c * tol / (TWO_PI * k))
+                 for tol in (sw.spectral.RESONANCE_TOL, 1e-6) for c in (0.0, 0.5, -0.99, 1.01, -2.0, 10.0)]
+    for tau in taus:
+        for tol in (sw.spectral.RESONANCE_TOL, 1e-6):
+            assert sw.is_resonant(es, tau, tol=tol) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
