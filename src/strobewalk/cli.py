@@ -335,8 +335,7 @@ def cmd_analyze(q: _Query) -> dict:
             f"tau={tau} is a resonant detection period: sectors merge and the "
             "symmetry analysis relies on the folded sectors"
         )
-    # The saturation count keeps the library default dark tolerance.
-    bright_dim = q.projection.bright(detection.DARK_OVERLAP_TOL).size
+    bright_dim = q.projection.bright(q.tols["dark"]).size
     symmetric_dark_dim = _symmetric_dark_dim(q.projector, bright_dim)
     saturated = symmetric_dark_dim == 0
 

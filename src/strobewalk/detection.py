@@ -3,8 +3,9 @@
 Two independent routes to the same number:
 
 * ``pdet_series`` iterates the protocol itself (evolve, attempt detection,
-  project out the detected component) and sums first-detection
-  probabilities until the extrapolated tail is negligible.
+  project out the detected component), ``SERIES_WINDOW`` attempts per
+  matrix product, and sums first-detection probabilities until the
+  survival norm or the extrapolated tail is negligible.
 * ``pdet_spectral`` evaluates the closed-form sector sum over the
   eigendecomposition, skipping sectors with no weight on the detection
   state (the completely dark levels).
@@ -15,6 +16,7 @@ cross-check throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -41,7 +43,8 @@ __all__ = [
 #: Sectors with ||P_l psi_d||^2 below this threshold count as completely dark.
 DARK_OVERLAP_TOL = 1e-12
 
-#: Window length for the geometric tail extrapolation of the series.
+#: Attempts per protocol window: one matrix product advances the protocol
+#: this far, and the stop rules of the series are tested once per window.
 SERIES_WINDOW = 32
 
 #: Default relative tail tolerance and step cap of ``pdet_series``.
@@ -53,9 +56,10 @@ DEFAULT_SERIES_CAP = 100_000
 class DetectionSetup:
     """Hamiltonian, detection state, initial state and detection period.
 
-    The Hamiltonian is diagonalized once, on construction: ``eigensystem``
-    and the one-period evolution ``unitary = U(tau)`` serve every protocol
-    run on this setup.
+    The Hamiltonian is diagonalized once, on construction: ``eigensystem``,
+    the one-period evolution ``unitary = U(tau)`` and the protocol's
+    ``window_operator`` (see ``_window_operator``) serve every protocol run
+    on this setup.
     """
 
     hamiltonian: np.ndarray
@@ -64,6 +68,7 @@ class DetectionSetup:
     tau: float
     eigensystem: EigenSystem = field(init=False, repr=False)
     unitary: np.ndarray = field(init=False, repr=False)
+    window_operator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -78,6 +83,7 @@ class DetectionSetup:
         es = diagonalize(h)
         object.__setattr__(self, "eigensystem", es)
         object.__setattr__(self, "unitary", evolution_operator(es, self.tau))
+        object.__setattr__(self, "window_operator", _window_operator(self.unitary, self.detect_state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +91,16 @@ class SeriesResult:
     """Outcome of the direct protocol summation.
 
     ``probabilities`` holds the first-detection probability of each summed
-    attempt, 1..``n_used``; ``estimate`` is their compensated sum.
+    attempt, 1..``n_used``; ``estimate`` is their compensated sum.  ``stop``
+    names the rule that ended the summation: ``"survival"``,
+    ``"geometric"`` or ``"dark-window"`` (see ``pdet_series``), or
+    ``"cap"`` when the step cap came first; ``converged`` is
+    ``stop != "cap"``.
     """
 
     estimate: float
     converged: bool
+    stop: str
     probabilities: np.ndarray = field(repr=False)
 
     @property
@@ -120,20 +131,34 @@ class DetectionReport:
     discarded_weight: float = 0.0
 
 
-def _amplitude_stream(u: np.ndarray, detect_state: np.ndarray, initial_state: np.ndarray) -> Iterator[complex]:
-    """Yield first-detection amplitudes by iterating the survival dynamics.
+def _window_operator(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
+    """The protocol over one window as one ``(SERIES_WINDOW + N) x N`` matrix.
 
-    Each step applies one period of unitary evolution, reads off the
-    amplitude on the detection state, then removes that component (the
-    failed-detection projection) before the next step.
+    A failed attempt maps the state by ``S = (1 - |d><d|) U``.  Row ``j`` of
+    the first ``SERIES_WINDOW`` rows is ``<d| U S^j``: applied to the state
+    after ``n`` failed attempts it gives the first-detection amplitude of
+    attempt ``n + j + 1``.  The last ``N`` rows are ``S^SERIES_WINDOW``,
+    which carries that state ``SERIES_WINDOW`` failed attempts on.
     """
-    psi = initial_state.astype(complex, copy=True)
-    detect_conj = detect_state.conj()
+    dim = unitary.shape[0]
+    detect_row = detect_state.conj() @ unitary
+    s = unitary - np.outer(detect_state, detect_row)
+    op = np.empty((SERIES_WINDOW + dim, dim), dtype=complex)
+    op[0] = detect_row
+    for j in range(1, SERIES_WINDOW):
+        op[j] = op[j - 1] @ s
+    op[SERIES_WINDOW:] = np.linalg.matrix_power(s, SERIES_WINDOW)
+    return op
+
+
+def _protocol_windows(setup: DetectionSetup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, window by window, the next ``SERIES_WINDOW`` first-detection
+    amplitudes and the undetected (unnormalized) state after them."""
+    psi = setup.initial_state.astype(complex)
     while True:
-        psi = u @ psi
-        amp = complex(detect_conj @ psi)
-        yield amp
-        psi -= amp * detect_state
+        out = setup.window_operator @ psi
+        psi = out[SERIES_WINDOW:]
+        yield out[:SERIES_WINDOW], psi
 
 
 def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
@@ -141,12 +166,37 @@ def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
 
     The n-th entry is the amplitude that the particle, evolved and probed
     every ``tau``, is detected for the first time at the n-th attempt.
-    The squared moduli are the first-detection probabilities.
+    The squared moduli are the first-detection probabilities.  The protocol
+    runs in windows of ``SERIES_WINDOW`` attempts, the last one cut to
+    ``n_max``.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    stream = _amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
-    return np.array([next(stream) for _ in range(n_max)], dtype=complex)
+    windows = itertools.islice(_protocol_windows(setup), -(-n_max // SERIES_WINDOW))
+    return np.concatenate([amps for amps, _ in windows])[:n_max]
+
+
+def _stop_rule(window_sums: list[float], total: float, survival: float, rel_tol: float) -> str | None:
+    """The rule that ends the series after the latest window, if any."""
+    if survival < rel_tol * total:
+        return "survival"
+    if window_sums[-1] < 1e-24:
+        # No measurable flow into the detector for a whole window: the
+        # remaining state is dark to within roundoff.  Even 1e5 more
+        # windows at this level would add < 1e-19, far below rel_tol.
+        return "dark-window"
+    if len(window_sums) < 4:
+        return None
+    ratios = [
+        window_sums[i] / window_sums[i - 1]
+        for i in range(len(window_sums) - 3, len(window_sums))
+        if window_sums[i - 1] > 0.0
+    ]
+    if len(ratios) < 3 or max(ratios) >= 1.0:
+        return None
+    rho = max(ratios)
+    tail = window_sums[-1] * rho / (1.0 - rho)
+    return "geometric" if tail < rel_tol * max(total, 1e-12) else None
 
 
 def pdet_series(
@@ -156,55 +206,53 @@ def pdet_series(
 ) -> SeriesResult:
     """Total detection probability by direct summation of the protocol.
 
-    Sums the first-detection probabilities until a geometric extrapolation
-    of the remaining tail drops below ``rel_tol`` (relative to the running
-    sum).  The tail is estimated from ratios of consecutive
-    ``SERIES_WINDOW``-step blocks, taking the largest recent ratio so that
-    a slowly decaying mode emerging late keeps the summation going.
+    The protocol advances one window of ``SERIES_WINDOW`` attempts per
+    matrix product with ``setup.window_operator``, which yields the
+    window's first-detection amplitudes and the undetected state after it.
+    After each full window three rules are tested, in this order:
+
+    * ``"survival"``: the survival norm ``||psi_n||^2`` is below
+      ``rel_tol`` times the running sum.  By unitarity the remaining tail
+      never exceeds that norm, so this stop is strict.
+    * ``"dark-window"``: the whole window summed to below 1e-24, so the
+      remaining state is dark to within roundoff.
+    * ``"geometric"``: a geometric extrapolation of the remaining tail is
+      below ``rel_tol`` times the running sum.  The tail is estimated from
+      ratios of consecutive window sums, taking the largest of the last
+      three so that a slowly decaying mode emerging late keeps the
+      summation going.  This rule serves initial states with a dark part,
+      whose survival norm levels off at the dark weight.
 
     Near a resonant detection period the decay can be arbitrarily slow; in
-    that case the sum stops at ``n_cap`` with ``converged=False`` and the
+    that case the sum stops at ``n_cap`` (a last partial window is summed
+    but not tested) with ``stop="cap"`` and ``converged=False``, and the
     partial value is returned.
     """
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    stream = _amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
-
-    terms: list[float] = []
+    full, rest = divmod(max(n_cap, 0), SERIES_WINDOW)
+    windows = _protocol_windows(setup)
+    blocks: list[np.ndarray] = []
     window_sums: list[float] = []
-    running_total = 0.0
-    current = 0.0
-    converged = False
-    for n, amp in zip(range(1, n_cap + 1), stream):
-        term = abs(amp) ** 2
-        terms.append(term)
-        current += term
-        running_total += term
-        if n % SERIES_WINDOW:
-            continue
-        window_sums.append(current)
-        current = 0.0
-        if window_sums[-1] < 1e-24:
-            # No measurable flow into the detector for a whole window: the
-            # remaining state is dark to within roundoff.  Even 1e5 more
-            # windows at this level would add < 1e-19, far below rel_tol.
-            converged = True
+    total = 0.0
+    for amps, psi in itertools.islice(windows, full):
+        blocks.append(np.abs(amps) ** 2)
+        window_sums.append(float(np.sum(blocks[-1])))
+        total += window_sums[-1]
+        stop = _stop_rule(window_sums, total, float(np.vdot(psi, psi).real), rel_tol)
+        if stop is not None:
             break
-        if len(window_sums) < 4:
-            continue
-        ratios = [
-            window_sums[i] / window_sums[i - 1]
-            for i in range(len(window_sums) - 3, len(window_sums))
-            if window_sums[i - 1] > 0.0
-        ]
-        if len(ratios) < 3 or max(ratios) >= 1.0:
-            continue
-        rho = max(ratios)
-        tail = window_sums[-1] * rho / (1.0 - rho)
-        if tail < rel_tol * max(running_total, 1e-12):
-            converged = True
-            break
-    return SeriesResult(estimate=math.fsum(terms), converged=converged, probabilities=np.array(terms))
+    else:
+        stop = "cap"
+        if rest:
+            blocks.append(np.abs(next(windows)[0][:rest]) ** 2)
+    probabilities = np.concatenate(blocks) if blocks else np.zeros(0)
+    return SeriesResult(
+        estimate=math.fsum(probabilities),
+        converged=stop != "cap",
+        stop=stop,
+        probabilities=probabilities,
+    )
 
 
 class _DetectorProjection:

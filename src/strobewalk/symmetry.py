@@ -675,16 +675,19 @@ def saturation_check(
     sd: SpectralDecomposition,
     stab: StabilizerGroup,
     detect_state: np.ndarray,
+    *,
+    dark_tol: float = DARK_OVERLAP_TOL,
 ) -> tuple[bool, int]:
     """Whether the symmetry bound is exact, and the symmetric dark count.
 
     Compares the dimension of the symmetric subspace with the number of
-    bright states.  When they agree the symmetric subspace is entirely
-    bright, and the bound ``<psi|P|psi>`` equals the detection probability
-    for every initial state; each missing dimension is a symmetric dark
-    state that makes the bound strict for some states.
+    bright states, the sectors whose detector weight exceeds ``dark_tol``.
+    When they agree the symmetric subspace is entirely bright, and the
+    bound ``<psi|P|psi>`` equals the detection probability for every
+    initial state; each missing dimension is a symmetric dark state that
+    makes the bound strict for some states.
     """
-    bright_dim = _DetectorProjection(sd, detect_state).bright(DARK_OVERLAP_TOL).size
+    bright_dim = _DetectorProjection(sd, detect_state).bright(dark_tol).size
     symmetric_dark_dim = _symmetric_dark_dim(symmetry_projector(stab), bright_dim)
     return symmetric_dark_dim == 0, symmetric_dark_dim
 

@@ -69,6 +69,55 @@ def protocol_amplitudes_expm(h, detect_state, initial_state, tau, n_max):
     return np.array(amps), psi
 
 
+def oracle_amplitude_stream(u, detect_state, initial_state):
+    """Step-by-step protocol: evolve one period, read off the amplitude on the
+    detection state, remove that component.  Yields ``(amplitude, state)``
+    with the undetected state after each attempt."""
+    psi = np.asarray(initial_state, dtype=complex).copy()
+    detect_conj = detect_state.conj()
+    while True:
+        psi = u @ psi
+        amp = complex(detect_conj @ psi)
+        psi -= amp * detect_state
+        yield amp, psi
+
+
+def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
+    """Step-by-step series with the stop rules of ``pdet_series``, tested every
+    32 attempts in the same order.  Returns ``(probabilities, stop)``."""
+    stream = oracle_amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
+    terms: list[float] = []
+    window_sums: list[float] = []
+    running_total = 0.0
+    current = 0.0
+    for n, (amp, psi) in zip(range(1, n_cap + 1), stream):
+        term = abs(amp) ** 2
+        terms.append(term)
+        current += term
+        running_total += term
+        if n % 32:
+            continue
+        window_sums.append(current)
+        current = 0.0
+        if float(np.vdot(psi, psi).real) < rel_tol * running_total:
+            return np.array(terms), "survival"
+        if window_sums[-1] < 1e-24:
+            return np.array(terms), "dark-window"
+        if len(window_sums) < 4:
+            continue
+        ratios = [
+            window_sums[i] / window_sums[i - 1]
+            for i in range(len(window_sums) - 3, len(window_sums))
+            if window_sums[i - 1] > 0.0
+        ]
+        if len(ratios) < 3 or max(ratios) >= 1.0:
+            continue
+        rho = max(ratios)
+        if window_sums[-1] * rho / (1.0 - rho) < rel_tol * max(running_total, 1e-12):
+            return np.array(terms), "geometric"
+    return np.array(terms), "cap"
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool = True) -> np.ndarray:
     a = rng.normal(size=(dim, dim))
     if complex_entries:

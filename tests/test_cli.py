@@ -148,6 +148,10 @@ class TestAnalyze:
                         "--tol", "dark=1e-20")
         assert not kept["warnings"]
         assert all(row["pdet"] == pytest.approx(1.0, abs=1e-9) for row in kept["results"])
+        # the saturation count uses the same tolerance: the trivial group's bound is attained
+        assert report["saturated"] is False and report["symmetric_dark_dim"] == 2
+        assert kept["saturated"] is True and kept["symmetric_dark_dim"] == 0
+        assert all(row["saturated"] and row["bright_dim"] == 64 for row in kept["results"])
         sim = run_json(capsys, "simulate", "--graph", path, "--detect", "0", "--init", "1",
                        "--tol", "series-cap=64")
         assert any("--tol dark=" in w for w in sim["warnings"])
@@ -230,13 +234,34 @@ class TestSimulate:
 
     def test_one_diagonalization_and_one_protocol_run(self, capsys, monkeypatch, schema):
         diagonalizations = spy(monkeypatch, spectral, "diagonalize")
-        runs = spy(monkeypatch, detection, "_amplitude_stream")
+        runs = spy(monkeypatch, detection, "_window_operator")
         report = run_json(capsys, "simulate", "--graph", "ring:16", "--detect", "0",
                           "--init", "5", "--tau", "1.3")
         jsonschema.validate(report, schema)
         assert (len(diagonalizations), len(runs)) == (1, 1)
         assert len(report["first_detection"]) == report["series"]["n_used"]
         assert report["partial_sums"][-1] == pytest.approx(report["series"]["estimate"], abs=1e-12)
+
+    def test_slow_fully_bright_series_stops_on_the_survival_norm(self, capsys, schema):
+        # the geometric tail fit never accepts this oscillating decay; the survival norm does
+        report = run_json(capsys, "simulate", "--graph", "ring:64", "--detect", "0",
+                          "--init", "32", "--tau", "1.0")
+        jsonschema.validate(report, schema)
+        series = report["series"]
+        assert series["converged"] is True
+        assert abs(series["estimate"] - 1.0) <= 1e-6
+        assert series["n_used"] < 100_000
+        assert len(report["first_detection"]) == series["n_used"]
+        assert not report["warnings"]
+
+    def test_series_cap_bounds_the_terms(self, capsys, schema):
+        report = run_json(capsys, "simulate", "--graph", "ring:64", "--detect", "0",
+                          "--init", "32", "--tau", "1.0", "--tol", "series-cap=1000")
+        jsonschema.validate(report, schema)
+        assert report["series"]["n_used"] == 1000
+        assert report["series"]["converged"] is False
+        assert len(report["first_detection"]) == len(report["partial_sums"]) == 1000
+        assert "series did not converge within n=1000" in report["warnings"]
 
     def test_resonant_tau_warns_and_may_not_converge(self, capsys, schema):
         report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0",

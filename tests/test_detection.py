@@ -1,6 +1,7 @@
 """Protocol iteration, series summation and the spectral formula."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ class TestSeries:
         a = sw.pdet_series(setup_for("tree:2", 1, 3, 0.7))
         b = sw.pdet_series(setup_for("tree:2", 1, 3, 1.3))
         assert a.estimate == pytest.approx(b.estimate, abs=2e-6)
+
+    def test_stop_rules(self):
+        # fully bright: the survival norm vanishes; a dark part: the geometric tail
+        # fit; nothing detectable: a dark window; too few attempts: the cap
+        cases = [
+            (setup_for("tree:2", 0, 0, 0.7), "survival", 1.0),
+            (setup_for("tree:2", 0, 3, 0.7), "geometric", 0.25),
+            (setup_for("cross:4", 0, cross_dark_state(), 1.1), "dark-window", 0.0),
+        ]
+        for setup, stop, expected in cases:
+            result = sw.pdet_series(setup)
+            assert (result.stop, result.converged) == (stop, True)
+            assert result.n_used % 32 == 0
+            assert result.estimate == pytest.approx(expected, abs=1e-6)
+        capped = sw.pdet_series(setup_for("ring:64", 0, 32, 1.0), n_cap=40)
+        assert (capped.stop, capped.converged, capped.n_used) == ("cap", False, 40)
+
+    def test_survival_stop_bounds_the_missing_tail(self):
+        setup = setup_for("ring:16", 0, 8, 1.3)
+        result = sw.pdet_series(setup, rel_tol=1e-9)
+        assert result.stop == "survival"
+        # by unitarity the undetected weight after n_used attempts is 1 - estimate
+        _, psi = helpers.protocol_amplitudes_expm(
+            setup.hamiltonian, setup.detect_state, setup.initial_state, 1.3, result.n_used)
+        survival = float(np.vdot(psi, psi).real)
+        assert survival < 1e-9 * result.estimate
+        assert 1.0 - result.estimate == pytest.approx(survival, abs=1e-12)
+
+    def test_protocol_never_reads_the_sectors(self, monkeypatch):
+        # the series is an independent route: U(tau) and the detector only
+        def refuse(*args, **kwargs):
+            raise AssertionError("the protocol read the sector decomposition")
+
+        originals = (sw.spectral.fold_sectors, sw.spectral.energy_sectors)
+        for key, mod in list(sys.modules.items()):
+            if key == "strobewalk" or key.startswith("strobewalk."):
+                for attr, value in list(vars(mod).items()):
+                    if any(value is fn for fn in originals):
+                        monkeypatch.setattr(mod, attr, refuse)
+        setup = setup_for("ring:16", 0, 5, 1.3)
+        assert sw.pdet_series(setup).converged
+        assert sw.first_detection_amplitudes(setup, 40).shape == (40,)
 
     def test_full_revival_detects_only_the_overlap(self):
         # At the full revival nothing moves: the series is |<d|in>|^2 = 0 here.

@@ -1,10 +1,11 @@
 """Property-based checks of the algebraic identities behind the pipeline."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strobewalk as sw
@@ -179,3 +180,55 @@ def test_resonance_search_matches_the_nested_loop_oracle(es, data):
     for tau in taus:
         for tol in (sw.spectral.RESONANCE_TOL, 1e-6):
             assert sw.is_resonant(es, tau, tol=tol) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
+
+
+@st.composite
+def protocol_setups(draw):
+    """Random, ring or named graphs, optionally disordered; a localized, random or
+    phased eigenstate detector; a localized or superposition initial state, or
+    the detection state itself, which is fully bright."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["random", "ring", "tree:2", "cross:4", "lattice:3x3", "hypercube:3"]))
+    if source == "random":
+        g = helpers.random_graph(rng, max_nodes=10)
+    elif source == "ring":
+        g = helpers.graph(f"ring:{draw(st.integers(3, 16))}")
+    else:
+        g = helpers.graph(source)
+    n = g.node_count
+    if draw(st.booleans()):
+        g = sw.WeightedGraph(node_count=n, edges=g.edges, onsite=tuple(rng.uniform(-0.5, 0.5, n)))
+    h = sw.hamiltonian(g, 1.0)
+    kind = draw(st.sampled_from(["node", "random", "eigenstate"]))
+    if kind == "node":
+        psi_d = sw.localized_state(n, draw(st.integers(0, n - 1)))
+    elif kind == "random":
+        psi_d = helpers.random_state(rng, n)
+    else:
+        vecs = np.linalg.eigh(h)[1]
+        psi_d = vecs[:, draw(st.integers(0, n - 1))] * np.exp(1j * rng.uniform(0.0, TWO_PI))
+    init = draw(st.sampled_from(["node", "random", "detector"]))
+    if init == "node":
+        psi_in = sw.localized_state(n, draw(st.integers(0, n - 1)))
+    elif init == "random":
+        psi_in = helpers.random_state(rng, n)
+    else:
+        psi_in = psi_d
+    tau = draw(st.floats(min_value=0.3, max_value=3.0))
+    return sw.DetectionSetup(hamiltonian=h, detect_state=psi_d, initial_state=psi_in, tau=tau)
+
+
+@settings(max_examples=200)
+@given(protocol_setups(), st.sampled_from([1, 31, 32, 33, 2000]), st.sampled_from([1e-6, 1e-3, 1e-10]))
+def test_windowed_protocol_matches_the_step_by_step_oracle(setup, n, rel_tol):
+    stream = helpers.oracle_amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
+    expected = np.array([amp for amp, _ in itertools.islice(stream, n)])
+    amps = sw.first_detection_amplitudes(setup, n)
+    assert amps.shape == (n,)
+    np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+
+    probabilities, stop = helpers.oracle_pdet_series(setup, rel_tol, n)
+    series = sw.pdet_series(setup, rel_tol=rel_tol, n_cap=n)
+    assert (series.n_used, series.stop, series.converged) == (probabilities.shape[0], stop, stop != "cap")
+    np.testing.assert_allclose(series.probabilities, probabilities, rtol=0, atol=1e-12)
+    assert series.estimate == pytest.approx(math.fsum(probabilities), abs=1e-12)

@@ -367,6 +367,17 @@ class TestSaturation:
         got = sw.saturation_check(sd, stab, helpers.basis("tree:2", node))
         assert got == (saturates, symmetric_dark)
 
+    def test_dark_tolerance_sets_the_bright_count(self):
+        # ring:64 with on-site energies uniform in [-1, 1] from default_rng(0): the group is
+        # trivial, and two sectors have detector weights between 1e-20 and 1e-12
+        onsite = tuple(np.random.default_rng(0).uniform(-1.0, 1.0, 64))
+        g = sw.WeightedGraph(node_count=64, edges=helpers.graph("ring:64").edges, onsite=onsite)
+        sd = sw.energy_sectors(sw.diagonalize(sw.hamiltonian(g, 1.0)))
+        stab = sw.stabilizer(sw.automorphisms(g), sw.localized_state(64, 0))
+        psi_d = sw.localized_state(64, 0)
+        assert sw.saturation_check(sd, stab, psi_d) == (False, 2)
+        assert sw.saturation_check(sd, stab, psi_d, dark_tol=1e-20) == (True, 0)
+
     def test_saturated_case_equals_projector_weight(self):
         rng = np.random.default_rng(4)
         sd = helpers.sectors("tree:2", 0.7)
