@@ -22,8 +22,8 @@ for k_d in (1, 3):
     stab = sw.stabilizer(group, psi_d)
     print(f"\n=== detection on the k = {k_d} free wave ===")
     print(f"stabilizer order {stab.order} of the {group.order} ring symmetries")
-    print("  element phases (shift -> phase):")
-    for perm, phase in stab.elements:
+    print("  generator phases (shift -> phase):")
+    for perm, phase in stab.generators:
         kind = "shift" if perm.image[1] == (perm.image[0] + 1) % L else "reflected shift"
         print(f"    {kind:<15} by {perm.image[0]}: {phase:.3f}")
 

@@ -4,8 +4,10 @@ Two independent routes to the same number:
 
 * ``pdet_series`` iterates the protocol itself (evolve, attempt detection,
   project out the detected component), ``SERIES_WINDOW`` attempts per
-  matrix product, and sums first-detection probabilities until the
-  survival norm or the extrapolated tail is negligible.
+  matrix product, and sums first-detection probabilities until the bright
+  survival is negligible: the undetected state's weight on the bright
+  space, the cyclic space of ``U(tau)`` generated by the detection state,
+  which is exactly the rest of the series.
 * ``pdet_spectral`` evaluates the closed-form sector sum over the
   eigendecomposition, skipping sectors with no weight on the detection
   state (the completely dark levels).
@@ -44,7 +46,7 @@ __all__ = [
 DARK_OVERLAP_TOL = 1e-12
 
 #: Attempts per protocol window: one matrix product advances the protocol
-#: this far, and the stop rules of the series are tested once per window.
+#: this far, and the stop rule of the series is tested once per window.
 SERIES_WINDOW = 32
 
 #: Default relative tail tolerance and step cap of ``pdet_series``.
@@ -57,9 +59,10 @@ class DetectionSetup:
     """Hamiltonian, detection state, initial state and detection period.
 
     The Hamiltonian is diagonalized once, on construction: ``eigensystem``,
-    the one-period evolution ``unitary = U(tau)`` and the protocol's
-    ``window_operator`` (see ``_window_operator``) serve every protocol run
-    on this setup.
+    the one-period evolution ``unitary = U(tau)``, the protocol's
+    ``window_operator`` (see ``_window_operator``) and the orthonormal
+    ``bright_basis`` of the detectable space (see ``_bright_basis``) serve
+    every protocol run on this setup.
     """
 
     hamiltonian: np.ndarray
@@ -69,6 +72,7 @@ class DetectionSetup:
     eigensystem: EigenSystem = field(init=False, repr=False)
     unitary: np.ndarray = field(init=False, repr=False)
     window_operator: np.ndarray = field(init=False, repr=False)
+    bright_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -84,6 +88,7 @@ class DetectionSetup:
         object.__setattr__(self, "eigensystem", es)
         object.__setattr__(self, "unitary", evolution_operator(es, self.tau))
         object.__setattr__(self, "window_operator", _window_operator(self.unitary, self.detect_state))
+        object.__setattr__(self, "bright_basis", _bright_basis(self.unitary, self.detect_state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +97,9 @@ class SeriesResult:
 
     ``probabilities`` holds the first-detection probability of each summed
     attempt, 1..``n_used``; ``estimate`` is their compensated sum.  ``stop``
-    names the rule that ended the summation: ``"survival"``,
-    ``"geometric"`` or ``"dark-window"`` (see ``pdet_series``), or
-    ``"cap"`` when the step cap came first; ``converged`` is
-    ``stop != "cap"``.
+    is ``"bright-survival"`` when the rest of the series fell below the
+    tolerance (see ``pdet_series``), or ``"cap"`` when the step cap came
+    first; ``converged`` is ``stop != "cap"``.
     """
 
     estimate: float
@@ -151,6 +155,30 @@ def _window_operator(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarra
     return op
 
 
+def _bright_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the cyclic space of ``unitary``
+    generated by ``detect_state``: the bright space.
+
+    Arnoldi with a second reorthogonalization pass.  The space is complete
+    at the first step whose squared residual is at most
+    ``DARK_OVERLAP_TOL``, the weight below which a sector counts as dark.
+    """
+    dim = unitary.shape[0]
+    basis = np.empty((dim, dim), dtype=complex)
+    basis[:, 0] = detect_state / np.linalg.norm(detect_state)
+    k = 1
+    while k < dim:
+        w = unitary @ basis[:, k - 1]
+        for _ in range(2):
+            w -= basis[:, :k] @ (basis[:, :k].conj().T @ w)
+        residual = float(np.vdot(w, w).real)
+        if residual <= DARK_OVERLAP_TOL:
+            break
+        basis[:, k] = w / math.sqrt(residual)
+        k += 1
+    return basis[:, :k]
+
+
 def _protocol_windows(setup: DetectionSetup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield, window by window, the next ``SERIES_WINDOW`` first-detection
     amplitudes and the undetected (unnormalized) state after them."""
@@ -176,29 +204,6 @@ def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
     return np.concatenate([amps for amps, _ in windows])[:n_max]
 
 
-def _stop_rule(window_sums: list[float], total: float, survival: float, rel_tol: float) -> str | None:
-    """The rule that ends the series after the latest window, if any."""
-    if survival < rel_tol * total:
-        return "survival"
-    if window_sums[-1] < 1e-24:
-        # No measurable flow into the detector for a whole window: the
-        # remaining state is dark to within roundoff.  Even 1e5 more
-        # windows at this level would add < 1e-19, far below rel_tol.
-        return "dark-window"
-    if len(window_sums) < 4:
-        return None
-    ratios = [
-        window_sums[i] / window_sums[i - 1]
-        for i in range(len(window_sums) - 3, len(window_sums))
-        if window_sums[i - 1] > 0.0
-    ]
-    if len(ratios) < 3 or max(ratios) >= 1.0:
-        return None
-    rho = max(ratios)
-    tail = window_sums[-1] * rho / (1.0 - rho)
-    return "geometric" if tail < rel_tol * max(total, 1e-12) else None
-
-
 def pdet_series(
     setup: DetectionSetup,
     rel_tol: float = SERIES_REL_TOL,
@@ -208,20 +213,14 @@ def pdet_series(
 
     The protocol advances one window of ``SERIES_WINDOW`` attempts per
     matrix product with ``setup.window_operator``, which yields the
-    window's first-detection amplitudes and the undetected state after it.
-    After each full window three rules are tested, in this order:
-
-    * ``"survival"``: the survival norm ``||psi_n||^2`` is below
-      ``rel_tol`` times the running sum.  By unitarity the remaining tail
-      never exceeds that norm, so this stop is strict.
-    * ``"dark-window"``: the whole window summed to below 1e-24, so the
-      remaining state is dark to within roundoff.
-    * ``"geometric"``: a geometric extrapolation of the remaining tail is
-      below ``rel_tol`` times the running sum.  The tail is estimated from
-      ratios of consecutive window sums, taking the largest of the last
-      three so that a slowly decaying mode emerging late keeps the
-      summation going.  This rule serves initial states with a dark part,
-      whose survival norm levels off at the dark weight.
+    window's first-detection amplitudes and the undetected state ``psi_n``
+    after it.  The bright space ``B`` (``setup.bright_basis``, ``Q``) is the
+    cyclic space of ``U(tau)`` generated by the detection state; a failed
+    attempt leaves ``B^perp`` alone, so the rest of the series is exactly
+    the bright survival ``||Q^H psi_n||^2``.  After each full window the
+    series stops (``"bright-survival"``) once that is below ``rel_tol``
+    times the running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully
+    dark initial state stops after one window.
 
     Near a resonant detection period the decay can be arbitrarily slow; in
     that case the sum stops at ``n_cap`` (a last partial window is summed
@@ -232,15 +231,15 @@ def pdet_series(
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     full, rest = divmod(max(n_cap, 0), SERIES_WINDOW)
     windows = _protocol_windows(setup)
+    q_h = setup.bright_basis.conj().T
     blocks: list[np.ndarray] = []
-    window_sums: list[float] = []
     total = 0.0
     for amps, psi in itertools.islice(windows, full):
         blocks.append(np.abs(amps) ** 2)
-        window_sums.append(float(np.sum(blocks[-1])))
-        total += window_sums[-1]
-        stop = _stop_rule(window_sums, total, float(np.vdot(psi, psi).real), rel_tol)
-        if stop is not None:
+        total += float(np.sum(blocks[-1]))
+        bright = q_h @ psi
+        if float(np.vdot(bright, bright).real) < rel_tol * max(total, DARK_OVERLAP_TOL):
+            stop = "bright-survival"
             break
     else:
         stop = "cap"
@@ -363,27 +362,15 @@ def dark_space_basis(
     return vh[rank:].conj().T
 
 
-def krylov_bright_span(h: np.ndarray, detect_state: np.ndarray, tau: float, *, rank_tol: float = 1e-10) -> np.ndarray:
+def krylov_bright_span(h: np.ndarray, detect_state: np.ndarray, tau: float) -> np.ndarray:
     """Orthonormal span of the detection state under repeated evolution.
 
-    Gram-Schmidt over ``U^n |psi_d>`` for n = 0..dim-1.  Away from resonant
-    periods this span equals the bright subspace, which makes it an
-    independent cross-check on ``bright_eigenstates``: the two bases must
-    project onto each other with vanishing residual.
+    Arnoldi over ``U(tau)^n |psi_d>`` (see ``_bright_basis``), from the
+    evolution operator alone.  This span is the bright subspace, which
+    makes it an independent cross-check on ``bright_eigenstates``: the two
+    bases must project onto each other with vanishing residual.  At a
+    resonant period it is the smaller resonant bright space, matching
+    ``bright_eigenstates`` over the sectors folded at that period.
     """
     es = diagonalize(np.asarray(h))
-    psi_d = as_state(detect_state, es.dim)
-    u = evolution_operator(es, tau)
-    basis: list[np.ndarray] = []
-    vec = psi_d.copy()
-    for _ in range(es.dim):
-        w = vec.copy()
-        for b in basis:
-            w -= (b.conj() @ w) * b
-        for b in basis:  # second pass stabilizes the orthogonalization
-            w -= (b.conj() @ w) * b
-        norm = np.linalg.norm(w)
-        if norm > rank_tol:
-            basis.append(w / norm)
-        vec = u @ vec
-    return np.column_stack(basis) if basis else np.zeros((es.dim, 0), dtype=complex)
+    return _bright_basis(evolution_operator(es, tau), as_state(detect_state, es.dim))

@@ -12,8 +12,7 @@ verified generator per new image of each base point, and returns the
 generators with the exact order: the product of the basic orbit lengths
 along the base.  No element list is built.  Node orbits follow from the
 generators by union-find, and the symmetric subspace is the joint phase
-eigenspace of the generator matrices.  ``elements`` closes the generators
-on request, for groups of at most ``DEFAULT_ORDER_CAP`` elements.
+eigenspace of the generator matrices.
 
 From the stabilizer follow, without any spectral information about the
 initial state:
@@ -66,8 +65,6 @@ RANK_TOL = 1e-10
 NULL_TOL = 1e-8
 
 DEFAULT_NODE_CAP = 64
-#: Largest group whose elements ``elements`` lists.
-DEFAULT_ORDER_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -113,38 +110,6 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
 
 
-def _close(
-    generators: Sequence[tuple[int, ...]], phases: Sequence[complex], n: int, order: int
-) -> list[tuple[tuple[int, ...], complex]]:
-    """Every element generated, with its phase, sorted by image tuple.
-
-    The phase of a product is the product of the phases, since
-    ``S T psi_d = p_T S psi_d = p_S p_T psi_d``.
-    """
-    if order > DEFAULT_ORDER_CAP:
-        raise GroupSearchError(
-            f"group order {order} exceeds the cap of {DEFAULT_ORDER_CAP} for listing elements; "
-            "use a generator-based workflow (generators, order, node_orbits) for groups this large"
-        )
-    ident = tuple(range(n))
-    known = {ident: 1.0 + 0j}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            phase_a = known[a]
-            for g, phase_g in zip(generators, phases):
-                prod = tuple(g[i] for i in a)
-                if prod not in known:
-                    phase = phase_g * phase_a
-                    known[prod] = phase / abs(phase)
-                    fresh.append(prod)
-        frontier = fresh
-    if len(known) != order:
-        raise StrobewalkError(f"generators close to {len(known)} elements, not the order {order}")
-    return sorted(known.items())
-
-
 def _orbits_of(images: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
     """Orbits of the nodes under the given images, by union-find, ordered by least member."""
     root = list(range(n))
@@ -183,13 +148,6 @@ class SymmetryGroup:
     def dim(self) -> int:
         return self.graph.node_count
 
-    @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted by image tuple; closes the generators on first use."""
-        closed = _close([g.image for g in self.generators], [1.0] * len(self.generators),
-                        self.dim, self.order)
-        return tuple(Permutation(img) for img, _ in closed)
-
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGroup:
@@ -203,17 +161,6 @@ class StabilizerGroup:
     generators: tuple[tuple[Permutation, complex], ...]
     order: int
     dim: int
-
-    @cached_property
-    def elements(self) -> tuple[tuple[Permutation, complex], ...]:
-        """Every element with its phase, sorted by image tuple; closes the generators on first use."""
-        closed = _close([perm.image for perm, _ in self.generators],
-                        [phase for _, phase in self.generators], self.dim, self.order)
-        return tuple((Permutation(img), complex(phase)) for img, phase in closed)
-
-    @property
-    def permutations(self) -> tuple[Permutation, ...]:
-        return tuple(perm for perm, _ in self.elements)
 
     @property
     def has_trivial_phases(self) -> bool:

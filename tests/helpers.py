@@ -83,38 +83,21 @@ def oracle_amplitude_stream(u, detect_state, initial_state):
 
 
 def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
-    """Step-by-step series with the stop rules of ``pdet_series``, tested every
-    32 attempts in the same order.  Returns ``(probabilities, stop)``."""
+    """Step-by-step series with the stop rule of ``pdet_series``, tested every
+    32 attempts: the weight of the undetected state on the bright eigenstates
+    of ``bright_eigenstates`` below ``rel_tol`` times the running sum, floored
+    at 1e-12.  Returns ``(probabilities, stop)``."""
+    sd = sw.fold_sectors(setup.eigensystem, setup.tau)
+    bright = np.column_stack([b for _, b in sw.bright_eigenstates(sd, setup.detect_state)])
     stream = oracle_amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
     terms: list[float] = []
-    window_sums: list[float] = []
-    running_total = 0.0
-    current = 0.0
     for n, (amp, psi) in zip(range(1, n_cap + 1), stream):
-        term = abs(amp) ** 2
-        terms.append(term)
-        current += term
-        running_total += term
+        terms.append(abs(amp) ** 2)
         if n % 32:
             continue
-        window_sums.append(current)
-        current = 0.0
-        if float(np.vdot(psi, psi).real) < rel_tol * running_total:
-            return np.array(terms), "survival"
-        if window_sums[-1] < 1e-24:
-            return np.array(terms), "dark-window"
-        if len(window_sums) < 4:
-            continue
-        ratios = [
-            window_sums[i] / window_sums[i - 1]
-            for i in range(len(window_sums) - 3, len(window_sums))
-            if window_sums[i - 1] > 0.0
-        ]
-        if len(ratios) < 3 or max(ratios) >= 1.0:
-            continue
-        rho = max(ratios)
-        if window_sums[-1] * rho / (1.0 - rho) < rel_tol * max(running_total, 1e-12):
-            return np.array(terms), "geometric"
+        rest = float(np.sum(np.abs(bright.conj().T @ psi) ** 2))
+        if rest < rel_tol * max(math.fsum(terms), 1e-12):
+            return np.array(terms), "bright-survival"
     return np.array(terms), "cap"
 
 
@@ -168,6 +151,44 @@ def brute_force_orbits(perms: list[sw.Permutation], n: int) -> list[tuple[int, .
     """Node orbits under an explicit element list, ordered by least member."""
     orbits = {tuple(sorted({p.image[v] for p in perms})) for v in range(n)}
     return sorted(orbits)
+
+
+#: Largest group that ``close_group`` lists element by element.
+ORDER_CAP = 10**6
+
+
+def close_group(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[sw.Permutation, complex]]:
+    """Every element of a group with its phase, closed from the generators and
+    sorted by image tuple; test oracle for groups of at most ``ORDER_CAP``.
+
+    Automorphisms carry phase 1.  The phase of a product is the product of
+    the phases, since ``S T psi_d = p_T S psi_d = p_S p_T psi_d``.
+    """
+    if group.order > ORDER_CAP:
+        raise ValueError(f"group order {group.order} is above the cap of {ORDER_CAP} for listing elements")
+    if isinstance(group, sw.SymmetryGroup):
+        generators = [(g.image, 1.0 + 0j) for g in group.generators]
+    else:
+        generators = [(perm.image, phase) for perm, phase in group.generators]
+    known = {tuple(range(group.dim)): 1.0 + 0j}
+    frontier = list(known)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g, phase_g in generators:
+                prod = tuple(g[i] for i in a)
+                if prod not in known:
+                    phase = phase_g * known[a]
+                    known[prod] = phase / abs(phase)
+                    fresh.append(prod)
+        frontier = fresh
+    assert len(known) == group.order, (len(known), group.order)
+    return [(sw.Permutation(img), complex(phase)) for img, phase in sorted(known.items())]
+
+
+def group_elements(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[sw.Permutation]:
+    """The permutations of ``close_group``, without their phases."""
+    return [perm for perm, _ in close_group(group)]
 
 
 def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:

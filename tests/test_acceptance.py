@@ -161,7 +161,7 @@ def test_criterion_5_randomized_oracle_equivalence():
         overlap = float(np.sum(np.abs(span.conj().T @ psi_in) ** 2))
         assert abs(spectral.pdet - overlap) < 1e-9
     report(5, f"200 randomized setups: |series - spectral| < 1e-5 (worst {worst_gap:.2e}), "
-              "power-iteration span rank equals bright count, pdet equals squared bright overlap")
+              "Krylov span rank equals bright count, pdet equals squared bright overlap")
 
 
 def test_criterion_6_quotient_consistency():
@@ -199,7 +199,7 @@ def test_criterion_7_ring_eigenstate_detection():
         psi_d = helpers.ring_eigenstate(length, k_d)
         stab = sw.stabilizer(group, psi_d)
         assert stab.order == length
-        for perm, phase in stab.elements:
+        for perm, phase in helpers.close_group(stab):
             shift = perm.image[0]
             assert perm.image == tuple((r + shift) % length for r in range(length))
             expected = np.exp(-1j * TWO_PI * k_d * shift / length)

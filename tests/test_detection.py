@@ -133,12 +133,12 @@ class TestSeries:
         assert a.estimate == pytest.approx(b.estimate, abs=2e-6)
 
     def test_stop_rules(self):
-        # fully bright: the survival norm vanishes; a dark part: the geometric tail
-        # fit; nothing detectable: a dark window; too few attempts: the cap
+        # fully bright, a dark part, nothing detectable: the bright survival
+        # vanishes in each; too few attempts: the cap
         cases = [
-            (setup_for("tree:2", 0, 0, 0.7), "survival", 1.0),
-            (setup_for("tree:2", 0, 3, 0.7), "geometric", 0.25),
-            (setup_for("cross:4", 0, cross_dark_state(), 1.1), "dark-window", 0.0),
+            (setup_for("tree:2", 0, 0, 0.7), "bright-survival", 1.0),
+            (setup_for("tree:2", 0, 3, 0.7), "bright-survival", 0.25),
+            (setup_for("cross:4", 0, cross_dark_state(), 1.1), "bright-survival", 0.0),
         ]
         for setup, stop, expected in cases:
             result = sw.pdet_series(setup)
@@ -151,7 +151,7 @@ class TestSeries:
     def test_survival_stop_bounds_the_missing_tail(self):
         setup = setup_for("ring:16", 0, 8, 1.3)
         result = sw.pdet_series(setup, rel_tol=1e-9)
-        assert result.stop == "survival"
+        assert result.stop == "bright-survival"
         # by unitarity the undetected weight after n_used attempts is 1 - estimate
         _, psi = helpers.protocol_amplitudes_expm(
             setup.hamiltonian, setup.detect_state, setup.initial_state, 1.3, result.n_used)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strobewalk as sw
+from strobewalk import detection
 
 import helpers
 
@@ -127,9 +128,10 @@ def test_random_graph_group_axioms_and_commutation(seed, decorate):
         )
     h = sw.hamiltonian(g, 1.0)
     group = sw.automorphisms(g)
-    images = {p.image for p in group.elements}
+    elements = helpers.group_elements(group)
+    images = {p.image for p in elements}
     assert tuple(range(n)) in images
-    for p in group.elements:
+    for p in elements:
         assert p.inverse().image in images
         m = p.matrix()
         assert np.max(np.abs(m @ h - h @ m)) < 1e-10
@@ -232,3 +234,25 @@ def test_windowed_protocol_matches_the_step_by_step_oracle(setup, n, rel_tol):
     assert (series.n_used, series.stop, series.converged) == (probabilities.shape[0], stop, stop != "cap")
     np.testing.assert_allclose(series.probabilities, probabilities, rtol=0, atol=1e-12)
     assert series.estimate == pytest.approx(math.fsum(probabilities), abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(protocol_setups())
+def test_running_sum_plus_bright_survival_is_the_spectral_pdet(setup):
+    # a failed attempt leaves the dark space alone, so after every window the
+    # rest of the series is exactly the bright survival: to 1e-12 on the
+    # spectral bright states, and on the Krylov basis Q up to the distance
+    # between the two spaces, which Krylov roundoff keeps below 1e-8
+    sd = sw.fold_sectors(setup.eigensystem, setup.tau)
+    expected = sw.pdet_spectral(sd, setup.detect_state, setup.initial_state).pdet
+    bright = np.column_stack([b for _, b in sw.bright_eigenstates(sd, setup.detect_state)])
+    q = setup.bright_basis
+    distance = float(np.linalg.norm(q @ q.conj().T - bright @ bright.conj().T, 2))
+    assert distance < 1e-8
+    total = 0.0
+    for amps, psi in itertools.islice(detection._protocol_windows(setup), 8):
+        total += float(np.sum(np.abs(amps) ** 2))
+        survival = float(np.vdot(psi, psi).real)
+        assert total + float(np.sum(np.abs(bright.conj().T @ psi) ** 2)) == pytest.approx(expected, abs=1e-12)
+        rest = float(np.sum(np.abs(q.conj().T @ psi) ** 2))
+        assert abs(total + rest - expected) <= 1e-12 + distance * survival
