@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
 from .graphs import GENERATOR_NAMES, build_named, hamiltonian, load_graph, save_graph
 from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
 from .spectral import diagonalize, fold_sectors, is_resonant, resonant_periods
-from .states import as_state, localized_state
+from .states import as_state, localized_node, localized_state
 from .symmetry import (
     _symmetric_dark_dim,
     automorphisms,
@@ -304,7 +304,8 @@ class _Query:
 
     @cached_property
     def group(self):
-        return automorphisms(self.graph)
+        # A localized detector goes first in the search's base, so ``stab`` needs no search of its own.
+        return automorphisms(self.graph, base_point=localized_node(self.detect))
 
     @cached_property
     def stab(self):
@@ -490,9 +491,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.
+
+    Parsing leaves it unchanged: each call fills a fresh namespace, and
+    ``append`` copies the ``--tol`` default before adding to it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         q = _Query(args)
         graph = {"source": args.graph, "nodes": q.graph.node_count, "edges": q.graph.edge_count}

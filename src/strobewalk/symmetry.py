@@ -5,14 +5,21 @@ on-site energies commute with the walk Hamiltonian.  The subgroup that
 additionally fixes the detection state (up to a unit phase factor) maps
 initial states onto partners with identical detection statistics.
 
-Both groups come from one individualization-refinement search on colored
+Both groups come from individualization-refinement searches on colored
 graphs (McKay and Piperno, "Practical graph isomorphism II", J. Symb.
-Comput. 60, 2014).  The search fixes base points one at a time, keeps one
+Comput. 60, 2014).  A search fixes base points one at a time, keeps one
 verified generator per new image of each base point, and returns the
 generators with the exact order: the product of the basic orbit lengths
 along the base.  No element list is built.  Node orbits follow from the
 generators by union-find, and the symmetric subspace is the joint phase
 eigenspace of the generator matrices.
+
+For a detector localized on node ``d`` one search gives both groups: with
+``d`` first in the base, the generators found below the first level
+generate the stabilizer of ``d``, and their basic orbit lengths multiply to
+its order (orbit-stabilizer: ``|G| = |orbit(d)| * |G_d|``).  The group keeps
+that part of its chain, and :func:`stabilizer` reuses it.  A phased
+detector, or a node other than the base point, takes a search of its own.
 
 From the stabilizer follow, without any spectral information about the
 initial state:
@@ -138,11 +145,16 @@ class SymmetryGroup:
     Every generator, viewed as a permutation matrix, commutes with the walk
     Hamiltonian of ``graph`` (for any coupling constant), since it preserves
     weights and on-site energies; so does every element.
+
+    A group searched with a base point ``d`` also keeps ``_fixed = (d,
+    count, order)``: its first ``count`` generators generate the stabilizer
+    of node ``d``, of that order.
     """
 
     graph: WeightedGraph
     generators: tuple[Permutation, ...]
     order: int
+    _fixed: tuple[int, int, int] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -279,14 +291,22 @@ class _Search:
         out[v] = c
         return out
 
-    def descend(self, colors: np.ndarray, cert: bytes) -> _Path:
-        """Individualize the least node of the smallest non-singleton cell until discrete."""
+    def descend(self, colors: np.ndarray, cert: bytes, first: int | None = None) -> _Path:
+        """Individualize the least node of the smallest non-singleton cell until discrete.
+
+        With ``first`` given and not yet in a singleton cell, that node is
+        individualized first, so it becomes ``base[0]``.
+        """
         path = _Path([colors], [cert])
         while int(colors.max()) + 1 < self.n:
             sizes = np.bincount(colors)
-            sizes[sizes == 1] = self.n + 1
-            cell = int(np.argmin(sizes))
-            b = int(np.flatnonzero(colors == cell)[0])
+            if first is not None and sizes[colors[first]] > 1:
+                cell, b = int(colors[first]), first
+            else:
+                sizes[sizes == 1] = self.n + 1
+                cell = int(np.argmin(sizes))
+                b = int(np.flatnonzero(colors == cell)[0])
+            first = None
             colors, cert = self.refine(self.individualize(colors, b))
             path.colors.append(colors)
             path.certs.append(cert)
@@ -333,7 +353,8 @@ class _Search:
             return None
         return self.match(path, level + 1, child, source, target)
 
-    def chain(self, colors0: np.ndarray) -> tuple[list[tuple[int, ...]], int]:
+    def chain(self, colors0: np.ndarray, point: int | None = None
+              ) -> tuple[list[tuple[int, ...]], int, tuple[int, int]]:
         """Generators and order of the automorphisms that preserve ``colors0``.
 
         Levels are closed from the deepest up.  At level j the generators
@@ -341,11 +362,19 @@ class _Search:
         below j; every node of the target cell outside the orbit of the
         base point under them is tried once, and a failed node rules out
         its whole orbit.
+
+        ``point`` goes first in the base.  The third result is ``(count,
+        order)`` of the stabilizer of ``point``: the generators found below
+        level 0, or all of them when the refined ``colors0`` already has
+        ``point`` in a singleton cell, so that every automorphism fixes it.
         """
-        path = self.descend(*self.refine(colors0))
+        path = self.descend(*self.refine(colors0), first=point)
         generators: list[tuple[int, ...]] = []
         order = 1
+        fixed = None
         for level in reversed(range(path.depth)):
+            if level == 0 and path.base[0] == point:
+                fixed = (len(generators), order)
             colors = path.colors[level]
             orbit = _orbit(path.base[level], generators)
             ruled_out: set[int] = set()
@@ -359,7 +388,7 @@ class _Search:
                     generators.append(tuple(img.tolist()))
                     orbit = _orbit(path.base[level], generators)
             order *= len(orbit)
-        return generators, order
+        return generators, order, fixed or (len(generators), order)
 
     def isomorphism(self, source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
         """An automorphism of the graph carrying coloring ``source`` onto ``target``.
@@ -373,12 +402,18 @@ class _Search:
         return self.match(self.descend(src, src_cert), 0, dst, source, target)
 
 
-def automorphisms(graph: WeightedGraph, *, node_cap: int = DEFAULT_NODE_CAP) -> SymmetryGroup:
+def automorphisms(graph: WeightedGraph, *, node_cap: int = DEFAULT_NODE_CAP,
+                  base_point: int | None = None) -> SymmetryGroup:
     """Full automorphism group of a weighted graph with on-site energies.
 
     An automorphism must preserve edge weights and on-site energies
     exactly.  The group comes back as generators and its exact order; see
     the module docstring for the search.
+
+    With ``base_point`` the search puts that node first in its base, and
+    the group keeps the part of its chain that fixes the node, so that
+    :func:`stabilizer` of a detector localized there needs no second
+    search.  The group and its order do not depend on the base.
 
     Raises :class:`GroupSearchError` when the graph exceeds ``node_cap``
     nodes.
@@ -386,12 +421,15 @@ def automorphisms(graph: WeightedGraph, *, node_cap: int = DEFAULT_NODE_CAP) -> 
     n = graph.node_count
     if n > node_cap:
         raise GroupSearchError(f"graph has {n} nodes, above the cap of {node_cap}")
+    if base_point is not None and not 0 <= base_point < n:
+        raise StateError(f"base point {base_point} out of range for {n} nodes")
     search = _Search(graph)
-    generators, order = search.chain(_dense_ranks(search.onsite))
+    generators, order, (count, fixed_order) = search.chain(_dense_ranks(search.onsite), base_point)
     return SymmetryGroup(
         graph=graph,
         generators=tuple(Permutation(img) for img in generators),
         order=order,
+        _fixed=None if base_point is None else (base_point, count, fixed_order),
     )
 
 
@@ -414,27 +452,58 @@ def stabilizer(
 
     Membership requires ``||S psi_d - p psi_d|| < tol`` with
     ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored with each
-    generator.  The search runs on the graph colored by the detection
-    amplitudes, which for a localized detector just individualizes its
-    node.  The phase-1 kernel comes from a chain search on that coloring.
-    Each further phase ``p`` needs one coset representative, an automorphism
-    carrying the coloring of ``psi_d / p`` onto that of ``psi_d``.  The
-    order is the kernel order times the number of phases found.
+    generator.
+
+    For a detector localized on the base point of ``group`` (see
+    :func:`automorphisms`) the stabilizer is the part of the group's chain
+    that fixes that node, and no search runs.  Otherwise the search runs on
+    the graph colored by the detection amplitudes, which for a localized
+    detector just individualizes its node.  The phase-1 kernel comes from a
+    chain search on that coloring.  Each further phase ``p`` needs one coset
+    representative, an automorphism carrying the coloring of ``psi_d / p``
+    onto that of ``psi_d``.  The order is the kernel order times the number
+    of phases found.  Either way each generator is checked to fix the
+    detection state.
     """
     psi_d = as_state(detect_state, group.dim)
-    search = _Search(group.graph)
     representatives: list[complex] = []
     for z in psi_d:
         if all(abs(z - r) > tol for r in representatives):
             representatives.append(z)
     reps = np.array(representatives)
+    if (group._fixed is not None and group._fixed[0] == localized_node(psi_d)
+            and len(reps) == min(group.dim, 2)):
+        # The amplitude coloring individualizes the base point and nothing else.
+        _, count, order = group._fixed
+        images = [perm.image for perm in group.generators[:count]]
+    else:
+        images, order = _searched_stabilizer(group.graph, psi_d, reps, tol)
+
+    generators = []
+    for img in images:
+        moved = np.empty_like(psi_d)
+        moved[list(img)] = psi_d
+        phase = complex(np.vdot(psi_d, moved))
+        if abs(abs(phase) - 1.0) >= tol or np.linalg.norm(moved - phase * psi_d) >= tol:
+            raise StrobewalkError(f"stabilizer generator {img} does not fix the detection state")
+        generators.append((Permutation(img), phase / abs(phase)))
+    return StabilizerGroup(generators=tuple(generators), order=order, dim=group.dim)
+
+
+def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarray,
+                         tol: float) -> tuple[list[tuple[int, ...]], int]:
+    """Generator images and order of the stabilizer of ``psi_d``, by a search of its own.
+
+    ``reps`` are the distinct amplitudes of ``psi_d``; see :func:`stabilizer`.
+    """
+    search = _Search(graph)
     onsite = _dense_ranks(search.onsite)
 
     def coloring(ids: np.ndarray) -> np.ndarray:
         return onsite * len(reps) + ids
 
     target = coloring(_amplitude_classes(psi_d, reps, tol))
-    kernel, kernel_order = search.chain(_dense_ranks(target))
+    kernel, kernel_order, _ = search.chain(_dense_ranks(target))
     images = list(kernel)
 
     anchor = psi_d[int(np.argmax(np.abs(psi_d)))]
@@ -454,17 +523,7 @@ def stabilizer(
         if img is not None:
             phases.append(p)
             images.append(tuple(img.tolist()))
-
-    generators = []
-    for img in images:
-        moved = np.empty_like(psi_d)
-        moved[list(img)] = psi_d
-        phase = complex(np.vdot(psi_d, moved))
-        if abs(abs(phase) - 1.0) >= tol or np.linalg.norm(moved - phase * psi_d) >= tol:
-            raise StrobewalkError(f"stabilizer generator {img} does not fix the detection state")
-        generators.append((Permutation(img), phase / abs(phase)))
-    return StabilizerGroup(generators=tuple(generators), order=kernel_order * len(phases),
-                           dim=group.dim)
+    return images, kernel_order * len(phases)
 
 
 def _invariant_span_dim(stab: StabilizerGroup, psi: np.ndarray, rank_tol: float) -> int:

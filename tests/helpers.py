@@ -193,17 +193,29 @@ def group_elements(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[sw.Perm
 
 def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
     """Group order, and per detector node the stabilizer order, node orbits
-    and the orbit-stabilizer identity ``|G| = |orbit(d)| * |G_d|``."""
+    and the orbit-stabilizer identity ``|G| = |orbit(d)| * |G_d|``.
+
+    Each stabilizer is checked three ways: searched on its own, taken from
+    the chain of a group searched with ``d`` first in its base, and from a
+    group searched with another node first, which falls back to a search."""
     n = g.node_count
     brute = brute_force_automorphisms(g)
     group = sw.automorphisms(g)
     assert group.order == len(brute)
+    shared = [sw.automorphisms(g, base_point=d) for d in range(n)]
     for d in range(n):
         expected = brute_force_stabilizer(brute, d)
-        stab = sw.stabilizer(group, sw.localized_state(n, d))
-        assert stab.order == len(expected), d
-        assert sw.node_orbits(stab) == brute_force_orbits(expected, n), d
-        assert group.order == len({p.image[d] for p in brute}) * stab.order, d
+        detector = sw.localized_state(n, d)
+        assert shared[d].order == group.order, d
+        from_chain = sw.stabilizer(shared[d], detector)
+        count = len(from_chain.generators)
+        assert [perm for perm, _ in from_chain.generators] == list(shared[d].generators[:count]), d
+        fallback = sw.stabilizer(shared[(d + 1) % n], detector)
+        for stab in (sw.stabilizer(group, detector), from_chain, fallback):
+            assert stab.order == len(expected), d
+            assert sw.node_orbits(stab) == brute_force_orbits(expected, n), d
+            assert all(perm.image[d] == d and phase == 1.0 for perm, phase in stab.generators), d
+            assert group.order == len({p.image[d] for p in brute}) * stab.order, d
 
 
 def _oracle_levels(es: sw.EigenSystem) -> np.ndarray:

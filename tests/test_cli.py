@@ -1,5 +1,6 @@
 """Command-line interface: reports, schema conformance, exit codes."""
 
+import argparse
 import json
 import math
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import strobewalk as sw
-from strobewalk import detection, spectral
+from strobewalk import cli, detection, spectral, symmetry
 from strobewalk.cli import main
 
 import helpers
@@ -181,6 +182,21 @@ class TestAnalyze:
             assert row["pdet"] == pytest.approx(1.0 / 6.0, abs=1e-9)
             assert row["upper_bound_fraction"] == "1/6"
 
+    def test_localized_state_file_detect_matches_the_node_id(self, capsys, tmp_path):
+        # a state file localized on a node takes the same single search as the node id
+        path = tmp_path / "detect.json"
+        path.write_text(json.dumps({"amplitudes": sw.localized_state(63, 17).real.tolist()}))
+        by_node = run_json(capsys, "analyze", "--graph", "tree:5", "--detect", "17", "--init", "all")
+        by_file = run_json(capsys, "analyze", "--graph", "tree:5", "--detect", str(path), "--init", "all")
+        assert (by_node.pop("detect"), by_file.pop("detect")) == ("17", str(path))
+        assert by_file == by_node
+        rows = []
+        for detect in ("17", str(path)):
+            assert main(["analyze", "--graph", "tree:5", "--detect", detect, "--init", "all",
+                         "--format", "csv"]) == 0
+            rows.append(capsys.readouterr().out)
+        assert rows[0] == rows[1]
+
     def test_tree5_root_table(self, capsys, schema):
         # 63 nodes and a group of order 2^31: the paper's 2^-k law in generation k
         report = run_json(capsys, "analyze", "--graph", "tree:5", "--detect", "0", "--init", "all")
@@ -330,6 +346,71 @@ class TestQuotientCommand:
         assert "localized" in capsys.readouterr().err
 
 
+class TestOneSymmetrySearch:
+    """A localized detector costs one group search, whose chain also gives the stabilizer."""
+
+    @staticmethod
+    def spy_searches(monkeypatch):
+        original = symmetry._Search.chain
+        chains = []
+
+        def chain(self, *args, **kwargs):
+            chains.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(symmetry._Search, "chain", chain)
+        return spy(monkeypatch, symmetry, "_Search"), chains
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--graph", "tree:4", "--detect", "5", "--init", "all"],
+        ["analyze", "--graph", "lattice:6x6", "--detect", "0", "--init", "all"],
+        ["quotient", "--graph", "ring:16", "--detect", "3"],
+        ["quotient", "--graph", "tree:3", "--detect", "0"],
+    ])
+    def test_one_search_and_one_chain_per_query(self, capsys, monkeypatch, schema, argv):
+        searches, chains = self.spy_searches(monkeypatch)
+        report = run_json(capsys, *argv)
+        jsonschema.validate(report, schema)
+        assert (len(searches), len(chains)) == (1, 1)
+
+    def test_phased_detector_keeps_its_own_search(self, capsys, monkeypatch, tmp_path):
+        psi = helpers.ring_eigenstate(6, 1)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"amplitudes": [[z.real, z.imag] for z in psi]}))
+        searches, chains = self.spy_searches(monkeypatch)
+        report = run_json(capsys, "analyze", "--graph", "ring:6", "--detect", str(path), "--init", "all")
+        assert report["stabilizer_order"] == 6
+        assert (len(searches), len(chains)) == (2, 2)
+
+
+class TestParserReuse:
+    def test_a_query_carries_nothing_into_the_next(self, capsys):
+        argv = ["analyze", "--graph", "tree:3", "--detect", "2", "--init", "all", "--format", "json"]
+        cli._parser.cache_clear()
+        assert main(argv) == 0
+        alone = capsys.readouterr().out
+        assert main([*argv, "--tol", "dark=1e-20", "--tol", "series-cap=500"]) == 0
+        assert capsys.readouterr().out != alone  # the overrides do change this report
+        assert main(argv) == 0
+        assert capsys.readouterr().out == alone
+        parser = cli._parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for sub in commands.choices.values():
+            assert sub._option_string_actions["--tol"].default == []
+
+    def test_exit_codes_survive_a_successful_call(self, capsys):
+        assert main(["spectrum", "--graph", "ring:3"]) == 0
+        with pytest.raises(SystemExit) as version:
+            main(["--version"])
+        assert version.value.code == 0
+        assert sw.__version__ in capsys.readouterr().out
+        with pytest.raises(SystemExit) as bad:
+            main(["nosuch", "--graph", "ring:3"])
+        assert bad.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["spectrum", "--graph", "ring:3"]) == 0
+
+
 class TestResonancesCommand:
     def test_ring6_range(self, capsys, schema):
         report = run_json(capsys, "resonances", "--graph", "ring:6", "--tau", "7")
@@ -425,6 +506,12 @@ class TestFormatsAndErrors:
     def test_config_errors_exit_2(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [["analyze", "--init", "0"], ["quotient"]])
+    def test_detector_is_checked_before_the_group_search(self, capsys, command):
+        # tree:6 has 127 nodes, above the search cap: the bad detector must be reported first
+        assert main([command[0], "--graph", "tree:6", "--detect", "999", *command[1:]]) == 2
+        assert capsys.readouterr().err == "error: detect node 999 out of range for 127 nodes\n"
 
     def test_numerical_failure_exits_3(self, capsys, tmp_path):
         # 600 nodes exceeds the eigendecomposition cap

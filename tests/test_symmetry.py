@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import strobewalk as sw
+from strobewalk import symmetry
 from strobewalk.errors import AsymmetricStateError, GroupSearchError, StateError
 from strobewalk.symmetry import identity_permutation
 
@@ -451,6 +452,36 @@ class TestSearchAgainstBruteForce:
         g = sw.WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.0)), onsite=(0.0,) * 3)
         helpers.assert_search_matches_brute_force(g)
         assert sw.automorphisms(g).order == 1
+
+
+class TestDetectorFirstBase:
+    """A group searched with the detector first in its base carries the detector's stabilizer."""
+
+    @pytest.mark.parametrize("spec, node", [("tree:5", 0), ("tree:5", 17), ("hypercube:6", 3),
+                                            ("lattice:8x8", 9), ("ring:64", 7), ("complete:8", 3)])
+    def test_stabilizer_from_the_chain_needs_no_search(self, monkeypatch, spec, node):
+        expected = helpers.node_stabilizer(spec, node)
+        group = sw.automorphisms(helpers.graph(spec), base_point=node)
+        assert group.order == helpers.group(spec).order
+        monkeypatch.setattr(symmetry, "_Search", None)  # any further search would fail
+        stab = sw.stabilizer(group, sw.localized_state(group.dim, node))
+        assert stab.order == expected.order
+        assert sw.node_orbits(stab) == sw.node_orbits(expected)
+
+    def test_a_node_fixed_by_refinement_keeps_the_whole_group(self):
+        # the tree root is alone in its refined cell, so every generator fixes it
+        group = sw.automorphisms(helpers.graph("tree:5"), base_point=0)
+        assert group._fixed == (0, len(group.generators), 2**31)
+
+    def test_other_detectors_take_their_own_search(self):
+        group = sw.automorphisms(helpers.graph("ring:6"), base_point=0)
+        assert sw.stabilizer(group, sw.localized_state(6, 2)).order == 2
+        assert sw.stabilizer(group, helpers.ring_eigenstate(6, 1)).order == 6
+        assert sw.stabilizer(group, helpers.ring_eigenstate(6, 3)).order == 12
+
+    def test_base_point_out_of_range(self):
+        with pytest.raises(StateError, match="out of range"):
+            sw.automorphisms(helpers.graph("ring:6"), base_point=6)
 
 
 class TestClosedFormOrders:
