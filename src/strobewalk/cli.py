@@ -20,6 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,9 @@ def _parse_tau_range(text: str) -> tuple[float, float]:
             raise ConfigError(f"bad scan bounds in {text!r}") from None
         if not (0 <= lo < hi):
             raise ConfigError(f"scan range must satisfy 0 <= min < max, got {text!r}")
+        # The listing is exact, so the step count only has to be well formed.
+        if len(parts) == 4 and not (parts[3].isdecimal() and int(parts[3]) > 0):
+            raise ConfigError(f"scan steps must be a positive integer, got {parts[3]!r}")
         return lo, hi
     return 0.0, _parse_tau(text)
 
@@ -161,7 +165,7 @@ def _fraction_of(value: float, max_denominator: int = 64) -> str | None:
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _to_json(report, "\n") + "\n"
     elif fmt == "csv":
         text = _to_csv(report)
     else:
@@ -170,6 +174,66 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+#: The repr of each non-finite float and its JSON spelling; no finite float's repr has an "n".
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
+_JSON_BASES = (str, int, float, list, tuple, dict)
+_JSON_TYPES = frozenset({*_JSON_BASES, bool, type(None)})
+
+
+def _to_json(value, newline: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``newline`` is the line break plus the indentation of ``value``'s own
+    nesting level.  An array of plain ints, or of finite floats, is written
+    with one join; ``float.__repr__`` writes float subclasses as ``json``
+    does.
+    """
+    kind = type(value)
+    if kind not in _JSON_TYPES:
+        kind = next((base for base in _JSON_BASES if isinstance(value, base)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        members = [f"{_json_key(key)}: {_to_json(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    return "[" + inner + _json_items(value, inner) + newline + "]"
+
+
+def _json_items(items, newline: str) -> str:
+    separator = "," + newline
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return separator.join(map(int.__repr__, items))
+    if kinds == {float}:
+        text = separator.join(map(float.__repr__, items))
+        if "n" not in text:
+            return text
+    return separator.join([_to_json(item, newline) for item in items])
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _to_json(key, "")
+    return encode_basestring_ascii(key)
 
 
 def _to_csv(report: dict) -> str:
@@ -436,7 +500,7 @@ def cmd_resonances(q: _Query) -> dict:
     return {
         "range": [lo, hi],
         "resonances": [
-            {"tau": p.tau, "pairs": [list(pair) for pair in p.pairs]}
+            {"tau": p.tau, "pairs": p.pairs}
             for p in resonant_periods(q.eigensystem, hi) if p.tau > lo
         ],
     }
@@ -466,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run, detect=False, init=False, tau_default="1.0"):
+    def add_common(p, run, detect=False, init=False, tau_default="1.0", tau_help="detection period"):
         p.set_defaults(run=run)
         p.add_argument("--graph", required=True, help="generator spec (e.g. ring:6) or graph JSON path")
         if detect:
             p.add_argument("--detect", required=True, help="detection node id or state file path")
         if init:
             p.add_argument("--init", required=True, help="initial node id, state file path, or 'all'")
-        p.add_argument("--tau", default=tau_default, help="detection period (default %(default)s)")
+        p.add_argument("--tau", default=tau_default, help=f"{tau_help} (default %(default)s)")
         p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
                        help=f"override a tolerance; keys: {', '.join(_TOL_DEFAULTS)}")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -486,7 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("quotient", help="symmetrized (quotient) system for a detection node"),
                cmd_quotient, detect=True)
     add_common(sub.add_parser("resonances", help="resonant detection periods up to a bound"),
-               cmd_resonances, tau_default="6.2831853")
+               cmd_resonances, tau_default="6.2831853",
+               tau_help="largest period listed, or scan:min:max[:steps] for the periods in (min, max]; "
+                        "the listing is exact, so steps, a positive integer, does not change it")
     add_common(sub.add_parser("spectrum", help="eigenvalues and quasienergy sectors"), cmd_spectrum)
     return parser
 

@@ -286,15 +286,18 @@ class _DetectorProjection:
         excluded = tuple(np.flatnonzero(self.weights <= dark_tol).tolist())
         amps = self.columns[:, bright].conj().T @ initial_states
         contributions = np.abs(amps) ** 2 / self.weights[bright, None]
+        sectors = bright.tolist()
+        dark_dim = self.sd.dim - bright.size
+        degeneracies = self.sd.degeneracies
         return [
             DetectionReport(
                 pdet=math.fsum(column),
-                per_sector=tuple(zip(bright.tolist(), column.tolist())),
+                per_sector=tuple(zip(sectors, column.tolist())),
                 bright_dim=bright.size,
-                dark_dim=self.sd.dim - bright.size,
+                dark_dim=dark_dim,
                 excluded_sectors=excluded,
                 method="spectral",
-                sector_degeneracies=self.sd.degeneracies,
+                sector_degeneracies=degeneracies,
             )
             for column in contributions.T
         ]

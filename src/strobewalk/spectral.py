@@ -265,27 +265,51 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
     2*pi for some pair of distinct levels; every such period (including
     harmonics) is returned sorted ascending, with coinciding periods from
     different level pairs merged into one entry.
+
+    The periods ``k * 2*pi / gap`` of all level pairs ``l < l'`` and
+    harmonics ``k`` with ``k * base <= tau_max * (1 + 1e-12)`` are built as
+    one array and stably sorted, so equal periods keep the pair order
+    ``(l, l', k)``.  A period joins the current entry when it lies within
+    ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
+    joining period; a chain of near neighbours can therefore start a new
+    entry although each lies within the tolerance of the one before.
     """
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     levels = _distinct_levels(es)
-    hits: list[tuple[float, tuple[int, int, int]]] = []
-    for l0 in range(levels.shape[0]):
-        for l1 in range(l0 + 1, levels.shape[0]):
-            gap = abs(levels[l1] - levels[l0])
-            base = TWO_PI / gap
-            k = 1
-            while k * base <= tau_max * (1.0 + 1e-12):
-                hits.append((k * base, (l0, l1, k)))
-                k += 1
-    hits.sort(key=lambda t: t[0])
-    merged: list[ResonantPeriod] = []
-    for tau_c, pair in hits:
-        if merged and abs(tau_c - merged[-1].tau) <= 1e-9 * max(1.0, tau_c):
-            merged[-1] = ResonantPeriod(tau=merged[-1].tau, pairs=merged[-1].pairs + (pair,))
-        else:
-            merged.append(ResonantPeriod(tau=tau_c, pairs=(pair,)))
-    return merged
+    l0, l1 = np.triu_indices(levels.shape[0], k=1)
+    base = TWO_PI / np.abs(levels[l1] - levels[l0])
+    limit = tau_max * (1.0 + 1e-12)
+    # The quotient's rounding can miss the last harmonic by one either way: settle
+    # the count with the test ``k * base <= limit`` itself.
+    count = np.floor(limit / base)
+    count += (count + 1.0) * base <= limit
+    count -= (count >= 1.0) & (count * base > limit)
+    count = count.astype(np.intp)
+    pair = np.repeat(np.arange(base.shape[0]), count)
+    k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)
+    taus = k * base[pair]
+    order = np.argsort(taus, kind="stable")
+    taus, pair, k = taus[order], pair[order], k[order]
+
+    # A gap to the previous period beyond the tolerance always starts an entry;
+    # only the near neighbours need the comparison with their entry's first period.
+    tol = 1e-9 * np.maximum(1.0, taus)
+    near = np.flatnonzero(np.diff(taus) <= tol[1:]) + 1
+    starts = np.ones(taus.shape[0], dtype=bool)
+    starts[near] = False
+    first = previous = -1
+    for j in near.tolist():
+        if j - 1 != previous:  # the period before starts an entry
+            first = j - 1
+        if taus[j] - taus[first] > tol[j]:
+            starts[j] = True
+            first = j
+        previous = j
+    bounds = np.flatnonzero(starts).tolist()
+    triples = list(zip(l0[pair].tolist(), l1[pair].tolist(), k.tolist()))
+    groups = [tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:] + [taus.shape[0]])]
+    return list(map(ResonantPeriod, taus[bounds].tolist(), groups))
 
 
 def is_resonant(es: EigenSystem, tau: float, *, tol: float = RESONANCE_TOL) -> bool:

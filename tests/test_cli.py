@@ -9,6 +9,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strobewalk as sw
 from strobewalk import cli, detection, spectral, symmetry
@@ -440,6 +442,19 @@ class TestResonancesCommand:
         assert all(2 < t <= 5 for t in taus)
         assert taus == pytest.approx([2 * math.pi / 3, math.pi, 4 * math.pi / 3, 3 * math.pi / 2])
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_scan_steps_do_not_change_the_listing(self, capsys, fmt):
+        reports = []
+        for tau in ("scan:2:5:10", "scan:2:5"):
+            assert main(["resonances", "--graph", "ring:6", "--tau", tau, "--format", fmt]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("steps", ["abc", "0", "-3", ""])
+    def test_scan_steps_must_be_a_positive_integer(self, capsys, steps):
+        assert main(["resonances", "--graph", "ring:6", "--tau", f"scan:2:5:{steps}"]) == 2
+        assert capsys.readouterr().err == f"error: scan steps must be a positive integer, got {steps!r}\n"
+
 
 class TestSpectrumCommand:
     def test_ring6_sectors(self, capsys, schema):
@@ -469,6 +484,12 @@ class TestFormatsAndErrors:
         elif fmt == "csv":
             header = out.splitlines()[0]
             assert "," in header
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGS))
+    def test_json_is_the_json_modules_own_layout(self, capsys, command):
+        assert main([*self.BASE_ARGS[command], "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_text_format(self, capsys):
         assert main(["analyze", "--graph", "tree:2", "--detect", "0", "--init", "3"]) == 0
@@ -527,3 +548,42 @@ class TestFormatsAndErrors:
         path.write_text(json.dumps({"amplitudes": [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]}))
         assert main(["analyze", "--graph", "ring:6", "--detect", str(path), "--init", "0"]) == 2
         assert "normalized" in capsys.readouterr().err
+
+
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                               st.characters()), max_size=6)
+_json_floats = st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _json_floats,
+    _json_floats.map(np.float64),
+    _json_text,
+)
+_json_values = st.recursive(
+    st.one_of(_json_scalars, st.lists(st.integers()), st.lists(_json_floats), st.lists(st.booleans())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_json_text, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), _json_floats), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(_json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._to_json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": 1j}, {1, 2},
+                                       {(1, 2): 3}, {"x": [object()]}])
+    def test_unsupported_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._to_json(value, "\n")

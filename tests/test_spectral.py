@@ -1,5 +1,6 @@
 """Eigendecomposition, sector folding and resonance enumeration."""
 
+import json
 import math
 
 import numpy as np
@@ -144,6 +145,64 @@ class TestResonances:
     def test_single_level_system_empty(self):
         g = sw.WeightedGraph(node_count=1, edges=(), onsite=(0.0,))
         assert sw.resonant_periods(sw.diagonalize(sw.hamiltonian(g, 1.0)), 10.0) == []
+        # three degenerate states are still one level
+        degenerate = sw.EigenSystem(eigenvalues=np.full(3, 1.5), eigenvectors=np.eye(3, dtype=complex))
+        assert sw.resonant_periods(degenerate, 10.0) == []
+
+    @pytest.mark.parametrize("tau_max", [TWO_PI / 3, math.pi, TWO_PI])
+    def test_bound_on_a_harmonic_is_included(self, tau_max):
+        es = helpers.eigensystem("ring:6")
+        periods = sw.resonant_periods(es, tau_max)
+        assert periods == helpers.oracle_resonant_periods(es, tau_max)
+        assert periods[-1].tau == pytest.approx(tau_max, abs=1e-12)
+        assert len(periods[-1].pairs) > 1
+
+    def test_chained_near_coincidence_starts_a_new_entry(self):
+        # gaps 1, 2 - 2e and 1 - 2e put periods at 2*pi, 2*pi (1 + e) (k = 2) and
+        # 2*pi (1 + 2e): each within 1e-9 * tau of the one before, the third not of the first
+        e = 0.7e-9
+        es = sw.EigenSystem(eigenvalues=np.array([0.0, 1.0, 2.0 - 2 * e]),
+                            eigenvectors=np.eye(3, dtype=complex))
+        periods = sw.resonant_periods(es, 7.0)
+        assert periods == helpers.oracle_resonant_periods(es, 7.0)
+        assert [p.pairs for p in periods] == [((0, 2, 1),), ((0, 1, 1), (0, 2, 2)), ((1, 2, 1),)]
+        assert periods[1].tau == TWO_PI
+        assert 0 < periods[2].tau - TWO_PI < 2e-9 * TWO_PI
+
+    def test_equal_periods_keep_the_pair_order(self):
+        # equally spaced levels: many pairs share each period exactly
+        es = sw.EigenSystem(eigenvalues=np.arange(12.0), eigenvectors=np.eye(12, dtype=complex))
+        periods = sw.resonant_periods(es, 20.0)
+        assert periods == helpers.oracle_resonant_periods(es, 20.0)
+        assert max(len(p.pairs) for p in periods) > 10
+
+    def test_harmonic_count_at_the_floating_point_edge(self):
+        # with tau_max * (1 + 1e-12) within a few ulps of k * base, the quotient
+        # limit / base rounds across the integer either way: the count must follow
+        # the test k * base <= limit
+        rng = np.random.default_rng(1)
+        floor_missed = set()
+        for _ in range(300):
+            gap, k = rng.uniform(0.1, 5.0), int(rng.integers(1, 50))
+            es = sw.EigenSystem(eigenvalues=np.array([0.0, gap]), eigenvectors=np.eye(2, dtype=complex))
+            base = TWO_PI / gap
+            tau_max = k * base / (1.0 + 1e-12)
+            for step in range(-3, 4):
+                bound = float(tau_max + step * np.spacing(tau_max))
+                periods = sw.resonant_periods(es, bound)
+                assert periods == helpers.oracle_resonant_periods(es, bound)
+                floor_count = math.floor(bound * (1.0 + 1e-12) / base)
+                if floor_count != len(periods):
+                    floor_missed.add(floor_count > len(periods))
+        assert floor_missed == {True, False}
+
+    def test_plain_python_types(self):
+        es = helpers.eigensystem("ring:64")
+        periods = sw.resonant_periods(es, 20.0)
+        assert periods == helpers.oracle_resonant_periods(es, 20.0)
+        assert all(type(p.tau) is float for p in periods)
+        assert all(type(x) is int for p in periods for pair in p.pairs for x in pair)
+        json.dumps([[p.tau, p.pairs] for p in periods])  # a numpy integer would raise
 
     def test_irrational_gap_families_do_not_coincide(self):
         es = sw.diagonalize(np.diag([0.0, 1.0, math.sqrt(2.0)]))
