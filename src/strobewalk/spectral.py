@@ -115,14 +115,11 @@ class ResonantPeriod:
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is positive real."""
-    fixed = vectors.copy()
-    for k in range(fixed.shape[1]):
-        col = fixed[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size:
-            pivot = col[idx[0]]
-            fixed[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return fixed
+    significant = np.abs(vectors) > 1e-12
+    pivots = vectors[significant.argmax(axis=0), np.arange(vectors.shape[1])]
+    # A column with no significant component keeps its phase.
+    pivots[~significant.any(axis=0)] = 1.0
+    return vectors * (np.conj(pivots) / np.abs(pivots))
 
 
 def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem:
@@ -285,6 +282,10 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
     count = np.floor(limit / base)
     count += (count + 1.0) * base <= limit
     count -= (count >= 1.0) & (count * base > limit)
+    # An overflow guard, not a cap: no array of 8-byte entries that long can be indexed.
+    total = float(np.sum(count))
+    if not total * 8 < np.iinfo(np.intp).max:
+        raise SpectralError(f"{total:.3g} resonant periods up to tau_max={tau_max:g} do not fit in an array")
     count = count.astype(np.intp)
     pair = np.repeat(np.arange(base.shape[0]), count)
     k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)

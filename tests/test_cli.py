@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -455,6 +456,16 @@ class TestResonancesCommand:
         assert main(["resonances", "--graph", "ring:6", "--tau", f"scan:2:5:{steps}"]) == 2
         assert capsys.readouterr().err == f"error: scan steps must be a positive integer, got {steps!r}\n"
 
+    @pytest.mark.parametrize("tau", ["scan:0:inf", "scan:1:inf:10"])
+    def test_infinite_scan_max_is_a_config_error(self, capsys, tau):
+        assert main(["resonances", "--graph", "ring:6", "--tau", tau]) == 2
+        assert capsys.readouterr().err.startswith("error: scan range must satisfy")
+
+    @pytest.mark.parametrize("tau", ["scan:0:1e300", "1e300", "scan:0:1e18"])
+    def test_period_count_beyond_any_array_is_a_numerical_error(self, capsys, tau):
+        assert main(["resonances", "--graph", "ring:6", "--tau", tau]) == 3
+        assert "do not fit in an array" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_ring6_sectors(self, capsys, schema):
@@ -490,6 +501,19 @@ class TestFormatsAndErrors:
         assert main([*self.BASE_ARGS[command], "--format", "json"]) == 0
         text = capsys.readouterr().out
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["resonances", "--graph", "DISORDERED", "--tau", "scan:0:20"],
+        ["analyze", "--graph", "lattice:8x8", "--detect", "0", "--init", "all"],
+        ["simulate", "--graph", "ring:64", "--detect", "0", "--init", "32", "--tau", "1.0"],
+    ], ids=["resonances-disordered-ring64", "analyze-lattice8x8", "simulate-ring64"])
+    def test_long_reports_are_the_json_modules_own_layout(self, capsys, tmp_path, argv):
+        argv = [disordered_ring(tmp_path, 5) if arg == "DISORDERED" else arg for arg in argv]
+        assert main([*argv, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text)
+        assert max(len(doc.get(key, ())) for key in ("resonances", "results", "first_detection")) >= 64
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_text_format(self, capsys):
         assert main(["analyze", "--graph", "tree:2", "--detect", "0", "--init", "3"]) == 0
@@ -562,13 +586,46 @@ _json_scalars = st.one_of(
     _json_floats.map(np.float64),
     _json_text,
 )
+#: Columns of mixed kinds: bools next to ints, float subclasses next to floats, NaN among floats.
+_json_mixed_columns = st.one_of(
+    st.lists(st.sampled_from([True, 1, False, 0, 2]), max_size=6),
+    st.lists(st.one_of(_json_floats, _json_floats.map(np.float64)), max_size=6),
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan)), max_size=6),
+    st.lists(st.one_of(st.integers(), st.floats(), st.none(), _json_text), max_size=6),
+)
+#: Arrays of mixed and zero length, side by side in one column.
+_json_ragged = st.one_of(
+    st.lists(st.lists(st.integers(), max_size=3), max_size=5),
+    st.lists(st.lists(_json_floats, max_size=3).map(tuple), max_size=5),
+    st.lists(st.one_of(st.lists(st.integers(), max_size=2), st.lists(_json_text, max_size=2).map(tuple)),
+             max_size=5),
+)
+
+
+def _json_records(children):
+    """Lists of objects that share one set of str keys, each in its own key order."""
+    record = st.sets(_json_text, max_size=3).flatmap(
+        lambda keys: st.fixed_dictionaries({key: children for key in keys}))
+    return st.lists(record.flatmap(lambda d: st.permutations(list(d.items())).map(dict)), max_size=3)
+
+
+def _json_clashing_keys(children):
+    """Objects keyed ``1``, ``True`` and ``1.0`` (equal as dict keys, not as JSON) in one list."""
+    key = st.sampled_from([1, True, 1.0, 0, False, 0.0, "1", "true"])
+    return st.lists(st.dictionaries(key, children, max_size=1), max_size=4)
+
+
 _json_values = st.recursive(
-    st.one_of(_json_scalars, st.lists(st.integers()), st.lists(_json_floats), st.lists(st.booleans())),
+    st.one_of(_json_scalars, st.lists(st.integers()), st.lists(_json_floats), st.lists(st.booleans()),
+              _json_mixed_columns, _json_ragged),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_json_text, children, max_size=4),
         st.dictionaries(st.one_of(st.integers(), _json_floats), children, max_size=4),
+        _json_records(children),
+        _json_records(_json_records(children)),
+        _json_clashing_keys(children),
     ),
     max_leaves=20,
 )
@@ -587,3 +644,26 @@ class TestJsonWriter:
             json.dumps(value, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._to_json(value, "\n")
+
+
+def _limit_denominator(value):
+    frac = Fraction(value).limit_denominator(64)
+    return f"{frac.numerator}/{frac.denominator}" if abs(float(frac) - value) < 1e-9 else None
+
+
+#: Values at and around ``p/q``, offsets straddling the 1e-9 acceptance edge.
+_near_fractions = st.builds(
+    lambda p, q, offset: p / q + offset,
+    st.integers(-130, 130),
+    st.integers(1, 70),
+    st.one_of(st.sampled_from([0.0, 1e-9, -1e-9, 9.999999e-10, -1.0000001e-9, 1e-17]),
+              st.floats(-2e-9, 2e-9)),
+)
+
+
+class TestFractions:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(_near_fractions, st.floats(-2.0, 2.0), st.floats(-(2.0**20), 2.0**20)),
+                    max_size=40))
+    def test_column_matches_limit_denominator(self, values):
+        assert cli._fractions_of(values) == [_limit_denominator(v) for v in values]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import strobewalk as sw
+from strobewalk import spectral
 from strobewalk.errors import SpectralError
 
 import helpers
@@ -55,6 +56,20 @@ class TestDiagonalize:
             pivot = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert pivot.real > 0
             assert abs(pivot.imag) < 1e-12 * abs(pivot)
+
+    @pytest.mark.parametrize("spec", ["ring:8", "tree:3", "lattice:4x4", "hypercube:3"])
+    def test_sign_fix_is_the_per_column_rotation_bit_for_bit(self, spec):
+        # These eigenvectors vanish on some leading nodes, so the pivot is not always row 0.
+        _, vectors = np.linalg.eigh(helpers.ham(spec))
+        vectors = vectors.astype(complex)
+        vectors[:, 1] = 0.0  # a column without a significant component keeps its phase
+        expected = vectors.copy()
+        for k in range(vectors.shape[1]):
+            col = vectors[:, k]
+            idx = np.flatnonzero(np.abs(col) > 1e-12)
+            if idx.size:
+                expected[:, k] = col * (np.conj(col[idx[0]]) / abs(col[idx[0]]))
+        assert spectral._fix_eigenvector_signs(vectors).tobytes() == expected.tobytes()
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(SpectralError, match="Hermitian"):
@@ -212,6 +227,11 @@ class TestResonances:
         gaps = {1.0, math.sqrt(2.0), math.sqrt(2.0) - 1.0}
         expected = sorted(k * TWO_PI / g for g in gaps for k in range(1, 20) if k * TWO_PI / g <= TWO_PI * (1 + 1e-12))
         np.testing.assert_allclose(taus, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("tau_max", [1e300, 1e18, math.inf])
+    def test_period_count_beyond_any_array_raises(self, tau_max):
+        with pytest.raises(SpectralError, match="do not fit in an array"):
+            sw.resonant_periods(helpers.eigensystem("ring:6"), tau_max)
 
     def test_is_resonant_ring6(self):
         es = helpers.eigensystem("ring:6")
