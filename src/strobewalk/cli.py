@@ -491,28 +491,32 @@ def cmd_analyze(q: _Query) -> dict:
     n = q.graph.node_count
     if args.init == "all":
         labels, states = [str(r) for r in range(n)], np.eye(n, dtype=complex)
+        # Node r's orbit rank is the size of its orbit, and its bound <r|P|r> is P[r, r].
+        ranks = q.stab._orbit_sizes.tolist()
+        bounds = [min(max(weight, 0.0), 1.0) for weight in q.projector.diagonal().real.tolist()]
     else:
-        labels, states = [args.init], _parse_state(args.init, n, "init")[:, None]
+        psi_in = _parse_state(args.init, n, "init")
+        labels, states = [args.init], psi_in[:, None]
+        ranks = [orbit_rank(q.stab, psi_in, rank_tol=q.tols["rank"])]
+        bounds = [upper_bound(q.stab, psi_in, projector=q.projector)]
     warnings += q.dark_warnings()
 
-    reports = q.projection.reports(states, dark_tol=q.tols["dark"])
-    bounds = [upper_bound(q.stab, psi_in, projector=q.projector) for psi_in in states.T]
-    pdet_fractions = _fractions_of([rep.pdet for rep in reports])
+    cols = q.projection.pdet_columns(states, dark_tol=q.tols["dark"])
     results = [
         {
             "init": label,
-            "pdet": rep.pdet,
+            "pdet": pdet,
             "pdet_fraction": pdet_fraction,
-            "orbit_rank": orbit_rank(q.stab, psi_in, rank_tol=q.tols["rank"]),
+            "orbit_rank": rank,
             "upper_bound": bound,
             "upper_bound_fraction": bound_fraction,
             "saturated": saturated,
-            "bright_dim": rep.bright_dim,
-            "dark_dim": rep.dark_dim,
-            "excluded_sectors": list(rep.excluded_sectors),
+            "bright_dim": bright_dim,
+            "dark_dim": cols.dark_dim,
+            "excluded_sectors": list(cols.excluded_sectors),
         }
-        for label, psi_in, rep, bound, pdet_fraction, bound_fraction in zip(
-            labels, states.T, reports, bounds, pdet_fractions, _fractions_of(bounds)
+        for label, pdet, rank, bound, pdet_fraction, bound_fraction in zip(
+            labels, cols.pdet, ranks, bounds, _fractions_of(cols.pdet), _fractions_of(bounds)
         )
     ]
     return {

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -254,20 +254,57 @@ def pdet_series(
     )
 
 
+class _PdetColumns(NamedTuple):
+    """The detection probability of each of a set of initial states.
+
+    ``contributions[j, i]`` is what bright sector ``bright[j]`` contributes
+    for initial state ``i``, and ``pdet[i]`` the ``math.fsum`` of column
+    ``i``.  ``bright.size`` (the bright dimension), ``dark_dim`` and
+    ``excluded_sectors`` are those of every state (see
+    :class:`DetectionReport`).
+    """
+
+    pdet: list[float]
+    contributions: np.ndarray
+    bright: np.ndarray
+    dark_dim: int
+    excluded_sectors: tuple[int, ...]
+
+
 class _DetectorProjection:
-    """The detection state projected onto every sector, once.
+    """The detection state projected onto every sector, once, as columns.
 
     ``columns[:, l]`` is ``P_l psi_d`` and ``weights[l]`` its squared norm
     ``<psi_d| P_l |psi_d>``; sectors of weight at most ``dark_tol`` are the
     completely dark levels.
+
+    The nondegenerate sectors, one eigenvector ``v`` each, get their
+    coefficients ``c = <v|psi_d>`` from one product of the detection state
+    with all their vectors.  ``weights`` (``|c|^2``) and ``columns``
+    (``c v``) follow elementwise, in the real arithmetic of a one-column
+    product, so they equal the sector-by-sector products bit for bit.  A
+    degenerate sector keeps its own products, whose sums run over its
+    vectors.
     """
 
     def __init__(self, sd: SpectralDecomposition, detect_state: np.ndarray):
         psi_d = as_state(detect_state, sd.dim)
-        coeffs = [sector.vectors.conj().T @ psi_d for sector in sd.sectors]
+        degeneracy = np.array(sd.degeneracies, dtype=np.intp)
         self.sd = sd
-        self.weights = np.array([float(np.real(c.conj() @ c)) for c in coeffs])
-        self.columns = np.column_stack([sector.vectors @ c for sector, c in zip(sd.sectors, coeffs)])
+        self.weights = np.empty(degeneracy.size)
+        self.columns = np.empty((sd.dim, degeneracy.size), dtype=complex)
+        single = np.flatnonzero(degeneracy == 1)
+        if single.size:
+            v = np.concatenate([s.vectors for s in sd.sectors], axis=1)[:, np.cumsum(degeneracy)[single] - 1]
+            c = v.conj().T @ psi_d
+            self.weights[single] = c.real * c.real + c.imag * c.imag
+            self.columns.real[:, single] = v.real * c.real - v.imag * c.imag
+            self.columns.imag[:, single] = v.real * c.imag + v.imag * c.real
+        for l in np.flatnonzero(degeneracy != 1).tolist():
+            vectors = sd.sectors[l].vectors
+            c = vectors.conj().T @ psi_d
+            self.weights[l] = float(np.real(c.conj() @ c))
+            self.columns[:, l] = vectors @ c
 
     def bright(self, dark_tol: float) -> np.ndarray:
         """Indices of the sectors that overlap the detection state."""
@@ -279,27 +316,37 @@ class _DetectorProjection:
         w = self.weights[(self.weights > dark_tol**2) & (self.weights <= dark_tol)]
         return float(np.max(w)) if w.size else None
 
-    def reports(self, initial_states: np.ndarray, *, dark_tol: float) -> list[DetectionReport]:
-        """One report per column of ``initial_states``, from one matrix product: bright
-        sector ``l`` contributes ``|<psi_d| P_l |psi_in>|^2 / <psi_d| P_l |psi_d>``."""
+    def pdet_columns(self, initial_states: np.ndarray, *, dark_tol: float) -> _PdetColumns:
+        """The detection probability of each column of ``initial_states``, from one
+        matrix product: bright sector ``l`` contributes
+        ``|<psi_d| P_l |psi_in>|^2 / <psi_d| P_l |psi_d>``."""
         bright = self.bright(dark_tol)
-        excluded = tuple(np.flatnonzero(self.weights <= dark_tol).tolist())
         amps = self.columns[:, bright].conj().T @ initial_states
         contributions = np.abs(amps) ** 2 / self.weights[bright, None]
-        sectors = bright.tolist()
-        dark_dim = self.sd.dim - bright.size
+        return _PdetColumns(
+            pdet=list(map(math.fsum, contributions.T.tolist())),
+            contributions=contributions,
+            bright=bright,
+            dark_dim=self.sd.dim - bright.size,
+            excluded_sectors=tuple(np.flatnonzero(self.weights <= dark_tol).tolist()),
+        )
+
+    def reports(self, initial_states: np.ndarray, *, dark_tol: float) -> list[DetectionReport]:
+        """One report per column of ``initial_states``, from :meth:`pdet_columns`."""
+        cols = self.pdet_columns(initial_states, dark_tol=dark_tol)
+        sectors = cols.bright.tolist()
         degeneracies = self.sd.degeneracies
         return [
             DetectionReport(
-                pdet=math.fsum(column),
-                per_sector=tuple(zip(sectors, column.tolist())),
-                bright_dim=bright.size,
-                dark_dim=dark_dim,
-                excluded_sectors=excluded,
+                pdet=pdet,
+                per_sector=tuple(zip(sectors, column)),
+                bright_dim=cols.bright.size,
+                dark_dim=cols.dark_dim,
+                excluded_sectors=cols.excluded_sectors,
                 method="spectral",
                 sector_degeneracies=degeneracies,
             )
-            for column in contributions.T
+            for pdet, column in zip(cols.pdet, cols.contributions.T.tolist())
         ]
 
 

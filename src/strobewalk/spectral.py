@@ -159,27 +159,42 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
     return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
-def _group_indices(keys: np.ndarray, tol: float) -> list[list[int]]:
-    """Cluster ascending keys: break wherever the gap exceeds tol."""
-    bounds = [0, *(np.flatnonzero(np.diff(keys) > tol) + 1).tolist(), keys.shape[0]]
-    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if b > a]
+def _group_starts(keys: np.ndarray, tol: float) -> np.ndarray:
+    """First index of each cluster of ascending keys: a gap above tol starts a cluster."""
+    if not keys.size:
+        return np.zeros(0, dtype=np.intp)
+    return np.concatenate(([0], np.flatnonzero(np.diff(keys) > tol) + 1))
 
 
-def _near_degenerate_warnings(keys: np.ndarray, groups: list[list[int]], tol: float, what: str) -> list[str]:
-    notes = []
-    for g0, g1 in zip(groups, groups[1:]):
-        gap = float(keys[g1[0]] - keys[g0[-1]])
-        if gap < NEAR_DEGENERATE_FACTOR * tol:
-            notes.append(
-                f"near-degenerate {what} gap {gap:.3e} between groups at "
-                f"{float(keys[g0[-1]]):.12g} and {float(keys[g1[0]]):.12g}"
-            )
-    return notes
+def _near_degenerate_warnings(keys: np.ndarray, starts: np.ndarray, tol: float, what: str) -> list[str]:
+    """One note per gap between clusters that lies below ``NEAR_DEGENERATE_FACTOR * tol``."""
+    later = starts[1:]
+    near = later[keys[later] - keys[later - 1] < NEAR_DEGENERATE_FACTOR * tol]
+    below, above = keys[near - 1].tolist(), keys[near].tolist()
+    return [
+        f"near-degenerate {what} gap {hi - lo:.3e} between groups at {lo:.12g} and {hi:.12g}"
+        for lo, hi in zip(below, above)
+    ]
 
 
 def _energy_tol(ev: np.ndarray, rtol: float) -> float:
     """Grouping tolerance ``rtol`` relative to the scale ``max(1, max|E|)``."""
     return rtol * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
+
+
+def _sectors(energies: np.ndarray, rows: np.ndarray, bounds: list[int],
+             phases: list[float | None]) -> tuple[Sector, ...]:
+    """Sector ``j`` holds the levels ``bounds[j]:bounds[j + 1]``.
+
+    ``rows`` holds one eigenvector per row.  A nondegenerate sector's arrays
+    are views; a degenerate sector's vectors are copied into a C-ordered
+    array, since BLAS sums over its columns in an order that depends on the
+    memory layout.
+    """
+    return tuple(
+        Sector(energies=energies[a:b], vectors=np.ascontiguousarray(rows[a:b].T), phase=phase)
+        for a, b, phase in zip(bounds, bounds[1:], phases)
+    )
 
 
 def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> SpectralDecomposition:
@@ -190,12 +205,10 @@ def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> Spect
     """
     ev = es.eigenvalues
     tol = _energy_tol(ev, rtol)
-    groups = _group_indices(ev, tol)
-    sectors = tuple(
-        Sector(energies=ev[g].copy(), vectors=es.eigenvectors[:, g].copy(), phase=None)
-        for g in groups
-    )
-    warnings = tuple(_near_degenerate_warnings(ev, groups, tol, "energy"))
+    starts = _group_starts(ev, tol)
+    bounds = [*starts.tolist(), ev.shape[0]]
+    sectors = _sectors(ev, es.eigenvectors.T.copy(), bounds, [None] * starts.size)
+    warnings = tuple(_near_degenerate_warnings(ev, starts, tol, "energy"))
     return SpectralDecomposition(sectors=sectors, tau=None, warnings=warnings)
 
 
@@ -206,6 +219,14 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     including pairs that meet across the 0 / 2*pi seam.  Merging happens
     exactly at the resonant detection periods; away from them the sectors
     coincide with the degenerate energy levels.
+
+    The levels are grouped as columns, in one pass of array operations:
+    sorted by (phase, energy), a phase gap above ``phase_tol`` starts a
+    group, and the last group joins the first when the gap across the seam
+    closes.  The groups come out in phase order.  One stable sort by
+    (group, energy) then orders the levels, each sector's ``phase`` is the
+    least phase of its members, and one gather of the eigenvectors serves
+    every sector (see ``_sectors``).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -213,33 +234,26 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     phases = np.mod(ev * tau, TWO_PI)
     order = np.lexsort((ev, phases))
     sorted_phases = phases[order]
-    groups_sorted = _group_indices(sorted_phases, phase_tol)
-    warnings = _near_degenerate_warnings(sorted_phases, groups_sorted, phase_tol, "phase")
-    # Merge across the wraparound seam: last group joins the first when the
-    # circular gap closes.
-    if len(groups_sorted) > 1:
-        seam_gap = (sorted_phases[groups_sorted[0][0]] + TWO_PI) - sorted_phases[groups_sorted[-1][-1]]
+    starts = _group_starts(sorted_phases, phase_tol)
+    warnings = _near_degenerate_warnings(sorted_phases, starts, phase_tol, "phase")
+    group = np.zeros(ev.shape[0], dtype=np.intp)
+    group[starts[1:]] = 1
+    group = np.cumsum(group)
+    if starts.size > 1:
+        # Merge across the wraparound seam: the last group joins the first
+        # when the circular gap closes.
+        seam_gap = (sorted_phases[0] + TWO_PI) - sorted_phases[-1]
         if seam_gap <= phase_tol:
-            groups_sorted[0] = groups_sorted.pop() + groups_sorted[0]
+            group[starts[-1]:] = 0
         elif seam_gap < NEAR_DEGENERATE_FACTOR * phase_tol:
-            warnings.append(
-                f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam"
-            )
-
-    sectors = []
-    for g in groups_sorted:
-        idx = order[g]
-        idx = idx[np.argsort(es.eigenvalues[idx], kind="stable")]
-        phase = float(np.min(np.mod(es.eigenvalues[idx] * tau, TWO_PI)))
-        sectors.append(
-            Sector(
-                energies=es.eigenvalues[idx].copy(),
-                vectors=es.eigenvectors[:, idx].copy(),
-                phase=phase,
-            )
-        )
-    sectors.sort(key=lambda s: s.phase)
-    return SpectralDecomposition(sectors=tuple(sectors), tau=float(tau), warnings=tuple(warnings))
+            warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
+    level_group = np.empty_like(group)
+    level_group[order] = group
+    levels = np.lexsort((ev, level_group))
+    bounds = [0, *np.cumsum(np.bincount(group)).tolist()]
+    sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]).tolist() if ev.size else []
+    sectors = _sectors(ev[levels], es.eigenvectors.T[levels], bounds, sector_phases)
+    return SpectralDecomposition(sectors=sectors, tau=float(tau), warnings=tuple(warnings))
 
 
 def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:
@@ -252,7 +266,7 @@ def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:
 def _distinct_levels(es: EigenSystem) -> np.ndarray:
     """Lowest member energy of each degenerate level, as ``energy_sectors`` groups them."""
     ev = es.eigenvalues
-    return ev[[g[0] for g in _group_indices(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]]
+    return ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
 
 
 def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
@@ -270,6 +284,9 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
     ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
     joining period; a chain of near neighbours can therefore start a new
     entry although each lies within the tolerance of the one before.
+
+    Raises :class:`SpectralError` when the periods cannot be indexed as an
+    array, or when their arrays do not fit in memory.
     """
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
@@ -287,11 +304,16 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
     if not total * 8 < np.iinfo(np.intp).max:
         raise SpectralError(f"{total:.3g} resonant periods up to tau_max={tau_max:g} do not fit in an array")
     count = count.astype(np.intp)
-    pair = np.repeat(np.arange(base.shape[0]), count)
-    k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)
-    taus = k * base[pair]
-    order = np.argsort(taus, kind="stable")
-    taus, pair, k = taus[order], pair[order], k[order]
+    try:
+        pair = np.repeat(np.arange(base.shape[0]), count)
+        k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)
+        taus = k * base[pair]
+        order = np.argsort(taus, kind="stable")
+        taus, pair, k = taus[order], pair[order], k[order]
+    except MemoryError:
+        raise SpectralError(
+            f"{total:.3g} resonant periods up to tau_max={tau_max:g} do not fit in memory"
+        ) from None
 
     # A gap to the previous period beyond the tolerance always starts an entry;
     # only the near neighbours need the comparison with their entry's first period.

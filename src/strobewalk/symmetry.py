@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +182,21 @@ class StabilizerGroup:
     @cached_property
     def _orbits(self) -> tuple[tuple[int, ...], ...]:
         return _orbits_of([perm.image for perm, _ in self.generators], self.dim)
+
+    @cached_property
+    def _orbit_labels(self) -> np.ndarray:
+        """Index in ``_orbits`` of each node's orbit."""
+        orbits = self._orbits
+        labels = np.empty(self.dim, dtype=np.intp)
+        labels[np.fromiter(chain.from_iterable(orbits), np.intp, self.dim)] = np.repeat(
+            np.arange(len(orbits)), list(map(len, orbits)))
+        return labels
+
+    @cached_property
+    def _orbit_sizes(self) -> np.ndarray:
+        """Size of each node's orbit."""
+        labels = self._orbit_labels
+        return np.bincount(labels)[labels]
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -564,7 +580,7 @@ def orbit_rank(stab: StabilizerGroup, initial_state: np.ndarray, *, rank_tol: fl
     psi = as_state(initial_state, stab.dim)
     node = localized_node(psi)
     if node is not None:
-        return next(len(orbit) for orbit in stab._orbits if node in orbit)
+        return int(stab._orbit_sizes[node])
     return _invariant_span_dim(stab, psi, rank_tol)
 
 
@@ -575,16 +591,15 @@ def symmetry_projector(stab: StabilizerGroup) -> np.ndarray:
     phase, ``S psi = p psi``; it contains the detection state.  With
     trivial phases it is spanned by the uniform states of the node orbits,
     so the projector is ``lift @ lift.T`` with entries ``1/|orbit|`` within
-    each orbit.  Otherwise it is the joint eigenspace of the generator
+    each orbit: one comparison of the nodes' orbit labels, divided by the
+    orbit sizes.  Otherwise it is the joint eigenspace of the generator
     matrices.  The result is Hermitian and idempotent and commutes with any
     Hamiltonian the group commutes with.
     """
     dim = stab.dim
     if stab.has_trivial_phases:
-        p = np.zeros((dim, dim), dtype=complex)
-        for orbit in stab._orbits:
-            p[np.ix_(orbit, orbit)] = 1.0 / len(orbit)
-        return p
+        labels = stab._orbit_labels
+        return (np.equal.outer(labels, labels) / stab._orbit_sizes).astype(complex)
     eye = np.eye(dim)
     stacked = np.vstack([perm.matrix() - phase * eye for perm, phase in stab.generators])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)

@@ -260,3 +260,46 @@ def oracle_is_resonant(es: sw.EigenSystem, tau: float, tol: float) -> bool:
             if phase < tol or 2.0 * math.pi - phase < tol:
                 return True
     return False
+
+
+def _oracle_groups(keys: np.ndarray, tol: float) -> list[list[int]]:
+    """Cluster ascending keys: break wherever the gap exceeds tol."""
+    bounds = [0, *(np.flatnonzero(np.diff(keys) > tol) + 1).tolist(), keys.shape[0]]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8) -> sw.SpectralDecomposition:
+    """Phase folding group by group: a reference for ``fold_sectors``, bit for bit.
+
+    Groups the (phase, energy)-sorted levels by phase gaps, warns on gaps
+    below 100 ``phase_tol``, joins the last group to the first across the
+    seam, then builds each sector from its own indices, sorted by energy.
+    """
+    two_pi = 2.0 * math.pi
+    ev = es.eigenvalues
+    phases = np.mod(ev * tau, two_pi)
+    order = np.lexsort((ev, phases))
+    sorted_phases = phases[order]
+    groups = _oracle_groups(sorted_phases, phase_tol)
+    warnings = []
+    for g0, g1 in zip(groups, groups[1:]):
+        gap = float(sorted_phases[g1[0]] - sorted_phases[g0[-1]])
+        if gap < 100.0 * phase_tol:
+            warnings.append(
+                f"near-degenerate phase gap {gap:.3e} between groups at "
+                f"{float(sorted_phases[g0[-1]]):.12g} and {float(sorted_phases[g1[0]]):.12g}"
+            )
+    if len(groups) > 1:
+        seam_gap = (sorted_phases[groups[0][0]] + two_pi) - sorted_phases[groups[-1][-1]]
+        if seam_gap <= phase_tol:
+            groups[0] = groups.pop() + groups[0]
+        elif seam_gap < 100.0 * phase_tol:
+            warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
+    sectors = []
+    for g in groups:
+        idx = order[g]
+        idx = idx[np.argsort(ev[idx], kind="stable")]
+        phase = float(np.min(np.mod(ev[idx] * tau, two_pi)))
+        sectors.append(sw.Sector(energies=ev[idx].copy(), vectors=es.eigenvectors[:, idx].copy(), phase=phase))
+    sectors.sort(key=lambda s: s.phase)
+    return sw.SpectralDecomposition(sectors=tuple(sectors), tau=float(tau), warnings=tuple(warnings))

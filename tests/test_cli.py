@@ -139,6 +139,52 @@ class TestAnalyze:
         assert len(report["results"]) == 16
         assert len(projections) == 1
 
+    @staticmethod
+    def column_source(tmp_path, source):
+        """A disordered ring:64 graph file or a named graph, as a CLI source and its graph."""
+        if source == "disordered":
+            path = disordered_ring(tmp_path, 3)
+            with open(path, "rb") as f:
+                return path, sw.load_graph(f.read())
+        return source, helpers.graph(source)
+
+    @pytest.mark.parametrize("source", ["disordered", "lattice:8x8", "hypercube:4"])
+    def test_detector_columns_equal_the_per_sector_products(self, tmp_path, source):
+        _, g = self.column_source(tmp_path, source)
+        n = g.node_count
+        es = sw.diagonalize(sw.hamiltonian(g, 1.0))
+        for tau in (0.7, 1.3, math.pi):
+            sd = sw.fold_sectors(es, tau)
+            for d in (0, n // 3, n - 1):
+                psi_d = sw.localized_state(n, d)
+                proj = detection._DetectorProjection(sd, psi_d)
+                for l, sector in enumerate(sd.sectors):
+                    c = sector.vectors.conj().T @ psi_d
+                    assert proj.weights[l] == float(np.real(c.conj() @ c)), (tau, d, l)
+                    assert np.array_equal(proj.columns[:, l], sector.vectors @ c), (tau, d, l)
+
+    @pytest.mark.parametrize("source", ["disordered", "lattice:8x8", "hypercube:4"])
+    def test_all_inits_bound_and_rank_equal_the_per_init_library(self, capsys, tmp_path, source):
+        path, g = self.column_source(tmp_path, source)
+        n = g.node_count
+        group = sw.automorphisms(g)
+        for d in (0, n // 3):
+            report = run_json(capsys, "analyze", "--graph", path, "--detect", str(d), "--init", "all")
+            stab = sw.stabilizer(group, sw.localized_state(n, d))
+            for row in report["results"]:
+                psi = sw.localized_state(n, int(row["init"]))
+                assert row["upper_bound"] == sw.upper_bound(stab, psi), (d, row["init"])
+                assert row["orbit_rank"] == sw.orbit_rank(stab, psi), (d, row["init"])
+
+    def test_all_inits_call_no_per_init_library_function(self, capsys, monkeypatch, tmp_path):
+        path = disordered_ring(tmp_path, 3)
+        bounds = spy(monkeypatch, symmetry, "upper_bound")
+        ranks = spy(monkeypatch, symmetry, "orbit_rank")
+        reports = spy(monkeypatch, detection, "DetectionReport")
+        report = run_json(capsys, "analyze", "--graph", path, "--detect", "5", "--init", "all")
+        assert len(report["results"]) == 64
+        assert bounds == ranks == reports == []
+
     def test_near_dark_sector_warns(self, capsys, schema, tmp_path):
         # seed 0 drops two sectors as dark; one has detector weight 1.9e-14 >> roundoff
         path = disordered_ring(tmp_path, 0)
@@ -465,6 +511,11 @@ class TestResonancesCommand:
     def test_period_count_beyond_any_array_is_a_numerical_error(self, capsys, tau):
         assert main(["resonances", "--graph", "ring:6", "--tau", tau]) == 3
         assert "do not fit in an array" in capsys.readouterr().err
+
+    def test_period_listing_beyond_memory_is_a_numerical_error(self, capsys):
+        # 2.2e17 periods pass the index guard, but their arrays cannot be allocated
+        assert main(["resonances", "--graph", "ring:6", "--tau", "scan:0:1e17"]) == 3
+        assert "do not fit in memory" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:

@@ -184,6 +184,92 @@ def test_resonance_search_matches_the_nested_loop_oracle(es, data):
             assert sw.is_resonant(es, tau, tol=tol) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
 
 
+PHASE_TOL = sw.spectral.PHASE_GROUP_TOL
+#: Offsets from a phase anchor, in units of the phase tolerance: within it, in
+#: the warning band from 1 to 100 times it, and beyond.
+PHASE_STEPS = (0.0, 0.4, 0.9, 1.5, 3.0, 40.0, 99.0, 150.0, 1e4)
+
+
+def _phase_eigensystem(tau, levels, seed=0) -> sw.EigenSystem:
+    """Levels given as ``(phase, wraps, copies)``: the energy ``(phase + 2 pi wraps) / tau``,
+    ``copies`` times over (exactly degenerate), with random orthonormal vectors."""
+    ev = np.sort([(phase + TWO_PI * wraps) / tau for phase, wraps, copies in levels for _ in range(copies)])
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(ev.size, ev.size)) + 1j * rng.normal(size=(ev.size, ev.size)))
+    return sw.EigenSystem(eigenvalues=ev, eigenvectors=q)
+
+
+@st.composite
+def folding_spectra(draw):
+    """Phases clustered around a few anchors, the 0/2pi seam among them: exactly
+    degenerate levels, distinct levels at one phase (a resonance), gaps that warn."""
+    tau = draw(st.floats(min_value=0.25, max_value=4.0))
+    anchors = draw(st.lists(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+                            min_size=1, max_size=3))
+    if draw(st.booleans()):
+        anchors += [0.0, TWO_PI]
+    levels = [
+        (draw(st.sampled_from(anchors)) + draw(st.sampled_from([-1.0, 1.0]))
+         * draw(st.sampled_from(PHASE_STEPS)) * PHASE_TOL,
+         draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return _phase_eigensystem(tau, levels, draw(st.integers(0, 2**32 - 1))), tau
+
+
+#: Named cases that the drawn spectra must also cover, each a (tau, levels) pair.
+FOLDING_CASES = {
+    "one-level": (1.0, [(0.5, 0, 1)]),
+    "two-level": (1.3, [(0.5, 0, 1), (2.0, 1, 1)]),
+    "degenerate": (1.0, [(1.0, 0, 3), (2.0, 0, 2)]),
+    "warning-gaps": (1.0, [(1.0, 0, 1), (1.0 + 5 * PHASE_TOL, 0, 2), (1.0 + 65 * PHASE_TOL, 1, 1)]),
+    "seam-merge": (0.9, [(TWO_PI - 0.8 * PHASE_TOL, 0, 1), (TWO_PI - 0.3 * PHASE_TOL, 1, 1),
+                         (0.2 * PHASE_TOL, 0, 2), (3.0, 0, 1)]),
+    "seam-warning": (0.9, [(TWO_PI - 20 * PHASE_TOL, 0, 1), (20 * PHASE_TOL, 0, 1), (3.0, 0, 1)]),
+    "resonance": (1.0, [(1.0, 0, 1), (1.0, 1, 1), (1.0, -1, 2), (4.0, 0, 1)]),
+}
+
+
+def _assert_same_sectors(got: sw.SpectralDecomposition, want: sw.SpectralDecomposition) -> None:
+    assert got.tau == want.tau
+    assert got.warnings == want.warnings
+    assert len(got.sectors) == len(want.sectors)
+    for s, t in zip(got.sectors, want.sectors):
+        assert type(s.phase) is float and s.phase.hex() == t.phase.hex()
+        assert s.energies.tobytes() == t.energies.tobytes()
+        assert s.vectors.shape == t.vectors.shape and s.vectors.tobytes() == t.vectors.tobytes()
+        # products over a sector's vectors sum in an order that depends on the layout
+        assert s.vectors.flags.c_contiguous
+
+
+@given(folding_spectra())
+@settings(max_examples=300)
+def test_fold_sectors_matches_the_group_by_group_oracle_bit_for_bit(case):
+    es, tau = case
+    _assert_same_sectors(sw.fold_sectors(es, tau), helpers.oracle_fold_sectors(es, tau))
+
+
+@pytest.mark.parametrize("name", FOLDING_CASES)
+def test_fold_sectors_matches_the_oracle_on_the_named_cases(name):
+    tau, levels = FOLDING_CASES[name]
+    es = _phase_eigensystem(tau, levels)
+    sd = sw.fold_sectors(es, tau)
+    _assert_same_sectors(sd, helpers.oracle_fold_sectors(es, tau))
+    # each case shows what it is named for
+    degeneracies = [s.degeneracy for s in sd.sectors]
+    energies = [s.energies.tolist() for s in sd.sectors]
+    expected = {
+        "one-level": lambda: degeneracies == [1],
+        "two-level": lambda: degeneracies == [1, 1],
+        "degenerate": lambda: degeneracies == [3, 2] and len(set(energies[0])) == 1,
+        "warning-gaps": lambda: degeneracies == [1, 2, 1] and len(sd.warnings) == 2,
+        "seam-merge": lambda: degeneracies == [4, 1] and not sd.warnings,
+        "seam-warning": lambda: degeneracies == [1, 1, 1] and "seam" in sd.warnings[-1],
+        "resonance": lambda: degeneracies == [4, 1] and len(set(energies[0])) == 3,
+    }
+    assert expected[name](), (degeneracies, sd.warnings)
+
+
 @st.composite
 def protocol_setups(draw):
     """Random, ring or named graphs, optionally disordered; a localized, random or

@@ -233,6 +233,11 @@ class TestResonances:
         with pytest.raises(SpectralError, match="do not fit in an array"):
             sw.resonant_periods(helpers.eigensystem("ring:6"), tau_max)
 
+    def test_period_listing_beyond_memory_raises(self):
+        # 2.2e17 periods pass the index guard; allocating their arrays fails at once
+        with pytest.raises(SpectralError, match="do not fit in memory"):
+            sw.resonant_periods(helpers.eigensystem("ring:6"), 1e17)
+
     def test_is_resonant_ring6(self):
         es = helpers.eigensystem("ring:6")
         assert sw.is_resonant(es, math.pi)
