@@ -6,6 +6,16 @@ Subcommands: ``analyze`` (detection probabilities, bounds and saturation),
 and ``spectrum`` (eigenvalues and sectors).  Reports are deterministic:
 identical invocations produce identical bytes.
 
+A command returns its report as a dict, written as JSON, CSV or text.  One
+JSON writer (:func:`_to_json`) matches ``json.dumps(indent=2,
+sort_keys=True)`` byte for byte and works column by column.  Besides plain
+values it takes a ``_Table``: a list of objects given as named columns, each
+a flat sequence or a ``_Ragged`` column (flat members plus per-row lengths).
+Lists of dicts and nested arrays are reduced to the same columns, so one
+routine writes both.  ``resonances`` hands its listing over as such a table,
+straight from the spectral columns, and the CSV and text layouts read the
+same columns.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
 """
@@ -18,6 +28,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -38,7 +49,7 @@ from .errors import (
 )
 from .graphs import GENERATOR_NAMES, build_named, hamiltonian, load_graph, save_graph
 from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
-from .spectral import diagonalize, fold_sectors, is_resonant, resonant_periods
+from .spectral import _resonant_columns, diagonalize, fold_sectors, is_resonant
 from .states import as_state, localized_node, localized_state
 from .symmetry import (
     _symmetric_dark_dim,
@@ -187,11 +198,37 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@dataclass(frozen=True)
+class _Ragged:
+    """A column of arrays: array ``i`` holds the next ``lengths[i]`` of ``members``.
+
+    ``members`` is itself a column: a flat sequence or another ``_Ragged``.
+    """
+
+    members: object
+    lengths: list[int]
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A list of ``rows`` objects given as named columns, one per key.
+
+    Each column is a flat sequence of ``rows`` values or a ``_Ragged`` of
+    ``rows`` arrays.  The writers take it where a report holds a list of
+    objects, so that a long listing needs no dict, tuple or list per row.
+    """
+
+    columns: dict[str, object]
+    rows: int
+
+
 #: The repr of each non-finite float and its JSON spelling.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
 _JSON_BASES = (str, int, float, list, tuple, dict)
 _JSON_TYPES = frozenset({*_JSON_BASES, bool, type(None)})
+#: The text of each int below 1024, so that a column of small ints needs no ``int.__repr__`` call.
+_SMALL_INTS = list(map(str, range(1024)))
 
 
 def _to_json(value, newline: str) -> str:
@@ -214,11 +251,20 @@ def _json_column(values, newline: str) -> list[str]:
     next column and splitting it by length; objects that share one set of
     ``str`` keys by encoding the values under each key as a column and
     zipping the columns.  Any other column is written value by value.
+    ``values`` may also be a ``_Table`` (a column of objects) or a
+    ``_Ragged`` (a column of arrays), written the same way.
     """
+    kind = type(values)
+    if kind is _Ragged:
+        return _json_ragged(values.members, values.lengths, newline)
+    if kind is _Table:
+        return _json_table(values, newline)
     kinds = set(map(type, values))
     if len(kinds) == 1:
         kind = next(iter(kinds))
         if kind is int:
+            if 0 <= min(values) and max(values) < len(_SMALL_INTS):
+                return list(map(_SMALL_INTS.__getitem__, values))
             return list(map(int.__repr__, values))
         if kind is float:
             texts = list(map(float.__repr__, values))
@@ -237,6 +283,8 @@ def _json_column(values, newline: str) -> list[str]:
 
 def _json_value(value, newline: str) -> str:
     kind = type(value)
+    if kind is _Table:
+        return _json_ragged(value, [value.rows], newline)[0]
     if kind not in _JSON_TYPES:
         kind = next((base for base in _JSON_BASES if isinstance(value, base)), None)
         if kind is None:
@@ -263,25 +311,29 @@ def _json_value(value, newline: str) -> str:
 
 
 def _json_arrays(arrays, newline: str) -> list[str]:
+    members = arrays[0] if len(arrays) == 1 else list(chain.from_iterable(arrays))
+    return _json_ragged(members, list(map(len, arrays)), newline)
+
+
+def _json_ragged(members, lengths: list[int], newline: str) -> list[str]:
+    """The JSON text of each array of a ragged column: array ``i`` holds the next ``lengths[i]`` members."""
     inner = newline + "  "
     separator = "," + inner
-    if len(arrays) == 1:
-        texts = _json_column(arrays[0], inner)
+    texts = _json_column(members, inner)
+    if len(lengths) == 1:
         return ["[" + inner + separator.join(texts) + newline + "]" if texts else "[]"]
-    lengths = list(map(len, arrays))
-    members = _json_column(list(chain.from_iterable(arrays)), inner)
-    width = lengths[0]
-    if lengths.count(width) == len(lengths) and width <= len(arrays):
-        # Many short arrays of one length: member ``i`` of every array is ``members[i::width]``.
+    width = lengths[0] if lengths else 0
+    if lengths.count(width) == len(lengths) and width <= len(lengths):
+        # Many short arrays of one length: member ``i`` of every array is ``texts[i::width]``.
         if not width:
-            return ["[]"] * len(arrays)
+            return ["[]"] * len(lengths)
         literals = ["[" + inner, *[separator] * (width - 1), newline + "]"]
-        return _json_rows(literals, [islice(members, i, None, width) for i in range(width)])
-    bodies = map(separator.join, map(islice, repeat(iter(members)), lengths))
-    texts = _json_rows(["[" + inner, newline + "]"], [bodies])
+        return _json_rows(literals, [islice(texts, i, None, width) for i in range(width)])
+    bodies = map(separator.join, map(islice, repeat(iter(texts)), lengths))
+    arrays = _json_rows(["[" + inner, newline + "]"], [bodies])
     if 0 in lengths:
-        texts = [text if length else "[]" for text, length in zip(texts, lengths)]
-    return texts
+        arrays = [text if length else "[]" for text, length in zip(arrays, lengths)]
+    return arrays
 
 
 def _json_objects(objects, newline: str) -> list[str] | None:
@@ -291,17 +343,22 @@ def _json_objects(objects, newline: str) -> list[str] | None:
     """
     if not set(map(type, chain.from_iterable(objects))) <= {str} or len(set(map(len, objects))) != 1:
         return None
-    names = sorted(objects[0])
     try:
-        columns = [list(map(itemgetter(name), objects)) for name in names]
+        columns = {name: list(map(itemgetter(name), objects)) for name in objects[0]}
     except KeyError:
         return None
+    return _json_table(_Table(columns, len(objects)), newline)
+
+
+def _json_table(table: _Table, newline: str) -> list[str]:
+    """The JSON text of each object of a table, one column per key."""
+    names = sorted(table.columns)
     if not names:
-        return ["{}"] * len(objects)
+        return ["{}"] * table.rows
     inner = newline + "  "
     keys = [encode_basestring_ascii(name) + ": " for name in names]
     literals = ["{" + inner + keys[0], *["," + inner + key for key in keys[1:]], newline + "}"]
-    return _json_rows(literals, [_json_column(column, inner) for column in columns])
+    return _json_rows(literals, [_json_column(table.columns[name], inner) for name in names])
 
 
 def _json_rows(literals: list[str], columns) -> list[str]:
@@ -339,9 +396,8 @@ def _to_csv(report: dict) -> str:
             writer.writerow([cls["id"], " ".join(map(str, cls["members"])), cls["multiplicity"]])
     elif command == "resonances":
         writer.writerow(["tau", "level_pairs"])
-        for entry in report["resonances"]:
-            pairs = ";".join(f"{l0}-{l1}x{k}" for l0, l1, k in entry["pairs"])
-            writer.writerow([entry["tau"], pairs])
+        table = report["resonances"]
+        writer.writerows(zip(table.columns["tau"], _joined_pairs(table, "{}-{}x{}", ";")))
     elif command == "spectrum":
         writer.writerow(["sector", "phase", "degeneracy", "energies"])
         for idx, sector in enumerate(report["sectors"]):
@@ -351,6 +407,14 @@ def _to_csv(report: dict) -> str:
     else:  # pragma: no cover - parser restricts commands
         raise ConfigError(f"no CSV layout for command {command!r}")
     return buf.getvalue()
+
+
+def _joined_pairs(table: _Table, layout: str, separator: str):
+    """Each row's level pairs, each ``(l, l', k)`` put in ``layout``, joined by ``separator``."""
+    pairs = table.columns["pairs"]
+    flat = pairs.members.members
+    texts = map(layout.format, flat[0::3], flat[1::3], flat[2::3])
+    return map(separator.join, map(islice, repeat(texts), pairs.lengths))
 
 
 def _to_text(report: dict) -> str:
@@ -401,10 +465,10 @@ def _to_text(report: dict) -> str:
         lines.append(f"symmetric spectrum: {report['symmetric_spectrum']}")
     elif command == "resonances":
         lines.append(f"range=({report['range'][0]}, {report['range'][1]}]")
-        for entry in report["resonances"]:
-            pairs = ", ".join(f"levels {l0}&{l1} (k={k})" for l0, l1, k in entry["pairs"])
-            lines.append(f"  tau_c = {entry['tau']:.12g}  from {pairs}")
-        if not report["resonances"]:
+        table = report["resonances"]
+        pairs = _joined_pairs(table, "levels {}&{} (k={})", ", ")
+        lines += map("  tau_c = {:.12g}  from {}".format, table.columns["tau"], pairs)
+        if not table.rows:
             lines.append("  none")
     elif command == "spectrum":
         lines.append(f"eigenvalues: {report['eigenvalues']}")
@@ -587,12 +651,16 @@ def cmd_quotient(q: _Query) -> dict:
 
 def cmd_resonances(q: _Query) -> dict:
     lo, hi = _parse_tau_range(q.args.tau)
+    cols = _resonant_columns(q.eigensystem, hi, lo)
+    cut = int(np.searchsorted(cols.taus, lo, side="right"))
+    starts = cols.starts[cut:]
+    first = int(starts[0]) if starts.size else cols.k.size
+    lengths = np.diff(starts, append=cols.k.size).tolist()
+    triples = np.stack((cols.l0[first:], cols.l1[first:], cols.k[first:]), axis=1)
+    pairs = _Ragged(_Ragged(triples.ravel().tolist(), [3] * triples.shape[0]), lengths)
     return {
         "range": [lo, hi],
-        "resonances": [
-            {"tau": p.tau, "pairs": p.pairs}
-            for p in resonant_periods(q.eigensystem, hi) if p.tau > lo
-        ],
+        "resonances": _Table({"tau": cols.taus[cut:].tolist(), "pairs": pairs}, len(lengths)),
     }
 
 

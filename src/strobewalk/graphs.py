@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,26 +44,25 @@ class WeightedGraph:
     def __post_init__(self):
         if self.node_count < 1:
             raise GraphInvariantError(f"node_count must be positive, got {self.node_count}")
+        n = self.node_count
         normalized = []
         seen: set[tuple[int, int]] = set()
         for k, edge in enumerate(self.edges):
             if len(edge) != 3:
                 raise GraphInvariantError(f"edges[{k}]: expected (i, j, w), got {edge!r}")
             i, j, w = edge
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise GraphInvariantError(
-                    f"edges[{k}]: node index out of range for {self.node_count} nodes: ({i}, {j})"
-                )
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphInvariantError(f"edges[{k}]: node index out of range for {n} nodes: ({i}, {j})")
             if i == j:
                 raise GraphInvariantError(f"edges[{k}]: self-loop ({i}, {j}) is not allowed")
             w = float(w)
             if not math.isfinite(w):
                 raise GraphInvariantError(f"edges[{k}]: weight must be finite, got {w}")
-            pair = (min(i, j), max(i, j))
+            pair = (i, j) if i < j else (j, i)
             if pair in seen:
                 raise GraphInvariantError(f"edges[{k}]: duplicate edge {pair}")
             seen.add(pair)
-            normalized.append((pair[0], pair[1], w))
+            normalized.append((*pair, w))
         object.__setattr__(self, "edges", tuple(normalized))
         if len(self.onsite) != self.node_count:
             raise GraphInvariantError(
@@ -253,6 +254,31 @@ def save_graph(graph: WeightedGraph) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def _plain_edge_lists(entries: list) -> bool:
+    """Whether every entry is a list ``[i, j]`` or ``[i, j, w]`` of int indices and a number weight.
+
+    The scans run in C, one ``map`` each; the invariants (range, self-loops,
+    finite weights, duplicates) are left to ``WeightedGraph``'s own pass.
+    """
+    if not set(map(type, entries)) <= {list} or not set(map(len, entries)) <= {2, 3}:
+        return False
+    indices = chain(map(itemgetter(0), entries), map(itemgetter(1), entries))
+    return set(map(type, chain.from_iterable(entries))) <= {int, float} and set(map(type, indices)) <= {int}
+
+
+def _raise_edge_format_error(entries: list) -> None:
+    """Raise the :class:`GraphFormatError` of the first malformed entry."""
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) not in (2, 3):
+            raise GraphFormatError(f"edges[{k}]: expected [i, j] or [i, j, w], got {entry!r}")
+        i, j = entry[0], entry[1]
+        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
+            raise GraphFormatError(f"edges[{k}]: node indices must be integers, got {entry!r}")
+        w = entry[2] if len(entry) == 3 else 1.0
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise GraphFormatError(f"edges[{k}]: weight must be a number, got {w!r}")
+
+
 def load_graph(data: bytes | str) -> WeightedGraph:
     """Parse the JSON graph format.
 
@@ -283,17 +309,10 @@ def load_graph(data: bytes | str) -> WeightedGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphFormatError("field 'edges' must be a list")
-    edges = []
-    for k, entry in enumerate(raw_edges):
-        if not isinstance(entry, list) or len(entry) not in (2, 3):
-            raise GraphFormatError(f"edges[{k}]: expected [i, j] or [i, j, w], got {entry!r}")
-        i, j = entry[0], entry[1]
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise GraphFormatError(f"edges[{k}]: node indices must be integers, got {entry!r}")
-        w = entry[2] if len(entry) == 3 else 1.0
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise GraphFormatError(f"edges[{k}]: weight must be a number, got {w!r}")
-        edges.append((i, j, float(w)))
+    if not _plain_edge_lists(raw_edges):
+        _raise_edge_format_error(raw_edges)
+    if 2 in map(len, raw_edges):
+        raw_edges = [entry if len(entry) == 3 else [*entry, 1.0] for entry in raw_edges]
 
     raw_onsite = doc.get("onsite", [0.0] * nodes)
     if not isinstance(raw_onsite, list):
@@ -309,7 +328,7 @@ def load_graph(data: bytes | str) -> WeightedGraph:
 
     return WeightedGraph(
         node_count=nodes,
-        edges=tuple(edges),
+        edges=raw_edges,
         onsite=tuple(float(e) for e in raw_onsite),
         labels=labels,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,24 +270,57 @@ def _distinct_levels(es: EigenSystem) -> np.ndarray:
     return ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
 
 
-def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
-    """All resonant detection periods up to ``tau_max``.
+class _ResonanceColumns(NamedTuple):
+    """Resonant periods as columns: entry ``e`` holds the pairs ``starts[e]:starts[e + 1]``.
 
-    A period is resonant when ``tau * |E_l - E_l'|`` is a multiple of
-    2*pi for some pair of distinct levels; every such period (including
-    harmonics) is returned sorted ascending, with coinciding periods from
-    different level pairs merged into one entry.
+    ``taus`` holds each entry's period, ascending; ``starts`` the index of
+    each entry's first pair; ``l0``, ``l1`` and ``k`` one row per pair.
+    """
 
-    The periods ``k * 2*pi / gap`` of all level pairs ``l < l'`` and
-    harmonics ``k`` with ``k * base <= tau_max * (1 + 1e-12)`` are built as
-    one array and stably sorted, so equal periods keep the pair order
-    ``(l, l', k)``.  A period joins the current entry when it lies within
-    ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
-    joining period; a chain of near neighbours can therefore start a new
-    entry although each lies within the tolerance of the one before.
+    taus: np.ndarray
+    starts: np.ndarray
+    l0: np.ndarray
+    l1: np.ndarray
+    k: np.ndarray
 
-    Raises :class:`SpectralError` when the periods cannot be indexed as an
-    array, or when their arrays do not fit in memory.
+
+def _first_harmonics(base: np.ndarray, last: np.ndarray, tau_min: float) -> np.ndarray:
+    """Per pair, the first harmonic to list so that every entry above ``tau_min`` comes out whole.
+
+    ``last`` holds each pair's last harmonic.  Each pair starts at its first
+    harmonic ``k`` with ``k * base >= s``, from ``s = tau_min`` down.  The
+    listing from there on groups as the full listing does when its first
+    period starts an entry whatever came before: when it lies more than its
+    tolerance above the largest period below ``s``.  Until it does, ``s``
+    drops to that period or further, by a step that doubles, so that a long
+    run of near neighbours costs few rounds.  Past ``2**53`` harmonics the
+    products are not exact, and every pair starts at its first harmonic, as
+    in the full listing, whose guards then apply.
+    """
+    first = np.ones_like(base)
+    if not (tau_min > 0 and base.size and tau_min / np.min(base) < 2.0**53):
+        return first
+    start, step = tau_min, 1e-9 * max(1.0, tau_min)
+    while True:
+        first = np.maximum(np.ceil(start / base), 1.0)
+        first -= (first > 1.0) & ((first - 1.0) * base >= start)
+        first += first * base < start
+        listed, earlier = first <= last, first > 1.0
+        if not (listed.any() and earlier.any()):
+            return first
+        head = float(np.min(first[listed] * base[listed]))
+        below = float(np.max((first[earlier] - 1.0) * base[earlier]))
+        if head - below > 1e-9 * max(1.0, head):
+            return first
+        start, step = min(below, start - step), 2.0 * step
+
+
+def _resonant_columns(es: EigenSystem, tau_max: float, tau_min: float = 0.0) -> _ResonanceColumns:
+    """The resonant periods up to ``tau_max`` as columns; see :func:`resonant_periods`.
+
+    Every entry above ``tau_min`` is listed as the full listing has it; the
+    entries at or below ``tau_min`` may be cut or left out, so a caller keeps
+    ``taus > tau_min`` only.
     """
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
@@ -296,17 +330,19 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
     limit = tau_max * (1.0 + 1e-12)
     # The quotient's rounding can miss the last harmonic by one either way: settle
     # the count with the test ``k * base <= limit`` itself.
-    count = np.floor(limit / base)
-    count += (count + 1.0) * base <= limit
-    count -= (count >= 1.0) & (count * base > limit)
+    last = np.floor(limit / base)
+    last += (last + 1.0) * base <= limit
+    last -= (last >= 1.0) & (last * base > limit)
+    lowest = _first_harmonics(base, last, tau_min)
+    count = np.maximum(last - lowest + 1.0, 0.0)
     # An overflow guard, not a cap: no array of 8-byte entries that long can be indexed.
     total = float(np.sum(count))
     if not total * 8 < np.iinfo(np.intp).max:
         raise SpectralError(f"{total:.3g} resonant periods up to tau_max={tau_max:g} do not fit in an array")
-    count = count.astype(np.intp)
+    count, lowest = count.astype(np.intp), lowest.astype(np.intp)
     try:
         pair = np.repeat(np.arange(base.shape[0]), count)
-        k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)
+        k = np.arange(pair.shape[0]) - np.repeat(np.cumsum(count) - count - lowest, count)
         taus = k * base[pair]
         order = np.argsort(taus, kind="stable")
         taus, pair, k = taus[order], pair[order], k[order]
@@ -329,10 +365,38 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
             starts[j] = True
             first = j
         previous = j
-    bounds = np.flatnonzero(starts).tolist()
-    triples = list(zip(l0[pair].tolist(), l1[pair].tolist(), k.tolist()))
-    groups = [tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:] + [taus.shape[0]])]
-    return list(map(ResonantPeriod, taus[bounds].tolist(), groups))
+    starts = np.flatnonzero(starts)
+    return _ResonanceColumns(taus[starts], starts, l0[pair], l1[pair], k)
+
+
+def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
+    """All resonant detection periods up to ``tau_max``.
+
+    A period is resonant when ``tau * |E_l - E_l'|`` is a multiple of
+    2*pi for some pair of distinct levels; every such period (including
+    harmonics) is returned sorted ascending, with coinciding periods from
+    different level pairs merged into one entry.
+
+    The periods ``k * 2*pi / gap`` of all level pairs ``l < l'`` and
+    harmonics ``k`` with ``k * base <= tau_max * (1 + 1e-12)`` are built as
+    one array and stably sorted, so equal periods keep the pair order
+    ``(l, l', k)``.  A period joins the current entry when it lies within
+    ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
+    joining period; a chain of near neighbours can therefore start a new
+    entry although each lies within the tolerance of the one before.
+
+    The work is done on columns by ``_resonant_columns``, which the CLI
+    calls directly; this function only builds one :class:`ResonantPeriod`
+    per entry from them.
+
+    Raises :class:`SpectralError` when the periods cannot be indexed as an
+    array, or when their arrays do not fit in memory.
+    """
+    cols = _resonant_columns(es, tau_max)
+    triples = list(zip(cols.l0.tolist(), cols.l1.tolist(), cols.k.tolist()))
+    bounds = [*cols.starts.tolist(), len(triples)]
+    groups = [tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return list(map(ResonantPeriod, cols.taus.tolist(), groups))
 
 
 def is_resonant(es: EigenSystem, tau: float, *, tol: float = RESONANCE_TOL) -> bool:

@@ -1,11 +1,17 @@
 """Command-line interface: reports, schema conformance, exit codes."""
 
 import argparse
+import contextlib
+import csv
+import gc
+import io
 import json
 import math
 import sys
+from itertools import chain
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -518,6 +524,103 @@ class TestResonancesCommand:
         assert "do not fit in memory" in capsys.readouterr().err
 
 
+def _dict_built_resonances(source: str, tau: str) -> dict[str, str]:
+    """The resonances report in each format, built as one dict per entry and written by the stdlib."""
+    graph = sw.build_named(source) if ":" in source else sw.load_graph(open(source, "rb").read())
+    lo, hi = cli._parse_tau_range(tau)
+    es = sw.diagonalize(sw.hamiltonian(graph, 1.0))
+    entries = [{"tau": p.tau, "pairs": p.pairs} for p in sw.resonant_periods(es, hi) if p.tau > lo]
+    report = {"command": "resonances", "tau": None, "warnings": [], "range": [lo, hi], "resonances": entries,
+              "graph": {"source": source, "nodes": graph.node_count, "edges": graph.edge_count}}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tau", "level_pairs"])
+    for entry in entries:
+        writer.writerow([entry["tau"], ";".join(f"{l0}-{l1}x{k}" for l0, l1, k in entry["pairs"])])
+    lines = [f"strobewalk resonances  graph={source} ({graph.node_count} nodes)", f"range=({lo}, {hi}]"]
+    for entry in entries:
+        pairs = ", ".join(f"levels {l0}&{l1} (k={k})" for l0, l1, k in entry["pairs"])
+        lines.append(f"  tau_c = {entry['tau']:.12g}  from {pairs}")
+    if not entries:
+        lines.append("  none")
+    return {"json": json.dumps(report, indent=2, sort_keys=True) + "\n", "csv": buf.getvalue(),
+            "text": "\n".join(lines) + "\n"}
+
+
+class TestResonanceListingBytes:
+    @pytest.mark.parametrize("source, tau", [
+        ("ring:6", "7"), ("hypercube:3", "20"), ("complete:4", "scan:2:30"), ("ONE", "10"),
+        ("DISORDERED", "scan:0:20"),
+    ], ids=["ring6", "hypercube3", "complete4-scan", "one-node", "disordered-ring64"])
+    def test_columns_write_the_dict_built_report_byte_for_byte(self, capsys, tmp_path, source, tau):
+        if source == "ONE":
+            source = str(tmp_path / "one.json")
+            Path(source).write_text('{"nodes": 1, "edges": []}')
+        elif source == "DISORDERED":
+            source = disordered_ring(tmp_path, 5)
+        expected = _dict_built_resonances(source, tau)
+        for fmt, text in expected.items():
+            assert main(["resonances", "--graph", source, "--tau", tau, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text, fmt
+
+    def test_the_listing_builds_no_object_per_period(self, capsys, monkeypatch, tmp_path):
+        calls = spy(monkeypatch, spectral, "resonant_periods")
+        monkeypatch.setattr(spectral, "ResonantPeriod", None)
+        argv = ["resonances", "--graph", disordered_ring(tmp_path, 5), "--tau", "scan:0:20", "--format", "json"]
+        assert main(argv) == 0
+        assert calls == []
+        # The 10512 periods as tuples, dicts or dataclasses alive at once would set off a
+        # cyclic collection every 700 or so; the dict-built listing set off 60.
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            gc.collect()
+            runs.clear()
+            assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert len(runs) < 5
+
+
+def _listed_periods(es: sw.EigenSystem):
+    """Every raw period ``k * 2 pi / gap`` of the levels up to 40, the members of each run among them."""
+    levels = spectral._distinct_levels(es).tolist()
+    gaps = [b - a for i, a in enumerate(levels) for b in levels[i + 1:]]
+    return sorted(k * (2.0 * math.pi / gap) for gap in gaps for k in range(1, int(40 * gap / (2 * math.pi)) + 1))
+
+
+_SCAN_GRAPHS = {spec: sw.diagonalize(helpers.ham(spec)) for spec in ("ring:6", "complete:4", "hypercube:3")}
+
+
+class TestScanStart:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_SCAN_GRAPHS)), st.data())
+    def test_a_scan_lists_what_the_full_listing_keeps_above_min(self, spec, data):
+        es = _SCAN_GRAPHS[spec]
+        periods = _listed_periods(es)
+        # at a raw period, inside a run of near-coinciding ones, or just beside one; or anywhere
+        at = data.draw(st.sampled_from(periods))
+        lo = data.draw(st.one_of(
+            st.sampled_from([at, math.nextafter(at, 0.0), math.nextafter(at, math.inf),
+                             at * (1.0 - 1e-9), at * (1.0 + 1e-9), at - 1e-10, at + 1e-10]),
+            st.floats(min_value=0.0, max_value=30.0),
+        ))
+        hi = data.draw(st.floats(min_value=lo, max_value=40.0).filter(lambda v: v > lo))
+        kept = [{"tau": p.tau, "pairs": [list(t) for t in p.pairs]}
+                for p in sw.resonant_periods(es, hi) if p.tau > lo]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["resonances", "--graph", spec, "--tau", f"scan:{lo!r}:{hi!r}", "--format", "json"]) == 0
+        report = json.loads(out.getvalue())
+        assert report["range"] == [lo, hi]
+        assert report["resonances"] == kept
+
+
 class TestSpectrumCommand:
     def test_ring6_sectors(self, capsys, schema):
         report = run_json(capsys, "spectrum", "--graph", "ring:6", "--tau", "1.0")
@@ -682,11 +785,51 @@ _json_values = st.recursive(
 )
 
 
+def _as_column(values):
+    """A ragged column where every value is a list, nested as deep as that holds; else the values."""
+    if values and all(type(value) is list for value in values):
+        return cli._Ragged(_as_column(list(chain.from_iterable(values))), list(map(len, values)))
+    return values
+
+
+#: Columns of a table: scalars, arrays of mixed and zero length, arrays of arrays, any values.
+_table_columns = st.one_of(
+    st.just(_json_scalars),
+    st.just(st.lists(_json_scalars, max_size=3)),
+    st.just(st.lists(st.lists(st.integers(-3, 2000), max_size=3), max_size=3)),
+    st.just(st.lists(st.just([]), max_size=2)),
+    st.just(_json_values),
+)
+
+
+@st.composite
+def _json_tables(draw):
+    """Records that share one set of str keys, next to the same records as a column table."""
+    rows = draw(st.integers(0, 5))
+    columns = {name: draw(st.lists(draw(_table_columns), min_size=rows, max_size=rows))
+               for name in draw(st.sets(_json_text, max_size=3))}
+    records = [{name: column[row] for name, column in columns.items()} for row in range(rows)]
+    table = cli._Table({name: _as_column(column) for name, column in columns.items()}, rows)
+    return records, table
+
+
 class TestJsonWriter:
     @settings(max_examples=300)
     @given(_json_values)
     def test_matches_json_dumps(self, value):
         assert cli._to_json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=300)
+    @given(_json_tables(), _json_values, st.sampled_from(["alone", "in-object", "in-array", "twice"]))
+    def test_a_column_table_matches_json_dumps_of_its_records(self, tables, other, place):
+        records, table = tables
+        wrap = {
+            "alone": lambda rows: rows,
+            "in-object": lambda rows: {"listing": rows, "other": other},
+            "in-array": lambda rows: [other, rows],
+            "twice": lambda rows: {"a": [rows, rows], "b": {"c": rows}},
+        }[place]
+        assert cli._to_json(wrap(table), "\n") == json.dumps(wrap(records), indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": 1j}, {1, 2},
                                        {(1, 2): 3}, {"x": [object()]}])

@@ -185,6 +185,36 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="labels"):
             sw.load_graph(b'{"nodes": 1, "edges": [], "labels": [1]}')
 
+    @pytest.mark.parametrize("edges, error, message", [
+        ([[0, 1], 5], GraphFormatError, "edges[1]: expected [i, j] or [i, j, w], got 5"),
+        ([[0, 1, 1.0, 2]], GraphFormatError, "edges[0]: expected [i, j] or [i, j, w], got [0, 1, 1.0, 2]"),
+        ([[0]], GraphFormatError, "edges[0]: expected [i, j] or [i, j, w], got [0]"),
+        ([[0, 1.0]], GraphFormatError, "edges[0]: node indices must be integers, got [0, 1.0]"),
+        ([[0, "1", 2.0]], GraphFormatError, "edges[0]: node indices must be integers, got [0, '1', 2.0]"),
+        ([[True, 1]], GraphFormatError, "edges[0]: node indices must be integers, got [True, 1]"),
+        ([[0, 1, "x"]], GraphFormatError, "edges[0]: weight must be a number, got 'x'"),
+        ([[0, 1, None]], GraphFormatError, "edges[0]: weight must be a number, got None"),
+        ([[0, 1, False]], GraphFormatError, "edges[0]: weight must be a number, got False"),
+        ([[0, 1], [2, 3]], GraphInvariantError, "edges[1]: node index out of range for 3 nodes: (2, 3)"),
+        ([[-1, 1]], GraphInvariantError, "edges[0]: node index out of range for 3 nodes: (-1, 1)"),
+        ([[0, 1], [2, 2, 1.0]], GraphInvariantError, "edges[1]: self-loop (2, 2) is not allowed"),
+        ([[0, 1, "Infinity"]], GraphInvariantError, "edges[0]: weight must be finite, got inf"),
+        ([[0, 1, "NaN"]], GraphInvariantError, "edges[0]: weight must be finite, got nan"),
+        ([[0, 1, "1e400"]], GraphInvariantError, "edges[0]: weight must be finite, got inf"),
+        ([[0, 1], [2, 1], [1, 0, 2.0]], GraphInvariantError, "edges[2]: duplicate edge (0, 1)"),
+    ], ids=["non-list", "too-long", "too-short", "float-index", "str-index", "bool-index",
+            "str-weight", "null-weight", "bool-weight", "out-of-range", "negative-index",
+            "self-loop", "infinite", "nan", "overflow", "duplicate"])
+    def test_each_edge_fault_has_its_own_class_and_message(self, edges, error, message):
+        # Quoted non-finite numbers become JSON's bare Infinity, NaN and 1e400.
+        text = json.dumps({"nodes": 3, "edges": edges})
+        for word in ("Infinity", "NaN", "1e400"):
+            text = text.replace(f'"{word}"', word)
+        with pytest.raises(error) as caught:
+            sw.load_graph(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
 
 finite_weights = st.floats(allow_nan=False, allow_infinity=False)
 
