@@ -227,8 +227,6 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
 _JSON_BASES = (str, int, float, list, tuple, dict)
 _JSON_TYPES = frozenset({*_JSON_BASES, bool, type(None)})
-#: The text of each int below 1024, so that a column of small ints needs no ``int.__repr__`` call.
-_SMALL_INTS = list(map(str, range(1024)))
 
 
 def _to_json(value, newline: str) -> str:
@@ -263,8 +261,6 @@ def _json_column(values, newline: str) -> list[str]:
     if len(kinds) == 1:
         kind = next(iter(kinds))
         if kind is int:
-            if 0 <= min(values) and max(values) < len(_SMALL_INTS):
-                return list(map(_SMALL_INTS.__getitem__, values))
             return list(map(int.__repr__, values))
         if kind is float:
             texts = list(map(float.__repr__, values))
@@ -651,7 +647,7 @@ def cmd_quotient(q: _Query) -> dict:
 
 def cmd_resonances(q: _Query) -> dict:
     lo, hi = _parse_tau_range(q.args.tau)
-    cols = _resonant_columns(q.eigensystem, hi, lo)
+    cols = _resonant_columns(q.eigensystem, hi)
     cut = int(np.searchsorted(cols.taus, lo, side="right"))
     starts = cols.starts[cut:]
     first = int(starts[0]) if starts.size else cols.k.size

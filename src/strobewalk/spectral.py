@@ -284,44 +284,8 @@ class _ResonanceColumns(NamedTuple):
     k: np.ndarray
 
 
-def _first_harmonics(base: np.ndarray, last: np.ndarray, tau_min: float) -> np.ndarray:
-    """Per pair, the first harmonic to list so that every entry above ``tau_min`` comes out whole.
-
-    ``last`` holds each pair's last harmonic.  Each pair starts at its first
-    harmonic ``k`` with ``k * base >= s``, from ``s = tau_min`` down.  The
-    listing from there on groups as the full listing does when its first
-    period starts an entry whatever came before: when it lies more than its
-    tolerance above the largest period below ``s``.  Until it does, ``s``
-    drops to that period or further, by a step that doubles, so that a long
-    run of near neighbours costs few rounds.  Past ``2**53`` harmonics the
-    products are not exact, and every pair starts at its first harmonic, as
-    in the full listing, whose guards then apply.
-    """
-    first = np.ones_like(base)
-    if not (tau_min > 0 and base.size and tau_min / np.min(base) < 2.0**53):
-        return first
-    start, step = tau_min, 1e-9 * max(1.0, tau_min)
-    while True:
-        first = np.maximum(np.ceil(start / base), 1.0)
-        first -= (first > 1.0) & ((first - 1.0) * base >= start)
-        first += first * base < start
-        listed, earlier = first <= last, first > 1.0
-        if not (listed.any() and earlier.any()):
-            return first
-        head = float(np.min(first[listed] * base[listed]))
-        below = float(np.max((first[earlier] - 1.0) * base[earlier]))
-        if head - below > 1e-9 * max(1.0, head):
-            return first
-        start, step = min(below, start - step), 2.0 * step
-
-
-def _resonant_columns(es: EigenSystem, tau_max: float, tau_min: float = 0.0) -> _ResonanceColumns:
-    """The resonant periods up to ``tau_max`` as columns; see :func:`resonant_periods`.
-
-    Every entry above ``tau_min`` is listed as the full listing has it; the
-    entries at or below ``tau_min`` may be cut or left out, so a caller keeps
-    ``taus > tau_min`` only.
-    """
+def _resonant_columns(es: EigenSystem, tau_max: float) -> _ResonanceColumns:
+    """The resonant periods up to ``tau_max`` as columns; see :func:`resonant_periods`."""
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     levels = _distinct_levels(es)
@@ -330,19 +294,17 @@ def _resonant_columns(es: EigenSystem, tau_max: float, tau_min: float = 0.0) -> 
     limit = tau_max * (1.0 + 1e-12)
     # The quotient's rounding can miss the last harmonic by one either way: settle
     # the count with the test ``k * base <= limit`` itself.
-    last = np.floor(limit / base)
-    last += (last + 1.0) * base <= limit
-    last -= (last >= 1.0) & (last * base > limit)
-    lowest = _first_harmonics(base, last, tau_min)
-    count = np.maximum(last - lowest + 1.0, 0.0)
+    count = np.floor(limit / base)
+    count += (count + 1.0) * base <= limit
+    count -= (count >= 1.0) & (count * base > limit)
     # An overflow guard, not a cap: no array of 8-byte entries that long can be indexed.
     total = float(np.sum(count))
     if not total * 8 < np.iinfo(np.intp).max:
         raise SpectralError(f"{total:.3g} resonant periods up to tau_max={tau_max:g} do not fit in an array")
-    count, lowest = count.astype(np.intp), lowest.astype(np.intp)
+    count = count.astype(np.intp)
     try:
         pair = np.repeat(np.arange(base.shape[0]), count)
-        k = np.arange(pair.shape[0]) - np.repeat(np.cumsum(count) - count - lowest, count)
+        k = np.arange(1, pair.shape[0] + 1) - np.repeat(np.cumsum(count) - count, count)
         taus = k * base[pair]
         order = np.argsort(taus, kind="stable")
         taus, pair, k = taus[order], pair[order], k[order]

@@ -597,7 +597,7 @@ def _listed_periods(es: sw.EigenSystem):
 _SCAN_GRAPHS = {spec: sw.diagonalize(helpers.ham(spec)) for spec in ("ring:6", "complete:4", "hypercube:3")}
 
 
-class TestScanStart:
+class TestScanRange:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(_SCAN_GRAPHS)), st.data())
     def test_a_scan_lists_what_the_full_listing_keeps_above_min(self, spec, data):

@@ -184,28 +184,6 @@ def test_resonance_search_matches_the_nested_loop_oracle(es, data):
             assert sw.is_resonant(es, tau, tol=tol) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
 
 
-@given(eigensystems, st.data())
-def test_a_listing_from_a_minimum_keeps_every_entry_above_it(es, data):
-    full = sw.resonant_periods(es, 12.0)
-    lo = data.draw(st.floats(min_value=0.0, max_value=12.0))
-    if full:
-        # at, beside or inside a run of near-coinciding periods: each pair's own period,
-        # from an entry of several pairs where there is one
-        levels = sw.spectral._distinct_levels(es).tolist()
-        runs = [p for p in full if len(p.pairs) > 1] or full
-        l0, l1, k = data.draw(st.sampled_from(data.draw(st.sampled_from(runs)).pairs))
-        at = k * (TWO_PI / abs(levels[l1] - levels[l0]))
-        lo = data.draw(st.sampled_from([lo, at, math.nextafter(at, 0.0), math.nextafter(at, math.inf),
-                                        at * (1.0 - 1e-9), at * (1.0 + 1e-9), at - 1e-10]))
-    cols = sw.spectral._resonant_columns(es, 12.0, lo)
-    cut = int(np.searchsorted(cols.taus, lo, side="right"))
-    bounds = [*cols.starts[cut:].tolist(), cols.k.size]
-    triples = list(zip(cols.l0.tolist(), cols.l1.tolist(), cols.k.tolist()))
-    listed = [sw.ResonantPeriod(tau, tuple(triples[a:b]))
-              for tau, a, b in zip(cols.taus[cut:].tolist(), bounds, bounds[1:])]
-    assert listed == [p for p in full if p.tau > lo]
-
-
 PHASE_TOL = sw.spectral.PHASE_GROUP_TOL
 #: Offsets from a phase anchor, in units of the phase tolerance: within it, in
 #: the warning band from 1 to 100 times it, and beyond.
