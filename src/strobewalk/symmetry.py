@@ -14,6 +14,19 @@ along the base.  No element list is built.  Node orbits follow from the
 generators by union-find, and the symmetric subspace is the joint phase
 eigenspace of the generator matrices.
 
+Two shortcuts cut the work of a search without changing its result:
+
+* Individualizing node ``v`` also splits every cell by hop distance from
+  ``v`` before the refinement rounds.  This is exact: in an equitable
+  coloring with ``{v}`` as a cell, the nodes at each distance from ``v``
+  form a union of cells, so the coarsest equitable refinement is the same,
+  and only the rounds needed to reach it drop (a ring needs one, not half
+  its length).
+* Before walking the search tree for a candidate image ``v`` of base point
+  ``b``, the search tries the transposition ``(b v)``.  It fixes the base
+  points before ``b``, so when it preserves the structure and the input
+  coloring it is a generator for that level, found without a refinement.
+
 For a detector localized on node ``d`` one search gives both groups: with
 ``d`` first in the base, the generators found below the first level
 generate the stabilizer of ``d``, and their basic orbit lengths multiply to
@@ -82,7 +95,8 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.image) != list(range(len(self.image))):
+        # n entries that cover 0..n-1 cover each exactly once.
+        if not set(self.image).issuperset(range(len(self.image))):
             raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
 
     @property
@@ -256,14 +270,28 @@ class _Search:
     never by first appearance.  So it commutes with every automorphism that
     preserves the input coloring, and two colorings related by such an
     automorphism yield the same certificate.
+
+    Individualizing a node ``v`` is one round keyed by the hop distance from
+    ``v`` (``v`` alone has distance 0), then the salted rounds.  Distances
+    are carried along by every automorphism that maps ``v`` to ``v'``, so
+    the round commutes with them too; and the equitable refinement is
+    unchanged, since an equitable coloring with ``{v}`` as a cell already
+    separates the nodes by distance from ``v``.  Distance rows come from one
+    breadth-first search per individualized node, cached on the search.
+
+    :meth:`chain` tries the transposition of the base point and a candidate
+    image before it walks the tree for that image: the transposition fixes
+    the earlier base points, so if it preserves the structure and the input
+    coloring it is a valid generator for the level.
     """
 
     def __init__(self, graph: WeightedGraph):
         n = graph.node_count
         self.n = n
-        ends = np.array([(i, j) for i, j, _ in graph.edges], dtype=np.intp).reshape(-1, 2)
-        self.tails, self.heads = ends[:, 0], ends[:, 1]
-        self.edge_weights = np.array([w for _, _, w in graph.edges], dtype=float)
+        m = len(graph.edges)
+        edges = np.fromiter(chain.from_iterable(graph.edges), float, 3 * m).reshape(m, 3)
+        self.tails, self.heads = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
+        self.edge_weights = edges[:, 2]
         weights, layer = np.unique(self.edge_weights, return_inverse=True)
         # One block of columns per distinct weight: adj[i, layer * n + j] = 1 for each edge.
         self.adj = np.zeros((n, len(weights) * n))
@@ -276,14 +304,22 @@ class _Search:
         # Salts small enough that every neighbor sum is an exact float64
         # integer, so a sum never depends on where its row sits in the matrix.
         self.salt = _salts(len(weights) * n, 52 - n.bit_length()).reshape(len(weights), n)
+        self._distances: dict[int, np.ndarray] = {}
 
-    def refine(self, colors: np.ndarray) -> tuple[np.ndarray, bytes]:
-        """Equitable refinement of ``colors`` and a certificate of its rounds."""
+    def refine(self, colors: np.ndarray, keys: np.ndarray | None = None) -> tuple[np.ndarray, bytes]:
+        """Equitable refinement of ``colors`` and a certificate of its rounds.
+
+        ``keys``, if given, split the cells before the first salted round, in
+        a round of their own.
+        """
         n = self.n
         k = int(colors.max()) + 1
         parts = [np.bincount(colors, minlength=k).tobytes()]
+        sums = keys
         while k < n:
-            sums = self.adj @ self.salt[:, colors].ravel()
+            salted = sums is None
+            if salted:
+                sums = self.adj @ self.salt[:, colors].ravel()
             order = np.lexsort((sums, colors))
             sorted_colors, sorted_sums = colors[order], sums[order]
             step = np.empty(n, dtype=bool)
@@ -292,20 +328,49 @@ class _Search:
             step[1:] |= sorted_sums[1:] != sorted_sums[:-1]
             parts.append(sorted_sums.tobytes())
             new_k = int(np.count_nonzero(step))
-            if new_k == k:
+            if new_k == k and salted:
                 break
             colors = np.empty(n, dtype=np.intp)
             colors[order] = np.cumsum(step) - 1
             k = new_k
+            sums = None
         return colors, b"".join(parts)
 
-    @staticmethod
-    def individualize(colors: np.ndarray, v: int) -> np.ndarray:
-        """Split node ``v`` off its cell, ahead of the rest of the cell."""
-        c = colors[v]
-        out = colors + (colors > c) + (colors == c)
-        out[v] = c
-        return out
+    @cached_property
+    def neighbors(self) -> list[set[int]]:
+        """Neighbor set of each node, built on the first individualization."""
+        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        for i, j in zip(self.tails.tolist(), self.heads.tolist()):
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        return nbrs
+
+    def distances(self, v: int) -> np.ndarray:
+        """Hop distance of every node from ``v``, ``n`` for unreachable ones; cached per node.
+
+        One breadth-first search, a level at a time.
+        """
+        dist = self._distances.get(v)
+        if dist is None:
+            nbrs = self.neighbors
+            hops = [self.n] * self.n
+            hops[v] = 0
+            seen, frontier, level = {v}, {v}, 0
+            while frontier:
+                level += 1
+                frontier = set().union(*[nbrs[u] for u in frontier]) - seen
+                seen |= frontier
+                for u in frontier:
+                    hops[u] = level
+            dist = self._distances[v] = np.array(hops, dtype=np.intp)
+        return dist
+
+    def individualize(self, colors: np.ndarray, v: int) -> tuple[np.ndarray, bytes]:
+        """:meth:`refine` after splitting every cell by hop distance from ``v``.
+
+        ``v`` alone has distance 0, so it leaves its cell, ahead of the rest.
+        """
+        return self.refine(colors, self.distances(v))
 
     def descend(self, colors: np.ndarray, cert: bytes, first: int | None = None) -> _Path:
         """Individualize the least node of the smallest non-singleton cell until discrete.
@@ -323,7 +388,7 @@ class _Search:
                 cell = int(np.argmin(sizes))
                 b = int(np.flatnonzero(colors == cell)[0])
             first = None
-            colors, cert = self.refine(self.individualize(colors, b))
+            colors, cert = self.individualize(colors, b)
             path.colors.append(colors)
             path.certs.append(cert)
             path.cells.append(cell)
@@ -338,6 +403,14 @@ class _Search:
         """
         return (np.array_equal(self.onsite[img], self.onsite)
                 and np.array_equal(self.weight[img[self.tails], img[self.heads]], self.edge_weights))
+
+    def swap(self, a: int, b: int, colors0: np.ndarray) -> np.ndarray | None:
+        """The transposition of nodes ``a`` and ``b`` if it preserves ``colors0`` and the structure."""
+        img = np.arange(self.n)
+        img[a], img[b] = b, a
+        if colors0[a] == colors0[b] and self.preserves_structure(img):
+            return img
+        return None
 
     def match(self, path: _Path, level: int, colors: np.ndarray,
               source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
@@ -364,7 +437,7 @@ class _Search:
     def extend(self, path: _Path, level: int, colors: np.ndarray, v: int,
                source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
         """:meth:`match` below ``colors`` with ``v`` in place of ``path.base[level]``."""
-        child, cert = self.refine(self.individualize(colors, v))
+        child, cert = self.individualize(colors, v)
         if cert != path.certs[level + 1]:
             return None
         return self.match(path, level + 1, child, source, target)
@@ -376,8 +449,9 @@ class _Search:
         Levels are closed from the deepest up.  At level j the generators
         found so far generate the pointwise stabilizer of the base points
         below j; every node of the target cell outside the orbit of the
-        base point under them is tried once, and a failed node rules out
-        its whole orbit.
+        base point under them is tried once, first as a transposition with
+        the base point, then by walking the tree.  Only a failed walk rules
+        out the node's whole orbit.
 
         ``point`` goes first in the base.  The third result is ``(count,
         order)`` of the stabilizer of ``point``: the generators found below
@@ -397,7 +471,9 @@ class _Search:
             for v in np.flatnonzero(colors == path.cells[level]).tolist():
                 if v in orbit or v in ruled_out:
                     continue
-                img = self.extend(path, level, colors, v, colors0, colors0)
+                img = self.swap(path.base[level], v, colors0)
+                if img is None:
+                    img = self.extend(path, level, colors, v, colors0, colors0)
                 if img is None:
                     ruled_out |= _orbit(v, generators)
                 else:
@@ -458,6 +534,39 @@ def _amplitude_classes(values: np.ndarray, representatives: np.ndarray, tol: flo
     return ids
 
 
+def _distinct_amplitudes(values: np.ndarray, tol: float) -> np.ndarray:
+    """Each value farther than ``tol`` from every earlier representative, in order.
+
+    One pass per representative: the first value not yet within ``tol`` of
+    one opens the next.
+    """
+    reps = []
+    open_ = np.ones(len(values), dtype=bool)
+    while open_.any():
+        z = values[int(np.argmax(open_))]
+        reps.append(z)
+        open_ &= np.abs(values - z) > tol
+    return np.array(reps)
+
+
+def _fixing_phases(images: np.ndarray, psi_d: np.ndarray, tol: float) -> list[complex]:
+    """Unit phase ``p`` of each stacked image with ``S psi_d = p psi_d``.
+
+    ``(S psi)[img[r]] = psi[r]``, so ``S psi_d = p psi_d`` reads ``psi_d =
+    p psi_d[img]``: one gather checks every generator.  Raises
+    :class:`StrobewalkError` for the first image that does not fix
+    ``psi_d`` within ``tol``.
+    """
+    moved = psi_d[images]
+    phases = moved.conj() @ psi_d
+    residuals = np.linalg.norm(psi_d - phases[:, None] * moved, axis=1)
+    bad = np.flatnonzero((np.abs(np.abs(phases) - 1.0) >= tol) | (residuals >= tol))
+    if bad.size:
+        raise StrobewalkError(
+            f"stabilizer generator {tuple(images[bad[0]].tolist())} does not fix the detection state")
+    return (phases / np.abs(phases)).tolist()
+
+
 def stabilizer(
     group: SymmetryGroup,
     detect_state: np.ndarray,
@@ -482,28 +591,17 @@ def stabilizer(
     detection state.
     """
     psi_d = as_state(detect_state, group.dim)
-    representatives: list[complex] = []
-    for z in psi_d:
-        if all(abs(z - r) > tol for r in representatives):
-            representatives.append(z)
-    reps = np.array(representatives)
-    if (group._fixed is not None and group._fixed[0] == localized_node(psi_d)
-            and len(reps) == min(group.dim, 2)):
-        # The amplitude coloring individualizes the base point and nothing else.
+    if group._fixed is not None and group._fixed[0] == localized_node(psi_d, tol / 2):
+        # Every other amplitude is within tol/2 of 0, so (for tol < 1/2) the
+        # amplitude coloring individualizes the base point and nothing else.
         _, count, order = group._fixed
-        images = [perm.image for perm in group.generators[:count]]
+        perms = group.generators[:count]
     else:
-        images, order = _searched_stabilizer(group.graph, psi_d, reps, tol)
-
-    generators = []
-    for img in images:
-        moved = np.empty_like(psi_d)
-        moved[list(img)] = psi_d
-        phase = complex(np.vdot(psi_d, moved))
-        if abs(abs(phase) - 1.0) >= tol or np.linalg.norm(moved - phase * psi_d) >= tol:
-            raise StrobewalkError(f"stabilizer generator {img} does not fix the detection state")
-        generators.append((Permutation(img), phase / abs(phase)))
-    return StabilizerGroup(generators=tuple(generators), order=order, dim=group.dim)
+        images, order = _searched_stabilizer(group.graph, psi_d, _distinct_amplitudes(psi_d, tol), tol)
+        perms = tuple(Permutation(img) for img in images)
+    stacked = np.array([perm.image for perm in perms], dtype=np.intp).reshape(len(perms), group.dim)
+    phases = _fixing_phases(stacked, psi_d, tol)
+    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim)
 
 
 def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarray,

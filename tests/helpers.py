@@ -120,6 +120,48 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 10) -> sw.WeightedGr
     return sw.WeightedGraph(node_count=n, edges=tuple(edges), onsite=(0.0,) * n)
 
 
+def unit_graph(n: int, pairs) -> sw.WeightedGraph:
+    """Unit-weight graph on ``n`` nodes from unordered node pairs, duplicates dropped."""
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    return sw.WeightedGraph(node_count=n, edges=tuple((i, j, 1.0) for i, j in edges), onsite=(0.0,) * n)
+
+
+def petersen() -> sw.WeightedGraph:
+    """Outer 5-cycle 0..4, inner pentagram 5..9 (5+i ~ 5+(i+2) mod 5), spokes i ~ 5+i."""
+    return unit_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                      + [(i, 5 + i) for i in range(5)])
+
+
+def shrikhande() -> sw.WeightedGraph:
+    """Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1); node (a, b) is 4a + b."""
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return unit_graph(16, [(4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                           for a in range(4) for b in range(4) for da, db in steps])
+
+
+def rook(k: int) -> sw.WeightedGraph:
+    """k x k rook's graph: node (r, c) is k r + c, linked to every node in its row and column."""
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return unit_graph(k * k, [(k * r + c, k * s + d) for (r, c) in cells for (s, d) in cells
+                              if (r == s) != (c == d)])
+
+
+def frucht() -> sw.WeightedGraph:
+    """12-cycle with the chords of LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    return unit_graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + s) % 12) for i, s in enumerate(lcf)])
+
+
+def relabeled(g: sw.WeightedGraph, perm: np.ndarray) -> sw.WeightedGraph:
+    """The same graph with node ``r`` renamed ``perm[r]``, on-site energies carried along."""
+    onsite = [0.0] * g.node_count
+    for r, e in enumerate(g.onsite):
+        onsite[perm[r]] = e
+    edges = tuple((int(perm[i]), int(perm[j]), w) for i, j, w in g.edges)
+    return sw.WeightedGraph(node_count=g.node_count, edges=edges, onsite=tuple(onsite))
+
+
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return vec / np.linalg.norm(vec)

@@ -138,6 +138,32 @@ def test_random_graph_group_axioms_and_commutation(seed, decorate):
     helpers.assert_search_matches_brute_force(g)
 
 
+@given(st.sampled_from(["lattice:6x6", "hypercube:5", "ring:32", "tree:4", "random"]),
+       st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_relabeling_keeps_the_orders_and_carries_the_orbits(source, seed, data):
+    # any step of the search that keyed on node ids would tie its result to the labeling
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        g = helpers.random_graph(rng, max_nodes=12)
+        g = sw.WeightedGraph(node_count=g.node_count, edges=g.edges,
+                             onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(g.node_count)))
+    else:
+        g = helpers.graph(source)
+    n = g.node_count
+    pi = rng.permutation(n)
+    d = data.draw(st.integers(min_value=0, max_value=n - 1))
+    moved = helpers.relabeled(g, pi)
+    group, moved_group = sw.automorphisms(g), sw.automorphisms(moved)
+    assert moved_group.order == group.order
+    stab = sw.stabilizer(group, sw.localized_state(n, d))
+    carried = {tuple(sorted(pi[list(orbit)].tolist())) for orbit in sw.node_orbits(stab)}
+    detector = sw.localized_state(n, int(pi[d]))
+    for moved_stab in (sw.stabilizer(moved_group, detector),
+                       sw.stabilizer(sw.automorphisms(moved, base_point=int(pi[d])), detector)):
+        assert moved_stab.order == stab.order
+        assert set(sw.node_orbits(moved_stab)) == carried
+
+
 def _level_eigensystem(levels) -> sw.EigenSystem:
     ev = np.sort(np.asarray(levels, dtype=float))
     return sw.EigenSystem(eigenvalues=ev, eigenvectors=np.eye(ev.shape[0], dtype=complex))

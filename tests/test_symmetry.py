@@ -547,3 +547,53 @@ class TestGeneratorRoutesMatchElementSums:
         assert len(helpers.close_group(stab)) == stab.order == 12
         for perm, phase in helpers.close_group(stab):
             np.testing.assert_allclose(perm.apply(psi_d), phase * psi_d, atol=1e-12)
+
+
+class TestWeakRefinement:
+    """Graphs on which refinement alone leaves cells that are not orbits."""
+
+    @pytest.mark.parametrize(
+        "build, order, stab_order, orbit_sizes",
+        [(helpers.petersen, 120, 12, [1, 3, 6]),
+         # one cell of 9 non-neighbors of node 0, but two orbits of 3 and 6
+         (helpers.shrikhande, 192, 12, [1, 6, 3, 6]),
+         # the same parameters as Shrikhande, and distance-transitive
+         (lambda: helpers.rook(4), 1152, 72, [1, 6, 9]),
+         # cubic and asymmetric
+         (helpers.frucht, 1, 1, [1] * 12)],
+        ids=["petersen", "shrikhande", "rook:4", "frucht"],
+    )
+    def test_orders_and_orbits_at_node_0(self, build, order, stab_order, orbit_sizes):
+        g = build()
+        detector = sw.localized_state(g.node_count, 0)
+        group = sw.automorphisms(g)
+        assert group.order == order
+        shared = sw.automorphisms(g, base_point=0)
+        assert shared.order == order
+        for stab in (sw.stabilizer(group, detector), sw.stabilizer(shared, detector)):
+            assert stab.order == stab_order
+            assert [len(o) for o in sw.node_orbits(stab)] == orbit_sizes
+            assert all(perm.image[0] == 0 for perm, _ in stab.generators)
+
+
+class TestPastTheNodeCap:
+    """Closed-form orders of graphs at and above the default cap, with the detector first in the base."""
+
+    CASES = [("tree:6", 2**63, 2**63),  # node 0 is the root, fixed by every automorphism
+             ("hypercube:8", 2**8 * math.factorial(8), math.factorial(8)),
+             ("lattice:20x20", 8 * 400, 8),
+             ("ring:256", 512, 2),
+             ("complete:64", math.factorial(64), math.factorial(63))]
+
+    @pytest.mark.parametrize("spec, order, stab_order", CASES, ids=[spec for spec, _, _ in CASES])
+    def test_orders_and_commuting_generators(self, spec, order, stab_order):
+        g = helpers.graph(spec)
+        group = sw.automorphisms(g, node_cap=10**5, base_point=0)
+        assert group.order == order
+        stab = sw.stabilizer(group, sw.localized_state(g.node_count, 0))
+        assert stab.order == stab_order
+        h = helpers.ham(spec)
+        for perm in group.generators:
+            img = np.array(perm.image)
+            # S H S^T = H reads H[img[r], img[c]] == H[r, c]
+            np.testing.assert_array_equal(h[np.ix_(img, img)], h)
