@@ -47,18 +47,11 @@ from .errors import (
     StateError,
     StrobewalkError,
 )
-from .graphs import GENERATOR_NAMES, build_named, hamiltonian, load_graph, save_graph
+from .graphs import GENERATOR_NAMES, _graph_document, build_named, hamiltonian, load_graph, save_graph
 from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
 from .spectral import _resonant_columns, diagonalize, fold_sectors, is_resonant
 from .states import as_state, localized_node, localized_state
-from .symmetry import (
-    _symmetric_dark_dim,
-    automorphisms,
-    orbit_rank,
-    stabilizer,
-    symmetry_projector,
-    upper_bound,
-)
+from .symmetry import automorphisms, orbit_rank, stabilizer, symmetry_projector, upper_bound
 
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
@@ -520,10 +513,6 @@ class _Query:
         return stabilizer(self.group, self.detect)
 
     @cached_property
-    def projector(self) -> np.ndarray:
-        return symmetry_projector(self.stab)
-
-    @cached_property
     def projection(self) -> _DetectorProjection:
         return _DetectorProjection(self.sectors, self.detect)
 
@@ -545,7 +534,7 @@ def cmd_analyze(q: _Query) -> dict:
             "symmetry analysis relies on the folded sectors"
         )
     bright_dim = q.projection.bright(q.tols["dark"]).size
-    symmetric_dark_dim = _symmetric_dark_dim(q.projector, bright_dim)
+    symmetric_dark_dim = q.stab.symmetric_dim - bright_dim
     saturated = symmetric_dark_dim == 0
 
     n = q.graph.node_count
@@ -553,12 +542,12 @@ def cmd_analyze(q: _Query) -> dict:
         labels, states = [str(r) for r in range(n)], np.eye(n, dtype=complex)
         # Node r's orbit rank is the size of its orbit, and its bound <r|P|r> is P[r, r].
         ranks = q.stab._orbit_sizes.tolist()
-        bounds = [min(max(weight, 0.0), 1.0) for weight in q.projector.diagonal().real.tolist()]
+        bounds = symmetry_projector(q.stab).diagonal().real.clip(0.0, 1.0).tolist()
     else:
         psi_in = _parse_state(args.init, n, "init")
         labels, states = [args.init], psi_in[:, None]
         ranks = [orbit_rank(q.stab, psi_in, rank_tol=q.tols["rank"])]
-        bounds = [upper_bound(q.stab, psi_in, projector=q.projector)]
+        bounds = [upper_bound(q.stab, psi_in)]
     warnings += q.dark_warnings()
 
     cols = q.projection.pdet_columns(states, dark_tol=q.tols["dark"])
@@ -628,9 +617,9 @@ def cmd_simulate(q: _Query) -> dict:
 
 def cmd_quotient(q: _Query) -> dict:
     qs = symmetrize(q.h, q.stab, q.detect)
-    graph_bytes = save_graph(quotient_graph(qs)[0])
+    graph = quotient_graph(qs)[0]
     if q.args.out:
-        Path(q.args.out + ".graph.json").write_bytes(graph_bytes)
+        Path(q.args.out + ".graph.json").write_bytes(save_graph(graph))
     return {
         "detect": q.args.detect,
         "original_dim": qs.original_dim,
@@ -641,7 +630,7 @@ def cmd_quotient(q: _Query) -> dict:
             for cls in qs.classes
         ],
         "symmetric_spectrum": symmetric_eigensystem(qs).eigenvalues.tolist(),
-        "quotient_graph": json.loads(graph_bytes.decode("utf-8")),
+        "quotient_graph": _graph_document(graph),
     }
 
 

@@ -238,20 +238,20 @@ def hamiltonian(graph: WeightedGraph, gamma: float) -> np.ndarray:
     return h
 
 
+def _graph_document(graph: WeightedGraph) -> dict:
+    """The JSON graph format of a graph as plain lists and numbers, before encoding."""
+    labels = {} if graph.labels is None else {"labels": list(graph.labels)}
+    return {"nodes": graph.node_count, "edges": [[i, j, w] for i, j, w in graph.edges],
+            "onsite": list(graph.onsite), **labels}
+
+
 def save_graph(graph: WeightedGraph) -> bytes:
     """Serialize a graph to the JSON graph format (UTF-8 bytes).
 
     Doubles are written in their shortest round-tripping form, so
     ``load_graph(save_graph(g)) == g`` holds bit-exactly.
     """
-    doc: dict = {
-        "nodes": graph.node_count,
-        "edges": [[i, j, w] for i, j, w in graph.edges],
-        "onsite": list(graph.onsite),
-    }
-    if graph.labels is not None:
-        doc["labels"] = list(graph.labels)
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(_graph_document(graph), indent=2) + "\n").encode("utf-8")
 
 
 def _plain_edge_lists(entries: list) -> bool:

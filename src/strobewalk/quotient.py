@@ -7,12 +7,16 @@ on the class space, which is again a (weighted) graph walk.  All bright
 states live in that subspace, so the total detection probability computed
 there matches the full-space value exactly, at a fraction of the
 diagonalization cost.
+
+The classes are the stabilizer's one orbit labelling (one label per node,
+numbered by least member), so the lift is one scatter of ``1/sqrt(size)``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -91,24 +95,16 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
         raise StrobewalkError("localized detection state must have trivial stabilizer phases")
 
     orbits = node_orbits(stab)
-    classes = tuple(
-        NodeClass(id=c, members=members, multiplicity=len(members))
-        for c, members in enumerate(orbits)
-    )
-    k = len(classes)
-    n = stab.dim
-
-    lift = np.zeros((n, k))
-    for cls in classes:
-        lift[list(cls.members), cls.id] = 1.0 / math.sqrt(cls.multiplicity)
+    classes = tuple(map(NodeClass, range(len(orbits)), orbits, map(len, orbits)))
+    labels, sizes = stab._orbit_labels, stab._orbit_sizes
+    if sizes[detect_node] != 1:
+        raise StrobewalkError("detection node is not fixed by the stabilizer")
+    lift = np.zeros((stab.dim, len(classes)))
+    lift[np.arange(stab.dim), labels] = 1.0 / np.sqrt(sizes)
 
     h_s = lift.T @ h @ lift
     h_s = (h_s + h_s.conj().T) / 2.0
-
-    detect_class = next(c.id for c in classes if detect_node in c.members)
-    if classes[detect_class].multiplicity != 1:
-        raise StrobewalkError("detection node is not fixed by the stabilizer")
-    return QuotientSystem(h_s=h_s, classes=classes, lift=lift, detect_class=detect_class)
+    return QuotientSystem(h_s=h_s, classes=classes, lift=lift, detect_class=int(labels[detect_node]))
 
 
 def symmetric_eigensystem(q: QuotientSystem) -> EigenSystem:
@@ -153,13 +149,12 @@ def quotient_graph(q: QuotientSystem) -> tuple[WeightedGraph, dict[int, tuple[in
     Labels list the member nodes of each class.
     """
     k = q.reduced_dim
-    edges = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            w = float(np.real(q.h_s[a, b]))
-            if w != 0.0:
-                edges.append((a, b, -w))
-    onsite = tuple(float(np.real(q.h_s[c, c])) for c in range(k))
-    labels = tuple(",".join(str(m) for m in cls.members) for cls in q.classes)
-    graph = WeightedGraph(node_count=k, edges=tuple(edges), onsite=onsite, labels=labels)
-    return graph, {cls.id: cls.members for cls in q.classes}
+    h = np.real(q.h_s)
+    a, b = np.triu_indices(k, 1)  # row by row, as a nested loop over a < b
+    w = h[a, b]
+    kept = w != 0.0
+    edges = tuple(zip(a[kept].tolist(), b[kept].tolist(), (-w[kept]).tolist()))
+    members = list(map(attrgetter("members"), q.classes))
+    labels = tuple(map(",".join, map(partial(map, str), members)))
+    graph = WeightedGraph(node_count=k, edges=edges, onsite=tuple(h.diagonal().tolist()), labels=labels)
+    return graph, dict(enumerate(members))

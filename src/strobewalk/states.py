@@ -18,17 +18,16 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
-def as_state(vec, dim: int | None = None, *, require_normalized: bool = True) -> np.ndarray:
+def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce to a complex 1-d array and validate dimension and norm."""
     psi = np.asarray(vec, dtype=complex)
     if psi.ndim != 1:
         raise StateError(f"state must be a 1-d vector, got shape {psi.shape}")
     if dim is not None and psi.shape[0] != dim:
         raise StateError(f"state has dimension {psi.shape[0]}, expected {dim}")
-    if require_normalized:
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise StateError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise StateError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return psi
 
 

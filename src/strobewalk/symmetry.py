@@ -10,9 +10,11 @@ graphs (McKay and Piperno, "Practical graph isomorphism II", J. Symb.
 Comput. 60, 2014).  A search fixes base points one at a time, keeps one
 verified generator per new image of each base point, and returns the
 generators with the exact order: the product of the basic orbit lengths
-along the base.  No element list is built.  Node orbits follow from the
-generators by union-find, and the symmetric subspace is the joint phase
-eigenspace of the generator matrices.
+along the base.  No element list is built.  A stabilizer labels each node
+with its orbit, numbered by least member; orbit sizes, the quotient classes
+and, with trivial phases, the projector and the symmetric dimension (the
+orbit count) all read that one labelling.  With phases the symmetric
+subspace is the joint phase eigenspace of the generator matrices.
 
 Two shortcuts cut the work of a search without changing its result:
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -132,25 +134,9 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
 
 
-def _orbits_of(images: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the nodes under the given images, by union-find, ordered by least member."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for img in images:
-        for r, s in enumerate(img):
-            a, b = find(r), find(s)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(find(v), []).append(v)
-    return tuple(tuple(m) for m in members.values())
+def _stacked(perms: Sequence[Permutation], n: int) -> np.ndarray:
+    """The images of ``perms`` as one ``(len(perms), n)`` array, row ``i`` from ``perms[i]``."""
+    return np.array([perm.image for perm in perms], dtype=np.intp).reshape(len(perms), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,35 +168,73 @@ class StabilizerGroup:
 
     Kept as generators, each paired with its phase p = <psi_d|S|psi_d>, so
     that ``S psi_d = p psi_d``.  For a detection state localized on a node
-    every phase is 1.
+    every phase is 1.  The generator images are kept stacked as one
+    ``(g, n)`` array; orbits and the projector are computed once, on first use.
     """
 
     generators: tuple[tuple[Permutation, complex], ...]
     order: int
     dim: int
+    _images: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._images is None:
+            object.__setattr__(self, "_images", _stacked([perm for perm, _ in self.generators], self.dim))
 
     @property
     def has_trivial_phases(self) -> bool:
         return all(abs(phase - 1.0) <= 1e-9 for _, phase in self.generators)
 
     @cached_property
-    def _orbits(self) -> tuple[tuple[int, ...], ...]:
-        return _orbits_of([perm.image for perm, _ in self.generators], self.dim)
-
-    @cached_property
     def _orbit_labels(self) -> np.ndarray:
-        """Index in ``_orbits`` of each node's orbit."""
-        orbits = self._orbits
-        labels = np.empty(self.dim, dtype=np.intp)
-        labels[np.fromiter(chain.from_iterable(orbits), np.intp, self.dim)] = np.repeat(
-            np.arange(len(orbits)), list(map(len, orbits)))
-        return labels
+        """Orbit of each node, numbered by least member.
+
+        Each root moves to the least of its own root and the roots of the
+        node's images and preimages until none moves, so it ends on the least
+        member of the orbit.  Taking the root's root doubles the reach of each
+        round: a generator cycle of length ``L`` takes about ``log2(L)`` rounds.
+        """
+        steps = np.vstack([self._images, np.argsort(self._images, axis=1)])
+        nodes = root = np.arange(self.dim)
+        while True:
+            moved = np.minimum(root[root], root[steps].min(axis=0, initial=self.dim))
+            if np.array_equal(moved, root):
+                return (np.cumsum(root == nodes) - 1)[root]
+            root = moved
 
     @cached_property
     def _orbit_sizes(self) -> np.ndarray:
-        """Size of each node's orbit."""
         labels = self._orbit_labels
         return np.bincount(labels)[labels]
+
+    @cached_property
+    def _subspace(self) -> tuple[np.ndarray, int]:
+        """The read-only projector onto the symmetric subspace and the subspace's dimension.
+
+        With trivial phases the projector has ``1/|orbit|`` within each orbit;
+        otherwise the subspace is the null space of the stacked ``S - p I``.
+        """
+        if self.has_trivial_phases:
+            labels = self._orbit_labels
+            p = (np.equal.outer(labels, labels) / self._orbit_sizes).astype(complex)
+            dim = self.symmetric_dim
+        else:
+            eye = np.eye(self.dim)
+            stacked = np.vstack([perm.matrix() - phase * eye for perm, phase in self.generators])
+            _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+            span = vh[svals < NULL_TOL].conj().T
+            p = span @ span.conj().T
+            p = (p + p.conj().T) / 2.0
+            dim = span.shape[1]
+        p.flags.writeable = False
+        return p, dim
+
+    @property
+    def symmetric_dim(self) -> int:
+        """Dimension of the symmetric subspace: with trivial phases the orbit count, no projector built."""
+        if self.has_trivial_phases:
+            return int(self._orbit_labels.max()) + 1
+        return self._subspace[1]
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -286,25 +310,39 @@ class _Search:
     """
 
     def __init__(self, graph: WeightedGraph):
-        n = graph.node_count
-        self.n = n
+        self.n = graph.node_count
         m = len(graph.edges)
         edges = np.fromiter(chain.from_iterable(graph.edges), float, 3 * m).reshape(m, 3)
         self.tails, self.heads = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
         self.edge_weights = edges[:, 2]
-        weights, layer = np.unique(self.edge_weights, return_inverse=True)
-        # One block of columns per distinct weight: adj[i, layer * n + j] = 1 for each edge.
-        self.adj = np.zeros((n, len(weights) * n))
-        self.adj[self.tails, layer * n + self.heads] = 1.0
-        self.adj[self.heads, layer * n + self.tails] = 1.0
-        # NaN marks a missing edge, so it never equals a weight, not even 0.
-        self.weight = np.full((n, n), np.nan)
-        self.weight[self.tails, self.heads] = self.weight[self.heads, self.tails] = self.edge_weights
         self.onsite = np.array(graph.onsite)
-        # Salts small enough that every neighbor sum is an exact float64
-        # integer, so a sum never depends on where its row sits in the matrix.
-        self.salt = _salts(len(weights) * n, 52 - n.bit_length()).reshape(len(weights), n)
         self._distances: dict[int, np.ndarray] = {}
+
+    # The dense arrays are built on first use: a search whose input coloring
+    # is already discrete refines nothing and compares no edges.
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        """One block of columns per distinct weight: ``adj[i, layer * n + j] = 1`` for each edge."""
+        n = self.n
+        weights, layer = np.unique(self.edge_weights, return_inverse=True)
+        adj = np.zeros((n, len(weights) * n))
+        adj[self.tails, layer * n + self.heads] = 1.0
+        adj[self.heads, layer * n + self.tails] = 1.0
+        return adj
+
+    @cached_property
+    def salt(self) -> np.ndarray:
+        """One salt per column of ``adj``, small enough that every neighbor sum is an exact
+        float64 integer, so a sum never depends on where its row sits in the matrix."""
+        return _salts(self.adj.shape[1], 52 - self.n.bit_length()).reshape(-1, self.n)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Edge weights by both ends; NaN marks a missing edge, so it never equals a weight, not even 0."""
+        weight = np.full((self.n, self.n), np.nan)
+        weight[self.tails, self.heads] = weight[self.heads, self.tails] = self.edge_weights
+        return weight
 
     def refine(self, colors: np.ndarray, keys: np.ndarray | None = None) -> tuple[np.ndarray, bytes]:
         """Equitable refinement of ``colors`` and a certificate of its rounds.
@@ -599,9 +637,9 @@ def stabilizer(
     else:
         images, order = _searched_stabilizer(group.graph, psi_d, _distinct_amplitudes(psi_d, tol), tol)
         perms = tuple(Permutation(img) for img in images)
-    stacked = np.array([perm.image for perm in perms], dtype=np.intp).reshape(len(perms), group.dim)
+    stacked = _stacked(perms, group.dim)
     phases = _fixing_phases(stacked, psi_d, tol)
-    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim)
+    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim, _images=stacked)
 
 
 def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarray,
@@ -643,7 +681,7 @@ def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarr
 def _invariant_span_dim(stab: StabilizerGroup, psi: np.ndarray, rank_tol: float) -> int:
     """Dimension of the smallest generator-invariant subspace containing ``psi``."""
     n = stab.dim
-    moves = [np.argsort(perm.image) for perm, _ in stab.generators]  # (S v)[i] = v[moves[i]]
+    moves = np.argsort(stab._images, axis=1)  # (S v)[i] = v[moves[i]]
     basis = np.empty((n, n), dtype=complex)
     basis[:, 0] = psi / np.linalg.norm(psi)
     size, done = 1, 0
@@ -683,35 +721,19 @@ def orbit_rank(stab: StabilizerGroup, initial_state: np.ndarray, *, rank_tol: fl
 
 
 def symmetry_projector(stab: StabilizerGroup) -> np.ndarray:
-    """Projector onto the stabilizer-symmetric subspace.
+    """Projector onto the stabilizer-symmetric subspace, computed once per group and read-only.
 
     The subspace holds the states on which every element acts as its
     phase, ``S psi = p psi``; it contains the detection state.  With
     trivial phases it is spanned by the uniform states of the node orbits,
-    so the projector is ``lift @ lift.T`` with entries ``1/|orbit|`` within
-    each orbit: one comparison of the nodes' orbit labels, divided by the
-    orbit sizes.  Otherwise it is the joint eigenspace of the generator
-    matrices.  The result is Hermitian and idempotent and commutes with any
-    Hamiltonian the group commutes with.
+    otherwise it is the joint eigenspace of the generator matrices.  The
+    result is Hermitian and idempotent and commutes with any Hamiltonian
+    the group commutes with.
     """
-    dim = stab.dim
-    if stab.has_trivial_phases:
-        labels = stab._orbit_labels
-        return (np.equal.outer(labels, labels) / stab._orbit_sizes).astype(complex)
-    eye = np.eye(dim)
-    stacked = np.vstack([perm.matrix() - phase * eye for perm, phase in stab.generators])
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    span = vh[svals < NULL_TOL].conj().T
-    p = span @ span.conj().T
-    return (p + p.conj().T) / 2.0
+    return stab._subspace[0]
 
 
-def symmetric_part(
-    stab: StabilizerGroup,
-    initial_state: np.ndarray,
-    *,
-    projector: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+def symmetric_part(stab: StabilizerGroup, initial_state: np.ndarray) -> tuple[np.ndarray, float]:
     """Normalized symmetric component of a state and its weight.
 
     Returns ``(u, weight)`` with ``u`` the unit vector along the projection
@@ -727,8 +749,7 @@ def symmetric_part(
     component exists).
     """
     psi = as_state(initial_state, stab.dim)
-    p = symmetry_projector(stab) if projector is None else projector
-    projected = p @ psi
+    projected = symmetry_projector(stab) @ psi
     weight = float(np.real(np.vdot(psi, projected)))
     if weight < 1e-12:
         raise AsymmetricStateError(
@@ -763,12 +784,7 @@ def equivalent_dark_basis(orbit_states: Sequence[np.ndarray]) -> list[np.ndarray
     return dark
 
 
-def upper_bound(
-    stab: StabilizerGroup,
-    initial_state: np.ndarray,
-    *,
-    projector: np.ndarray | None = None,
-) -> float:
+def upper_bound(stab: StabilizerGroup, initial_state: np.ndarray) -> float:
     """Symmetry bound on the total detection probability.
 
     Equals the initial state's weight in the symmetric subspace,
@@ -776,18 +792,8 @@ def upper_bound(
     ``1/orbit_rank``.  The exact detection probability never exceeds it.
     """
     psi = as_state(initial_state, stab.dim)
-    p = symmetry_projector(stab) if projector is None else projector
-    value = float(np.real(np.vdot(psi, p @ psi)))
+    value = float(np.real(np.vdot(psi, symmetry_projector(stab) @ psi)))
     return min(max(value, 0.0), 1.0)
-
-
-def _symmetric_dark_dim(projector: np.ndarray, bright_dim: int) -> int:
-    """Dimension of the symmetric subspace minus the number of bright states."""
-    trace = float(np.real(np.trace(projector)))
-    sym_dim = round(trace)
-    if abs(trace - sym_dim) > 1e-8:
-        raise StrobewalkError(f"projector trace {trace} is not near an integer")
-    return sym_dim - bright_dim
 
 
 def saturation_check(
@@ -806,11 +812,12 @@ def saturation_check(
     initial state; each missing dimension is a symmetric dark state that
     makes the bound strict for some states.
     """
-    bright_dim = _DetectorProjection(sd, detect_state).bright(dark_tol).size
-    symmetric_dark_dim = _symmetric_dark_dim(symmetry_projector(stab), bright_dim)
+    symmetric_dark_dim = stab.symmetric_dim - _DetectorProjection(sd, detect_state).bright(dark_tol).size
     return symmetric_dark_dim == 0, symmetric_dark_dim
 
 
 def node_orbits(stab: StabilizerGroup) -> list[tuple[int, ...]]:
     """Orbits of the node set under the stabilizer, ordered by least member."""
-    return list(stab._orbits)
+    labels = stab._orbit_labels
+    members = iter(np.argsort(labels, kind="stable").tolist())
+    return list(map(tuple, map(islice, repeat(members), np.bincount(labels).tolist())))

@@ -260,6 +260,36 @@ def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
             assert group.order == len({p.image[d] for p in brute}) * stab.order, d
 
 
+def oracle_quotient_graph(q: sw.QuotientSystem):
+    """Nested-loop quotient graph and class map over every class pair ``a < b``: a reference for
+    ``quotient_graph``."""
+    k = q.reduced_dim
+    edges = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            w = float(np.real(q.h_s[a, b]))
+            if w != 0.0:
+                edges.append((a, b, -w))
+    onsite = tuple(float(np.real(q.h_s[c, c])) for c in range(k))
+    labels = tuple(",".join(str(m) for m in cls.members) for cls in q.classes)
+    graph = sw.WeightedGraph(node_count=k, edges=tuple(edges), onsite=onsite, labels=labels)
+    return graph, {cls.id: cls.members for cls in q.classes}
+
+
+def disordered(spec: str, seed: int, symmetric_about: int | None = None) -> sw.WeightedGraph:
+    """A named graph with on-site energies uniform in [-0.5, 0.5] from ``default_rng(seed)``.
+
+    With ``symmetric_about=d`` on a ring, node ``r`` takes the energy of its
+    mirror ``2d - r``, so the reflection through ``d`` stays a symmetry.
+    """
+    g = graph(spec)
+    onsite = np.random.default_rng(seed).uniform(-0.5, 0.5, g.node_count)
+    if symmetric_about is not None:
+        mirror = (2 * symmetric_about - np.arange(g.node_count)) % g.node_count
+        onsite = np.minimum(onsite, onsite[mirror])
+    return sw.WeightedGraph(node_count=g.node_count, edges=g.edges, onsite=tuple(onsite.tolist()))
+
+
 def _oracle_levels(es: sw.EigenSystem) -> np.ndarray:
     """Lowest energy of each level; a level starts where the step from the
     previous eigenvalue exceeds 1e-8 * max(1, max|E|)."""

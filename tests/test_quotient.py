@@ -296,3 +296,27 @@ class TestQuotientGraph:
         # 7 equivalent neighbors: coupling sqrt(7), internal K7 folds to onsite -6
         np.testing.assert_allclose(sw.hamiltonian(graph, 1.0),
                                    [[0.0, -math.sqrt(7.0)], [-math.sqrt(7.0), -6.0]], atol=1e-12)
+
+
+class TestQuotientGraphAgainstNestedLoops:
+    """``quotient_graph`` against the class-pair loop of ``helpers.oracle_quotient_graph``, bit for bit."""
+
+    CASES = [(lambda: helpers.graph("tree:4"), 0), (lambda: helpers.graph("tree:4"), 9),
+             (lambda: helpers.graph("lattice:6x6"), 7),
+             (lambda: helpers.disordered("ring:16", 3), 0),
+             (lambda: helpers.disordered("ring:16", 3, symmetric_about=5), 5),
+             (helpers.shrikhande, 0)]
+
+    @pytest.mark.parametrize("build, node", CASES,
+                             ids=["tree:4/0", "tree:4/9", "lattice:6x6/7", "disordered-ring:16/0",
+                                  "mirrored-ring:16/5", "shrikhande/0"])
+    def test_edges_onsite_labels_and_class_map(self, build, node):
+        g = build()
+        psi_d = sw.localized_state(g.node_count, node)
+        stab = sw.stabilizer(sw.automorphisms(g, base_point=node), psi_d)
+        q = sw.symmetrize(sw.hamiltonian(g, 1.0), stab, psi_d)
+        graph, class_map = sw.quotient_graph(q)
+        expected, expected_map = helpers.oracle_quotient_graph(q)
+        assert graph == expected
+        assert class_map == expected_map
+        assert graph.edge_count > 0

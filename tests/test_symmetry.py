@@ -1,6 +1,8 @@
 """Automorphism search, stabilizers, orbit ranks, projectors and bounds."""
 
+import inspect
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -393,6 +395,19 @@ class TestNodeOrbits:
         stab = helpers.node_stabilizer("complete:8", 0)
         assert sw.node_orbits(stab) == [(0,), (1, 2, 3, 4, 5, 6, 7)]
 
+    @pytest.mark.parametrize("length, wave", [(12, 1), (12, 3), (12, 6), (16, 4)])
+    def test_phased_ring_orbits_match_the_elements(self, length, wave):
+        # the stabilizer of a ring eigenstate holds rotations: generator cycles as long as the ring
+        stab = sw.stabilizer(helpers.group(f"ring:{length}"), helpers.ring_eigenstate(length, wave))
+        assert sw.node_orbits(stab) == helpers.brute_force_orbits(helpers.group_elements(stab), length)
+
+    def test_one_long_cycle_and_a_fixed_point(self):
+        n = 257
+        rotation = sw.Permutation(tuple((r + 1) % 256 for r in range(256)) + (256,))
+        stab = sw.StabilizerGroup(generators=((rotation, 1.0 + 0j),), order=256, dim=n)
+        assert sw.node_orbits(stab) == [tuple(range(256)), (256,)]
+        assert stab.symmetric_dim == 2
+
 
 class TestLatticeBounds:
     def test_odd_torus_has_planar_symmetries_only(self):
@@ -597,3 +612,123 @@ class TestPastTheNodeCap:
             img = np.array(perm.image)
             # S H S^T = H reads H[img[r], img[c]] == H[r, c]
             np.testing.assert_array_equal(h[np.ix_(img, img)], h)
+
+
+class TestSymmetricSubspace:
+    """The stabilizer computes its projector and symmetric dimension once and owns them."""
+
+    NODE_CASES = [("tree:3", 0), ("tree:3", 4), ("ring:8", 0), ("lattice:5x5", 6), ("complete:8", 3),
+                  ("square_center", 4)]
+
+    @staticmethod
+    def _eigenstate_stabilizer(k):
+        return sw.stabilizer(helpers.group("ring:6"), helpers.ring_eigenstate(6, k))
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        builds = []
+        build = symmetry.StabilizerGroup._subspace.func
+
+        def counted(stab):
+            builds.append(stab)
+            return build(stab)
+
+        prop = cached_property(counted)
+        prop.__set_name__(symmetry.StabilizerGroup, "_subspace")
+        monkeypatch.setattr(symmetry.StabilizerGroup, "_subspace", prop)
+        return builds
+
+    @pytest.mark.parametrize("spec, node", NODE_CASES)
+    def test_trivial_phases_dimension_is_the_projector_trace(self, spec, node):
+        stab = helpers.node_stabilizer(spec, node)
+        assert stab.has_trivial_phases
+        assert stab.symmetric_dim == round(np.trace(sw.symmetry_projector(stab)).real)
+        assert stab.symmetric_dim == len(sw.node_orbits(stab))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_phased_dimension_is_the_projector_trace(self, k):
+        stab = self._eigenstate_stabilizer(k)
+        assert stab.has_trivial_phases == (k == 0)
+        assert stab.symmetric_dim == round(np.trace(sw.symmetry_projector(stab)).real)
+
+    def test_a_trivial_stabilizer_builds_one_projector_and_saturation_none(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        stab = sw.stabilizer(helpers.group("tree:3"), helpers.basis("tree:3", 1))
+        psi_d = helpers.basis("tree:3", 1)
+        sd = helpers.sectors("tree:3", 0.7)
+        first = sw.saturation_check(sd, stab, psi_d)
+        assert builds == []  # the orbit count gives the dimension
+        p = sw.symmetry_projector(stab)
+        bound = sw.upper_bound(stab, helpers.basis("tree:3", 3))
+        assert sw.symmetry_projector(stab) is p
+        assert sw.upper_bound(stab, helpers.basis("tree:3", 3)) == bound
+        assert sw.saturation_check(sd, stab, psi_d) == first
+        assert builds == [stab]
+
+    def test_a_phased_stabilizer_builds_one_projector(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        stab = self._eigenstate_stabilizer(1)
+        psi_d = helpers.ring_eigenstate(6, 1)
+        sd = helpers.sectors("ring:6", 0.9)
+        saturation = sw.saturation_check(sd, stab, psi_d)
+        p = sw.symmetry_projector(stab)
+        sw.upper_bound(stab, helpers.basis("ring:6", 2))
+        sw.symmetric_part(stab, psi_d)
+        assert sw.saturation_check(sd, stab, psi_d) == saturation
+        assert sw.symmetry_projector(stab) is p
+        assert builds == [stab]
+
+    @pytest.mark.parametrize("phased", [False, True])
+    def test_projector_is_read_only(self, phased):
+        stab = self._eigenstate_stabilizer(1) if phased else helpers.node_stabilizer("ring:8", 0)
+        p = sw.symmetry_projector(stab)
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+
+    def test_removed_keywords_are_gone(self):
+        assert "projector" not in inspect.signature(sw.upper_bound).parameters
+        assert "projector" not in inspect.signature(sw.symmetric_part).parameters
+        assert "require_normalized" not in inspect.signature(sw.as_state).parameters
+
+
+class TestSearchArraysOnFirstUse:
+    """``_Search`` builds its dense adjacency, weight and salt arrays only when a search needs them."""
+
+    DENSE = ("adj", "weight", "salt")
+    FAMILIES = ["tree:4", "hypercube:4", "lattice:5x5", "ring:16", "complete:8", "cross:5", "square_center"]
+
+    @staticmethod
+    def _recording(monkeypatch, eager: bool = False) -> list:
+        searches = []
+
+        class Recorded(symmetry._Search):
+            def __init__(self, graph):
+                super().__init__(graph)
+                searches.append(self)
+                if eager:
+                    self.adj, self.weight, self.salt
+
+        monkeypatch.setattr(symmetry, "_Search", Recorded)
+        return searches
+
+    def test_a_disordered_ring_builds_none(self, monkeypatch):
+        searches = self._recording(monkeypatch)
+        g = helpers.disordered("ring:64", 0)
+        group = sw.automorphisms(g, base_point=0)
+        assert group.order == 1
+        assert sw.stabilizer(group, sw.localized_state(64, 0)).order == 1
+        assert len(searches) == 1
+        assert not set(self.DENSE) & vars(searches[0]).keys()
+
+    @pytest.mark.parametrize("spec", FAMILIES)
+    def test_orders_and_generators_match_an_eager_search(self, spec, monkeypatch):
+        g = helpers.graph(spec)
+        lazy = [sw.automorphisms(g), sw.automorphisms(g, base_point=1)]
+        searches = self._recording(monkeypatch, eager=True)
+        eager = [sw.automorphisms(g), sw.automorphisms(g, base_point=1)]
+        assert len(searches) == 2
+        for a, b in zip(lazy, eager):
+            assert a.order == b.order
+            assert a.generators == b.generators
+            assert a._fixed == b._fixed
