@@ -33,7 +33,7 @@ from .errors import (
     StateError,
     StrobewalkError,
 )
-from .graphs import WeightedGraph, build_named, hamiltonian, load_graph, save_graph
+from .graphs import WeightedGraph, build_named, graph_document, hamiltonian, load_graph, save_graph
 from .quotient import (
     NodeClass,
     QuotientSystem,
@@ -73,7 +73,7 @@ from .symmetry import (
 __all__ = [
     "__version__",
     # graphs
-    "WeightedGraph", "build_named", "hamiltonian", "load_graph", "save_graph",
+    "WeightedGraph", "build_named", "hamiltonian", "load_graph", "save_graph", "graph_document",
     # states
     "as_state", "localized_state", "normalize", "uniform_state",
     # spectral

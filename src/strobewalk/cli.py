@@ -47,7 +47,7 @@ from .errors import (
     StateError,
     StrobewalkError,
 )
-from .graphs import GENERATOR_NAMES, _graph_document, build_named, hamiltonian, load_graph, save_graph
+from .graphs import GENERATOR_NAMES, build_named, graph_document, hamiltonian, load_graph, save_graph
 from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
 from .spectral import _resonant_columns, diagonalize, fold_sectors, is_resonant
 from .states import as_state, localized_node, localized_state
@@ -630,7 +630,7 @@ def cmd_quotient(q: _Query) -> dict:
             for cls in qs.classes
         ],
         "symmetric_spectrum": symmetric_eigensystem(qs).eigenvalues.tolist(),
-        "quotient_graph": _graph_document(graph),
+        "quotient_graph": graph_document(graph),
     }
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "hamiltonian",
     "load_graph",
     "save_graph",
+    "graph_document",
     "GENERATOR_NAMES",
 ]
 
@@ -238,8 +239,8 @@ def hamiltonian(graph: WeightedGraph, gamma: float) -> np.ndarray:
     return h
 
 
-def _graph_document(graph: WeightedGraph) -> dict:
-    """The JSON graph format of a graph as plain lists and numbers, before encoding."""
+def graph_document(graph: WeightedGraph) -> dict:
+    """A graph in the JSON graph format, as the plain dict that :func:`save_graph` encodes."""
     labels = {} if graph.labels is None else {"labels": list(graph.labels)}
     return {"nodes": graph.node_count, "edges": [[i, j, w] for i, j, w in graph.edges],
             "onsite": list(graph.onsite), **labels}
@@ -251,7 +252,7 @@ def save_graph(graph: WeightedGraph) -> bytes:
     Doubles are written in their shortest round-tripping form, so
     ``load_graph(save_graph(g)) == g`` holds bit-exactly.
     """
-    return (json.dumps(_graph_document(graph), indent=2) + "\n").encode("utf-8")
+    return (json.dumps(graph_document(graph), indent=2) + "\n").encode("utf-8")
 
 
 def _plain_edge_lists(entries: list) -> bool:

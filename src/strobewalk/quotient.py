@@ -15,8 +15,6 @@ numbered by least member), so the lift is one scatter of ``1/sqrt(size)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +93,7 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
         raise StrobewalkError("localized detection state must have trivial stabilizer phases")
 
     orbits = node_orbits(stab)
-    classes = tuple(map(NodeClass, range(len(orbits)), orbits, map(len, orbits)))
+    classes = tuple(NodeClass(c, members, len(members)) for c, members in enumerate(orbits))
     labels, sizes = stab._orbit_labels, stab._orbit_sizes
     if sizes[detect_node] != 1:
         raise StrobewalkError("detection node is not fixed by the stabilizer")
@@ -154,7 +152,6 @@ def quotient_graph(q: QuotientSystem) -> tuple[WeightedGraph, dict[int, tuple[in
     w = h[a, b]
     kept = w != 0.0
     edges = tuple(zip(a[kept].tolist(), b[kept].tolist(), (-w[kept]).tolist()))
-    members = list(map(attrgetter("members"), q.classes))
-    labels = tuple(map(",".join, map(partial(map, str), members)))
+    labels = tuple(",".join(map(str, cls.members)) for cls in q.classes)
     graph = WeightedGraph(node_count=k, edges=edges, onsite=tuple(h.diagonal().tolist()), labels=labels)
-    return graph, dict(enumerate(members))
+    return graph, {cls.id: cls.members for cls in q.classes}

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -136,7 +136,8 @@ def identity_permutation(n: int) -> Permutation:
 
 def _stacked(perms: Sequence[Permutation], n: int) -> np.ndarray:
     """The images of ``perms`` as one ``(len(perms), n)`` array, row ``i`` from ``perms[i]``."""
-    return np.array([perm.image for perm in perms], dtype=np.intp).reshape(len(perms), n)
+    images = chain.from_iterable(perm.image for perm in perms)
+    return np.fromiter(images, np.intp, len(perms) * n).reshape(len(perms), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,39 +169,45 @@ class StabilizerGroup:
 
     Kept as generators, each paired with its phase p = <psi_d|S|psi_d>, so
     that ``S psi_d = p psi_d``.  For a detection state localized on a node
-    every phase is 1.  The generator images are kept stacked as one
-    ``(g, n)`` array; orbits and the projector are computed once, on first use.
+    every phase is 1.  Orbits and the projector are computed once, on first use.
     """
 
     generators: tuple[tuple[Permutation, complex], ...]
     order: int
     dim: int
-    _images: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._images is None:
-            object.__setattr__(self, "_images", _stacked([perm for perm, _ in self.generators], self.dim))
 
     @property
     def has_trivial_phases(self) -> bool:
         return all(abs(phase - 1.0) <= 1e-9 for _, phase in self.generators)
 
     @cached_property
+    def _images(self) -> np.ndarray:
+        """The generator images as one ``(g, n)`` array."""
+        return _stacked([perm for perm, _ in self.generators], self.dim)
+
+    @cached_property
     def _orbit_labels(self) -> np.ndarray:
         """Orbit of each node, numbered by least member.
 
-        Each root moves to the least of its own root and the roots of the
-        node's images and preimages until none moves, so it ends on the least
-        member of the orbit.  Taking the root's root doubles the reach of each
-        round: a generator cycle of length ``L`` takes about ``log2(L)`` rounds.
+        Union-find on arrays (Shiloach and Vishkin's hooking): each round
+        hooks every root onto the least root next to one of its nodes, then
+        jumps pointers until every node points at its root again.  Roots
+        only fall, so each orbit ends rooted at its least member.  A root
+        that neither hooks nor is hooked onto in one round hooks in the
+        next, so the number of trees in an orbit at least halves every two
+        rounds, and a round jumps about ``log2`` of its longest chain of hooks.
         """
         steps = np.vstack([self._images, np.argsort(self._images, axis=1)])
         nodes = root = np.arange(self.dim)
         while True:
-            moved = np.minimum(root[root], root[steps].min(axis=0, initial=self.dim))
-            if np.array_equal(moved, root):
+            hooked = root.copy()
+            np.minimum.at(hooked, root, root[steps].min(axis=0, initial=self.dim))
+            if np.array_equal(hooked, root):
                 return (np.cumsum(root == nodes) - 1)[root]
-            root = moved
+            jumped = hooked[hooked]
+            while not np.array_equal(jumped, hooked):
+                hooked, jumped = jumped, jumped[jumped]
+            root = hooked
 
     @cached_property
     def _orbit_sizes(self) -> np.ndarray:
@@ -639,7 +646,7 @@ def stabilizer(
         perms = tuple(Permutation(img) for img in images)
     stacked = _stacked(perms, group.dim)
     phases = _fixing_phases(stacked, psi_d, tol)
-    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim, _images=stacked)
+    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim)
 
 
 def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarray,
@@ -819,5 +826,6 @@ def saturation_check(
 def node_orbits(stab: StabilizerGroup) -> list[tuple[int, ...]]:
     """Orbits of the node set under the stabilizer, ordered by least member."""
     labels = stab._orbit_labels
-    members = iter(np.argsort(labels, kind="stable").tolist())
-    return list(map(tuple, map(islice, repeat(members), np.bincount(labels).tolist())))
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [tuple(members[start:end]) for start, end in zip([0, *ends], ends)]

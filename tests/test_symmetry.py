@@ -1,5 +1,6 @@
 """Automorphism search, stabilizers, orbit ranks, projectors and bounds."""
 
+import dataclasses
 import inspect
 import math
 from functools import cached_property
@@ -408,6 +409,34 @@ class TestNodeOrbits:
         assert sw.node_orbits(stab) == [tuple(range(256)), (256,)]
         assert stab.symmetric_dim == 2
 
+    @pytest.mark.parametrize("name", ["falling", "zigzag", "shuffled"])
+    def test_path_shaped_orbit_in_few_rounds(self, monkeypatch, name):
+        # two involutions whose orbit graph is one path through all nodes: labels that fall
+        # along the path away from its least member took one round per hop to follow
+        n = 257
+        order = {"falling": [0, *range(n - 1, 0, -1)],
+                 "zigzag": [*range(0, n, 2), *range(n - 2, 0, -2)],
+                 "shuffled": np.random.default_rng(3).permutation(n).tolist()}[name]
+        images = [list(range(n)), list(range(n))]
+        for hop, (u, v) in enumerate(zip(order, order[1:])):
+            images[hop % 2][u], images[hop % 2][v] = v, u
+        stab = sw.StabilizerGroup(
+            generators=tuple((sw.Permutation(tuple(img)), 1.0 + 0j) for img in images), order=2 * n, dim=n)
+
+        class CountingNumpy:
+            compares = 0
+
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def array_equal(self, a, b):
+                CountingNumpy.compares += 1
+                return np.array_equal(a, b)
+
+        monkeypatch.setattr(symmetry, "np", CountingNumpy())
+        assert sw.node_orbits(stab) == [tuple(range(n))]
+        assert CountingNumpy.compares <= 4 * math.log2(n)
+
 
 class TestLatticeBounds:
     def test_odd_torus_has_planar_symmetries_only(self):
@@ -685,6 +714,16 @@ class TestSymmetricSubspace:
         assert not p.flags.writeable
         with pytest.raises(ValueError):
             p[0, 0] = 0.0
+
+    def test_the_group_is_its_three_fields(self):
+        stab = helpers.node_stabilizer("ring:8", 0)
+        assert [f.name for f in dataclasses.fields(stab)] == ["generators", "order", "dim"]
+        sw.node_orbits(stab)
+        # a copy with other generators labels its own orbits, not the cached ones
+        rotation = sw.Permutation(tuple((r + 1) % 8 for r in range(8)))
+        rotated = dataclasses.replace(stab, generators=((rotation, 1.0 + 0j),), order=8)
+        assert sw.node_orbits(rotated) == [tuple(range(8))]
+        assert rotated.symmetric_dim == 1
 
     def test_removed_keywords_are_gone(self):
         assert "projector" not in inspect.signature(sw.upper_bound).parameters
