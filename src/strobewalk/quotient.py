@@ -15,6 +15,7 @@ numbered by least member), so the lift is one scatter of ``1/sqrt(size)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,8 @@ class QuotientSystem:
     superposition of the class members in the original space.  By
     construction ``lift.T @ H @ lift == h_s`` entrywise (within roundoff),
     and lifting any eigenvector of ``h_s`` gives an eigenvector of the
-    original Hamiltonian with the same eigenvalue.
+    original Hamiltonian with the same eigenvalue.  ``h_s`` is
+    diagonalized once, on first use of ``eigensystem``.
     """
 
     h_s: np.ndarray
@@ -67,6 +69,10 @@ class QuotientSystem:
     @property
     def reduced_dim(self) -> int:
         return self.h_s.shape[0]
+
+    @cached_property
+    def eigensystem(self) -> EigenSystem:
+        return diagonalize(self.h_s)
 
 
 def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -> QuotientSystem:
@@ -106,8 +112,8 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
 
 
 def symmetric_eigensystem(q: QuotientSystem) -> EigenSystem:
-    """Eigendecomposition of the symmetrized Hamiltonian."""
-    return diagonalize(q.h_s)
+    """Eigendecomposition of the symmetrized Hamiltonian, computed once per system."""
+    return q.eigensystem
 
 
 def pdet_symmetrized(
@@ -131,7 +137,7 @@ def pdet_symmetrized(
     psi_in = as_state(initial_state, q.original_dim)
     reduced = q.lift.T.conj() @ psi_in
     discarded = max(0.0, 1.0 - float(np.real(np.vdot(reduced, reduced))))
-    es = diagonalize(q.h_s)
+    es = q.eigensystem
     sd = energy_sectors(es) if tau is None else fold_sectors(es, tau)
     (report,) = _DetectorProjection(sd, localized_state(q.reduced_dim, q.detect_class)).reports(
         reduced[:, None], dark_tol=dark_tol)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strobewalk as sw
-from strobewalk import cli, detection, spectral, symmetry
+from strobewalk import _floattext, cli, detection, spectral, symmetry
 from strobewalk.cli import main
 
 import helpers
@@ -830,6 +830,44 @@ class TestJsonWriter:
             "twice": lambda rows: {"a": [rows, rows], "b": {"c": rows}},
         }[place]
         assert cli._to_json(wrap(table), "\n") == json.dumps(wrap(records), indent=2, sort_keys=True)
+
+    @staticmethod
+    def long_floats(seed, n=None):
+        rng = np.random.default_rng(seed)
+        n = n or cli._BULK_FLOATS + 37
+        return (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)).tolist()
+
+    @pytest.mark.parametrize("case", ["top-level", "in-object", "table-column", "two-arrays",
+                                      "with-nan", "with-np-float64", "one-short"])
+    def test_long_float_columns_match_json_dumps(self, monkeypatch, case):
+        joins = []
+        original = _floattext.join
+        monkeypatch.setattr(_floattext, "join", lambda values, sep: joins.append((values.size, sep)) or original(values, sep))
+        floats = self.long_floats(7)
+        records = None
+        if case == "top-level":
+            value = floats
+        elif case == "in-object":
+            value = {"first_detection": floats, "partial_sums": self.long_floats(8), "n": 3}
+        elif case == "table-column":
+            taus, counts = self.long_floats(9), list(range(len(floats)))
+            value = cli._Table({"tau": taus, "count": counts}, len(taus))
+            records = [{"tau": tau, "count": count} for tau, count in zip(taus, counts)]
+        elif case == "two-arrays":
+            value = [floats, self.long_floats(10, 2 * cli._BULK_FLOATS)]
+        elif case == "with-nan":
+            value = floats[:500] + [math.nan] + floats[500:]
+        elif case == "with-np-float64":
+            value = floats[:500] + [np.float64(0.25)] + floats[500:]
+        else:
+            value = floats[:cli._BULK_FLOATS - 1]
+        expected = json.dumps(value if records is None else records, indent=2, sort_keys=True)
+        assert cli._to_json(value, "\n") == expected
+        bulk = case not in ("with-nan", "with-np-float64", "one-short")
+        assert bool(joins) == bulk
+        assert all(size >= cli._BULK_FLOATS for size, _ in joins)
+        # A lone array is written with its own separator; a column's values are split apart.
+        assert all(sep.startswith(",") == (case in ("top-level", "in-object")) for _, sep in joins)
 
     @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": 1j}, {1, 2},
                                        {(1, 2): 3}, {"x": [object()]}])

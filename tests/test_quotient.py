@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import strobewalk as sw
+from strobewalk import quotient
 from strobewalk.errors import NonLocalizedDetectionError
 
 import helpers
@@ -203,6 +204,19 @@ class TestPdetSymmetrized:
         assert sw.pdet_symmetrized(q, psi, tau=0.7).pdet == pytest.approx(
             sw.pdet_symmetrized(q, psi).pdet, abs=1e-12
         )
+
+    def test_the_system_is_diagonalized_once_for_all_inits(self, monkeypatch):
+        calls = []
+        original = quotient.diagonalize
+        monkeypatch.setattr(quotient, "diagonalize", lambda h: calls.append(h) or original(h))
+        q = sw.symmetrize(helpers.ham("tree:4"), helpers.node_stabilizer("tree:4", 0), helpers.basis("tree:4", 0))
+        reports = [sw.pdet_symmetrized(q, helpers.basis("tree:4", r), tau=0.9) for r in (0, 1, 3, 7, 15)]
+        assert sw.symmetric_eigensystem(q) is q.eigensystem
+        assert len(calls) == 1
+        full = helpers.sectors("tree:4", 0.9)
+        for r, report in zip((0, 1, 3, 7, 15), reports):
+            expected = sw.pdet_spectral(full, helpers.basis("tree:4", 0), helpers.basis("tree:4", r)).pdet
+            assert report.pdet == pytest.approx(expected, abs=1e-12)
 
 
 class TestWeightedEndToEnd:
