@@ -208,7 +208,7 @@ def _shortest(bits: np.ndarray, keyed: np.ndarray):
 
 
 def join(values: np.ndarray, sep: str) -> str:
-    """``sep.join(map(float.__repr__, values))`` for a 1-d float64 array and an ASCII ``sep``."""
+    """``sep.join(map(float.__repr__, values))`` for a 1-d float64 array and an ASCII ``sep`` without NUL."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     return sep.join([_join(values[i:i + _CHUNK], sep) for i in range(0, values.size, _CHUNK)])
 
