@@ -1,23 +1,30 @@
-"""Shortest round-trip text of many floats at once.
+"""Shortest round-trip text of many numbers at once.
 
 ``join(values, sep)`` equals ``sep.join(map(float.__repr__, values))`` for
 a float64 array, in a fixed number of numpy passes over the array instead
-of one ``float.__repr__`` call per value.  It has three stages:
+of one ``float.__repr__`` call per value.  ``layout(n, segments)`` writes
+``n`` text rows made of literals and of int64 and float64 columns, such as
+the JSON of a table of numbers, the same way; ``join`` is its one-column
+case.  There are three stages:
 
 1. **Digits.**  The Schubfach core (R. Giulietti, "The Schubfach way to
    render doubles", 2020; the algorithm of ``java.lang.Double.toString``
    since JDK 19) gives each value's shortest decimal in its rounding
    interval, the closest one if there are two.  Its round-to-odd products
    of the value with a 126-bit power of ten ``g``, from a 617-entry table,
-   are uint64 arithmetic on 32-bit halves.
-2. **Layout.**  One ``uint8`` matrix has a column per value and a fixed
-   row for each character ``float.__repr__`` may write: the sign, the
-   ``0.`` and up to three zeros before the digits of a value below 1, a
-   block of 17 digits and a point, and the ``e±XX`` of the exponent
-   notation.  A cell the
-   value does not use holds NUL.  Every column ends with ``sep``.
-3. **Text.**  Dropping the NULs with one boolean mask leaves the joined
-   text, decoded once.
+   are uint64 arithmetic on 32-bit halves.  An int64's digits are its
+   groups of four, looked up in a table of ``0000`` to ``9999``.
+2. **Cells.**  A float's cells are a fixed column for each character
+   ``float.__repr__`` may write: the sign, the ``0.`` and up to three
+   zeros before the digits of a value below 1, a block of 17 digits and a
+   point, and the ``e±XX`` of the exponent notation.  An int's cells are
+   as many as the longest int of its column needs, right-aligned.  A cell
+   the value does not use holds NUL.
+3. **Text.**  One ``uint8`` matrix has a row per text row and, in order, a
+   block of columns per segment: a literal's characters, or the cells of a
+   column's values.  A segment that covers only some rows leaves NUL on the
+   others.  ``bytes.translate`` drops the NULs, and the text is decoded
+   once.
 
 Zero, subnormals, NaN and the infinities, and the values where both
 shorter candidates of the core lie in the rounding interval (none among
@@ -36,22 +43,23 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["join"]
+__all__ = ["join", "layout"]
 
-_U1, _U2, _U3, _U4, _U10, _U40 = (np.uint64(v) for v in (1, 2, 3, 4, 10, 40))
+_U1, _U2, _U3, _U4, _U10, _U40, _U10000 = (np.uint64(v) for v in (1, 2, 3, 4, 10, 40, 10000))
 _U32, _U63, _U64 = np.uint64(32), np.uint64(63), np.uint64(64)
 _TOP = np.uint64(1 << 63)
 _M32, _M63 = np.uint64((1 << 32) - 1), np.uint64((1 << 63) - 1)
+_POW10 = np.array([10**p for p in range(20)], np.uint64)
 _MIN_K, _MAX_K = -324, 292
 _MIN_EXP, _MAX_EXP = -324, 308
 _ZERO = ord("0")
 _U8_ZERO, _U8_POINT, _U8_MINUS = np.uint8(_ZERO), np.uint8(ord(".")), np.uint8(ord("-"))
-#: The cells of a value, in order: its sign; the "0", "." and up to three
+#: The cells of a float, in order: its sign; the "0", "." and up to three
 #: zeros before the digits of a value below 1; the digit block, 17 digits
 #: and a point; the exponent suffix.
 _SIGN, _LEAD, _DIGITS, _SUFFIX, _WIDTH = 0, 1, 6, 24, 29
 _BLOCK = np.arange(_SUFFIX - _DIGITS)[:, None]
-#: Values per pass of :func:`_join`; the passes of a longer array stay in cache.
+#: Rows per pass of :func:`layout`; the matrix of a pass stays a few MB.
 _CHUNK = 1 << 14
 
 
@@ -98,7 +106,7 @@ def _shifted(g1, g0, shift):
 
 @cache
 def _tables():
-    """The lookup tables of :func:`join`, built on first use.
+    """The lookup tables of the digits and cells, built on first use.
 
     ``keyed`` has a column per key ``biased exponent + 2048 * (mantissa
     bits == 0)``: the shift ``h``, the decimal exponent ``k`` (int64 bits),
@@ -210,11 +218,87 @@ def _shortest(bits: np.ndarray, keyed: np.ndarray):
 def join(values: np.ndarray, sep: str) -> str:
     """``sep.join(map(float.__repr__, values))`` for a 1-d float64 array and an ASCII ``sep`` without NUL."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    return sep.join([_join(values[i:i + _CHUNK], sep) for i in range(0, values.size, _CHUNK)])
+    text = layout(values.size, [(values, None), (sep, None)])
+    return text[:len(text) - len(sep)]
 
 
-def _join(values: np.ndarray, sep: str) -> str:
-    """One pass of :func:`join`."""
+def layout(n: int, segments) -> str:
+    """The text of ``n`` rows, each the concatenation of the segments that cover it.
+
+    A segment is ``(content, rows)``.  ``rows`` is None for every row, or a
+    sorted array of row indices.  ``content`` is an ASCII literal without
+    NUL, written on each of ``rows``, or a 1-d int64 or float64 array with
+    one value for each of ``rows`` in turn, written as ``int.__repr__`` or
+    ``float.__repr__`` writes it.  Segments with the same ``rows`` object
+    next to each other are merged, and those with no rows dropped.
+
+    ``_CHUNK`` rows at a time are laid out as one matrix (see the module
+    docstring), so that it stays a few MB.  A value's cells are computed
+    column-wise and copied in transposed; a cell that is NUL on every row of
+    the chunk gets no matrix column.  The literals that cover the whole
+    chunk form one template row, copied to every row at once.
+    """
+    merged = []
+    for content, rows in segments:
+        if rows is not None and not len(rows):
+            continue
+        if merged and type(content) is str and type(merged[-1][0]) is str and rows is merged[-1][1]:
+            content = merged.pop()[0] + content
+        merged.append((content, rows))
+    columns = [(*_writer(content), rows) for content, rows in merged]
+    chunks = []
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        blocks = []
+        for content, write, width, rows in columns:
+            where, part = slice(None), slice(start, stop)
+            if rows is not None:
+                first, last = np.searchsorted(rows, (start, stop)).tolist()
+                part = slice(first, last)
+                if last - first < stop - start:
+                    where = rows[first:last] - start
+            if write is None:
+                cells = content
+            else:
+                values = content[part]
+                cells = np.empty((width, values.size), np.uint8)
+                write(values, cells)
+                # A cell that holds NUL on every row of the chunk needs no column.
+                cells = cells[cells.any(axis=1)].T
+            blocks.append((cells, where))
+        offsets = np.cumsum([0, *(cells.shape[-1] for cells, _ in blocks)]).tolist()
+        # The literals on every row of the chunk form one template row; the rest go in one by one.
+        template = np.zeros(offsets[-1], np.uint8)
+        scattered = []
+        for (cells, where), a, b in zip(blocks, offsets, offsets[1:]):
+            if cells.ndim == 1 and type(where) is slice:
+                template[a:b] = cells
+            else:
+                scattered.append((cells, where, a, b))
+        matrix = np.empty((stop - start, offsets[-1]), np.uint8)
+        matrix[...] = template
+        for cells, where, a, b in scattered:
+            matrix[where, a:b] = cells
+        chunks.append(matrix.tobytes().translate(None, b"\0"))
+    return b"".join(chunks).decode("ascii")
+
+
+def _writer(content):
+    """``(content, write, width)`` of a segment: a literal as its ASCII, with no ``write``, or
+    an array with the ``write(values, cells)`` of its dtype and its number of cells."""
+    if type(content) is str:
+        ascii = np.frombuffer(content.encode("ascii"), np.uint8)
+        return ascii, None, ascii.size
+    if content.dtype == np.float64:
+        return content, _float_cells, _WIDTH
+    if content.dtype != np.int64:
+        raise TypeError(f"no cells for dtype {content.dtype}")
+    extremes = [content.min().tolist(), content.max().tolist()] if content.size else [0]
+    return content, _int_cells, max(map(len, map(repr, extremes)))
+
+
+def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """The cells of ``float.__repr__`` of each float64 value in ``cells``' ``_WIDTH`` rows, NUL where unused."""
     n = values.size
     keyed, quads, suffixes = _tables()
     bits = values.view(np.int64)
@@ -242,7 +326,6 @@ def _join(values: np.ndarray, sep: str) -> str:
     written = np.where(big, np.maximum(ndigits, decpt + 1), ndigits)
     point = np.where(big, decpt, np.where(small, -1, np.where(ndigits > 1, 1, _BLOCK.size)))
 
-    cells = np.empty((_WIDTH + len(sep), n), np.uint8)
     cells[_SIGN] = (bits < 0) * _U8_MINUS
     cells[_LEAD] = small * _U8_ZERO
     cells[_LEAD + 1] = small * _U8_POINT
@@ -252,12 +335,33 @@ def _join(values: np.ndarray, sep: str) -> str:
     block += (_BLOCK == point) * _U8_POINT
     block += d[:-1] * ((_BLOCK > point) & (_BLOCK <= written))
     cells[_SUFFIX:_WIDTH] = suffixes.take(np.where(exponent, decpt - 1 - _MIN_EXP, -1), axis=1)
-    cells[_WIDTH:] = np.frombuffer(sep.encode(), np.uint8)[:, None]
 
     for i in np.flatnonzero(unsure).tolist():
         text = float.__repr__(float(values[i])).encode()
-        cells[:_WIDTH, i] = 0
+        cells[:, i] = 0
         cells[:len(text), i] = np.frombuffer(text, np.uint8)
-    rows = cells.T.copy()
-    text = rows[rows != 0].tobytes().decode("ascii")
-    return text[:len(text) - len(sep)]
+
+
+def _int_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """The cells of ``int.__repr__`` of each int64 value, right-aligned in ``cells``' rows, NUL before."""
+    _, quads, _ = _tables()
+    width = cells.shape[0]
+    magnitude = values.view(np.uint64)
+    negative = values < 0
+    if negative.any():
+        magnitude = np.where(negative, ~magnitude + _U1, magnitude)
+    # Groups of four digits, each looked up in ``quads``; the first is below 10000.
+    groups = -(-width // 4)
+    digits = np.empty((4 * groups, values.size), np.uint8)
+    rest = magnitude
+    for g in range(groups - 1, 0, -1):
+        rest, quad = np.divmod(rest, _U10000)
+        digits[4 * g:4 * g + 4] = quads.take(quad.astype(np.intp), axis=1)
+    digits[:4] = quads.take(rest.astype(np.intp), axis=1)
+    cells[...] = digits[4 * groups - width:]
+    # Each cell before the value's first digit is NUL; for a negative value the last of them is "-".
+    leading = magnitude < _POW10[width - 1:0:-1, None]
+    cells[:-1] *= ~leading
+    if negative.any():
+        sign = np.flatnonzero(negative)
+        cells[leading[:, sign].sum(axis=0) - 1, sign] = _U8_MINUS

@@ -10,13 +10,18 @@ A command returns its report as a dict, written as JSON, CSV or text.  One
 JSON writer (:func:`_to_json`) matches ``json.dumps(indent=2,
 sort_keys=True)`` byte for byte and works column by column.  Besides plain
 values it takes a ``_Table``: a list of objects given as named columns, each
-a flat sequence or a ``_Ragged`` column (flat members plus per-row lengths).
-Lists of dicts and nested arrays are reduced to the same columns, so one
-routine writes both.  ``resonances`` hands its listing over as such a table,
-straight from the spectral columns, and the CSV and text layouts read the
-same columns.  A long column of floats, such as the per-attempt lists of
-``simulate``, goes to :mod:`._floattext`, which writes the bytes of
-``float.__repr__`` for the whole column in a fixed number of numpy passes.
+a flat sequence, a numpy array or a ``_Ragged`` column (members plus
+per-row lengths), and an ``_Array``: a list of numbers held as a numpy
+array.  Lists of dicts and nested arrays are reduced to the same columns, so
+one routine writes both.  ``resonances`` hands its listing over as such a
+table, straight from the spectral arrays, and ``simulate`` its per-attempt
+lists as two ``_Array`` values; the CSV and text layouts read the same
+arrays.  Long ones go to :mod:`._floattext`, which writes the bytes of
+``float.__repr__`` and ``int.__repr__`` in a fixed number of numpy passes:
+a float column of ``_BULK`` values or more through ``_floattext.join``, and
+a table of ``_BULK`` rows or more whose columns are all numeric arrays
+through ``_floattext.layout``, as one text row per member of its ragged
+column with the keys, brackets and indentation between the numbers.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
@@ -32,7 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -197,29 +202,43 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 class _Ragged:
     """A column of arrays: array ``i`` holds the next ``lengths[i]`` of ``members``.
 
-    ``members`` is itself a column: a flat sequence or another ``_Ragged``.
+    ``members`` is itself a column: a flat sequence, a numpy array (1-d, a
+    number each, or 2-d, an array of numbers per row) or another
+    ``_Ragged``.  ``lengths`` is a list or a 1-d int array.
     """
 
     members: object
-    lengths: list[int]
+    lengths: object
 
 
 @dataclass(frozen=True)
 class _Table:
     """A list of ``rows`` objects given as named columns, one per key.
 
-    Each column is a flat sequence of ``rows`` values or a ``_Ragged`` of
-    ``rows`` arrays.  The writers take it where a report holds a list of
-    objects, so that a long listing needs no dict, tuple or list per row.
+    Each column is a flat sequence or numpy array of ``rows`` values (see
+    ``_Ragged``) or a ``_Ragged`` of ``rows`` arrays.  The writers take it
+    where a report holds a list of objects, so that a long listing needs no
+    dict, tuple or list per row.
     """
 
     columns: dict[str, object]
     rows: int
 
 
-#: Float columns of at least this many values are written by :func:`_floattext.join`.  Its
-#: fixed cost of a few hundred microseconds a call outweighs ``float.__repr__`` below it.
-_BULK_FLOATS = 512
+@dataclass(frozen=True)
+class _Array:
+    """A list of numbers held as a 1-d numpy array, where a report holds a list.
+
+    A bare ``ndarray`` is no JSON value, as for ``json.dumps``.
+    """
+
+    values: np.ndarray
+
+
+#: Float columns of at least this many values, and numeric tables of at least this many rows,
+#: are written by :mod:`._floattext`.  Its fixed cost of a few hundred microseconds a call
+#: outweighs ``float.__repr__`` and the per-row joins below it.
+_BULK = 512
 #: The repr of each non-finite float and its JSON spelling.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
@@ -235,9 +254,14 @@ def _to_json(value, newline: str) -> str:
     level, so what is left per value is the text of each leaf and one
     ``str.join`` per array or object.  A leaf float costs one
     ``float.__repr__`` call (about 0.8 µs on a 2-core x86-64 VM), except in
-    a column of ``_BULK_FLOATS`` or more exact, finite floats: there
+    a column of ``_BULK`` or more finite floats: there
     :func:`_floattext.join` writes the column and its separators at once
-    (about 0.3 µs a value at 4096 values).
+    (about 0.3 µs a value at 4096 values).  A numeric table of ``_BULK``
+    rows or more makes no str per value, row or array at all:
+    :func:`_bulk_table_text` hands its arrays and the literals between them
+    to :func:`_floattext.layout`, which writes the whole JSON array of
+    objects (0.5 to 0.8 µs a row for a resonance listing's rows of a float
+    and three ints, against 1.2 to 1.8 µs on the str path).
     """
     return _json_column([value], newline)[0]
 
@@ -258,6 +282,8 @@ def _json_column(values, newline: str) -> list[str]:
         return _json_ragged(values.members, values.lengths, newline)
     if kind is _Table:
         return _json_table(values, newline)
+    if kind is np.ndarray:
+        values = values.tolist()
     kinds = set(map(type, values))
     if len(kinds) == 1:
         kind = next(iter(kinds))
@@ -268,7 +294,9 @@ def _json_column(values, newline: str) -> list[str]:
             if text is not None:
                 return text.split("\n")
             texts = list(map(float.__repr__, values))
-            # A sum of floats is finite only if every term is.
+            # A finite sum means finite terms: a NaN or infinite term makes the sum NaN or
+            # infinite.  The converse fails, as finite terms can overflow ([1e308, 1e308]);
+            # then the spelling map runs, and it leaves every finite text as it is.
             return texts if math.isfinite(sum(values)) else list(map(_NON_FINITE.get, texts, texts))
         if kind is str:
             return list(map(encode_basestring_ascii, values))
@@ -285,6 +313,8 @@ def _json_value(value, newline: str) -> str:
     kind = type(value)
     if kind is _Table:
         return _json_ragged(value, [value.rows], newline)[0]
+    if kind is _Array:
+        return _json_ragged(value.values, [value.values.size], newline)[0]
     if kind not in _JSON_TYPES:
         kind = next((base for base in _JSON_BASES if isinstance(value, base)), None)
         if kind is None:
@@ -315,14 +345,20 @@ def _json_arrays(arrays, newline: str) -> list[str]:
     return _json_ragged(members, list(map(len, arrays)), newline)
 
 
-def _json_ragged(members, lengths: list[int], newline: str) -> list[str]:
+def _json_ragged(members, lengths, newline: str) -> list[str]:
     """The JSON text of each array of a ragged column: array ``i`` holds the next ``lengths[i]`` members."""
     inner = newline + "  "
     separator = "," + inner
-    if len(lengths) == 1 and type(members) in (list, tuple):
+    if len(lengths) == 1 and type(members) is _Table:
+        text = _bulk_table_text(members, newline)
+        if text is not None:
+            return [text]
+    elif len(lengths) == 1:
         text = _bulk_float_text(members, separator)
         if text is not None:
             return ["[" + inner + text + newline + "]"]
+    if type(lengths) is np.ndarray:
+        lengths = lengths.tolist()
     texts = _json_column(members, inner)
     if len(lengths) == 1:
         return ["[" + inner + separator.join(texts) + newline + "]" if texts else "[]"]
@@ -343,16 +379,88 @@ def _json_ragged(members, lengths: list[int], newline: str) -> list[str]:
 def _bulk_float_text(values, separator: str) -> str | None:
     """``separator.join(map(float.__repr__, values))``, written in bulk by :mod:`._floattext`.
 
-    None unless ``values`` are at least ``_BULK_FLOATS`` exact floats, all
-    finite: NaN and the infinities are spelled differently in JSON.
+    None unless ``values`` are at least ``_BULK`` floats, all finite (NaN
+    and the infinities are spelled differently in JSON): a list or tuple of
+    exact floats, or a 1-d float64 array.
     """
-    if len(values) < _BULK_FLOATS or set(map(type, values)) != {float}:
+    kind = type(values)
+    if kind is np.ndarray:
+        if values.dtype != np.float64 or values.ndim != 1 or values.size < _BULK:
+            return None
+        array = values
+    elif kind not in (list, tuple) or len(values) < _BULK or set(map(type, values)) != {float}:
         return None
-    # Imported here, so that a command that writes no long float column does not load it.
+    else:
+        array = np.fromiter(values, np.float64, len(values))
+    # Imported here, so that a command that writes no long column does not load it.
     from . import _floattext
 
-    array = np.fromiter(values, np.float64, len(values))
     return _floattext.join(array, separator) if np.isfinite(array).all() else None
+
+
+def _bulk_table_text(table: _Table, newline: str) -> str | None:
+    """The JSON text of a table as one array, laid out by :func:`_floattext.layout`.
+
+    None unless the table has at least ``_BULK`` rows and every column is a
+    numeric array (see :func:`_numeric`) or a ``_Ragged`` over one, at most
+    one column a ``_Ragged`` and none of its arrays empty.  The layout has a
+    text row per member of the ragged column, or per object without one.
+    The member's own text is on every row.  The keys before the ragged
+    column open the object on its first member's row, the keys after it
+    close the object on its last member's row, and a member that is not its
+    array's last is followed by a separator.
+    """
+    if table.rows < _BULK or not table.columns:
+        return None
+    names = sorted(table.columns)
+    ragged = [name for name in names if type(table.columns[name]) is _Ragged]
+    arrays = [table.columns[name].members if name in ragged else table.columns[name] for name in names]
+    if len(ragged) > 1 or not all(map(_numeric, arrays)):
+        return None
+    lengths = np.asarray(table.columns[ragged[0]].lengths) if ragged else np.ones(table.rows, np.int64)
+    if not (lengths > 0).all():
+        return None
+    last = np.cumsum(lengths) - 1
+    first = last - (lengths - 1)
+    inside = np.ones(last[-1] + 1, bool)
+    inside[last] = False
+    inside = np.flatnonzero(inside)
+    inner = newline + "  "
+    key_newline = inner + "  "
+    rows = first
+    segments = [("[" + inner, first[:1]), ("{" + key_newline, rows)]
+    for i, (name, array) in enumerate(zip(names, arrays)):
+        segments.append((("," + key_newline if i else "") + encode_basestring_ascii(name) + ": ", rows))
+        if name in ragged:
+            segments.append(("[" + key_newline + "  ", first))
+            segments += _number_segments(array, key_newline + "  ", None)
+            segments += [("," + key_newline + "  ", inside), (key_newline + "]", last)]
+            rows = last
+        else:
+            segments += _number_segments(array, key_newline, rows)
+    segments += [(inner + "}", rows), ("," + inner, last[:-1]), (newline + "]", last[-1:])]
+    from . import _floattext
+
+    return _floattext.layout(int(last[-1]) + 1, segments)
+
+
+def _numeric(array) -> bool:
+    """Whether ``array`` is an int64 or finite float64 ndarray, 1-d or 2-d with at least one column."""
+    return (type(array) is np.ndarray and array.dtype in (np.int64, np.float64)
+            and (array.ndim == 1 or array.ndim == 2 and array.shape[1] > 0)
+            and (array.dtype == np.int64 or bool(np.isfinite(array).all())))
+
+
+def _number_segments(array: np.ndarray, newline: str, rows) -> list:
+    """The :func:`_floattext.layout` segments of a 1-d array's numbers, or of a 2-d array's arrays."""
+    if array.ndim == 1:
+        return [(array, rows)]
+    inner = newline + "  "
+    segments = [("[" + inner, rows)]
+    for column in array.T:
+        segments += [(column, rows), ("," + inner, rows)]
+    segments[-1] = (newline + "]", rows)
+    return segments
 
 
 def _json_objects(objects, newline: str) -> list[str] | None:
@@ -407,8 +515,8 @@ def _to_csv(report: dict) -> str:
         writer.writerows([row[c] for c in columns] for row in report["results"])
     elif command == "simulate":
         writer.writerow(["n", "first_detection_probability", "partial_sum"])
-        for n, (f, s) in enumerate(zip(report["first_detection"], report["partial_sums"]), start=1):
-            writer.writerow([n, f, s])
+        columns = report["first_detection"].values.tolist(), report["partial_sums"].values.tolist()
+        writer.writerows(zip(range(1, len(columns[0]) + 1), *columns))
     elif command == "quotient":
         writer.writerow(["class_id", "members", "multiplicity"])
         for cls in report["classes"]:
@@ -416,7 +524,7 @@ def _to_csv(report: dict) -> str:
     elif command == "resonances":
         writer.writerow(["tau", "level_pairs"])
         table = report["resonances"]
-        writer.writerows(zip(table.columns["tau"], _joined_pairs(table, "{}-{}x{}", ";")))
+        writer.writerows(zip(table.columns["tau"].tolist(), _joined_pairs(table, "{}-{}x{}", ";")))
     elif command == "spectrum":
         writer.writerow(["sector", "phase", "degeneracy", "energies"])
         for idx, sector in enumerate(report["sectors"]):
@@ -431,9 +539,8 @@ def _to_csv(report: dict) -> str:
 def _joined_pairs(table: _Table, layout: str, separator: str):
     """Each row's level pairs, each ``(l, l', k)`` put in ``layout``, joined by ``separator``."""
     pairs = table.columns["pairs"]
-    flat = pairs.members.members
-    texts = map(layout.format, flat[0::3], flat[1::3], flat[2::3])
-    return map(separator.join, map(islice, repeat(texts), pairs.lengths))
+    texts = starmap(layout.format, pairs.members.tolist())
+    return map(separator.join, map(islice, repeat(texts), pairs.lengths.tolist()))
 
 
 def _to_text(report: dict) -> str:
@@ -465,14 +572,12 @@ def _to_text(report: dict) -> str:
             f"series estimate={series['estimate']:.9f} after n={series['n_used']} "
             f"(converged={series['converged']})  spectral={report['spectral_pdet']:.9f}"
         )
-        show = min(len(report["first_detection"]), 20)
-        for n in range(show):
-            lines.append(
-                f"  n={n + 1:>4}  F={report['first_detection'][n]:.3e}  "
-                f"sum={report['partial_sums'][n]:.9f}"
-            )
-        if len(report["first_detection"]) > show:
-            lines.append(f"  ... {len(report['first_detection']) - show} more attempts")
+        attempts = report["first_detection"].values.size
+        first = report["first_detection"].values[:20].tolist()
+        for n, (f, s) in enumerate(zip(first, report["partial_sums"].values[:20].tolist()), start=1):
+            lines.append(f"  n={n:>4}  F={f:.3e}  sum={s:.9f}")
+        if attempts > len(first):
+            lines.append(f"  ... {attempts - len(first)} more attempts")
     elif command == "quotient":
         lines.append(
             f"detect={report['detect']}  classes={report['reduced_dim']} "
@@ -486,7 +591,7 @@ def _to_text(report: dict) -> str:
         lines.append(f"range=({report['range'][0]}, {report['range'][1]}]")
         table = report["resonances"]
         pairs = _joined_pairs(table, "levels {}&{} (k={})", ", ")
-        lines += map("  tau_c = {:.12g}  from {}".format, table.columns["tau"], pairs)
+        lines += map("  tau_c = {:.12g}  from {}".format, table.columns["tau"].tolist(), pairs)
         if not table.rows:
             lines.append("  none")
     elif command == "spectrum":
@@ -639,8 +744,8 @@ def cmd_simulate(q: _Query) -> dict:
             "converged": series.converged,
         },
         "spectral_pdet": exact.pdet,
-        "first_detection": series.probabilities.tolist(),
-        "partial_sums": np.cumsum(series.probabilities).tolist(),
+        "first_detection": _Array(series.probabilities),
+        "partial_sums": _Array(np.cumsum(series.probabilities)),
         "warnings": warnings,
     }
 
@@ -670,12 +775,11 @@ def cmd_resonances(q: _Query) -> dict:
     cut = int(np.searchsorted(cols.taus, lo, side="right"))
     starts = cols.starts[cut:]
     first = int(starts[0]) if starts.size else cols.k.size
-    lengths = np.diff(starts, append=cols.k.size).tolist()
+    lengths = np.diff(starts, append=cols.k.size)
     triples = np.stack((cols.l0[first:], cols.l1[first:], cols.k[first:]), axis=1)
-    pairs = _Ragged(_Ragged(triples.ravel().tolist(), [3] * triples.shape[0]), lengths)
     return {
         "range": [lo, hi],
-        "resonances": _Table({"tau": cols.taus[cut:].tolist(), "pairs": pairs}, len(lengths)),
+        "resonances": _Table({"tau": cols.taus[cut:], "pairs": _Ragged(triples, lengths)}, lengths.size),
     }
 
 

@@ -550,8 +550,8 @@ def _dict_built_resonances(source: str, tau: str) -> dict[str, str]:
 class TestResonanceListingBytes:
     @pytest.mark.parametrize("source, tau", [
         ("ring:6", "7"), ("hypercube:3", "20"), ("complete:4", "scan:2:30"), ("ONE", "10"),
-        ("DISORDERED", "scan:0:20"),
-    ], ids=["ring6", "hypercube3", "complete4-scan", "one-node", "disordered-ring64"])
+        ("DISORDERED", "scan:0:20"), ("ring:64", "scan:0:20"),
+    ], ids=["ring6", "hypercube3", "complete4-scan", "one-node", "disordered-ring64", "ring64"])
     def test_columns_write_the_dict_built_report_byte_for_byte(self, capsys, tmp_path, source, tau):
         if source == "ONE":
             source = str(tmp_path / "one.json")
@@ -562,6 +562,22 @@ class TestResonanceListingBytes:
         for fmt, text in expected.items():
             assert main(["resonances", "--graph", source, "--tau", tau, "--format", fmt]) == 0
             assert capsys.readouterr().out == text, fmt
+
+    @pytest.mark.parametrize("source, tau, pairs", [
+        ("ring:64", "scan:0:20", 2587), ("DISORDERED", "scan:0:20", None), ("ring:6", "7", None),
+    ], ids=["ring64", "disordered-ring64", "ring6"])
+    def test_long_listings_are_laid_out_in_one_pass(self, capsys, monkeypatch, tmp_path, source, tau, pairs):
+        if source == "DISORDERED":
+            source = disordered_ring(tmp_path, 5)
+        calls = spy(monkeypatch, _floattext, "layout")
+        report = run_json(capsys, "resonances", "--graph", source, "--tau", tau)
+        listed = sum(len(entry["pairs"]) for entry in report["resonances"])
+        if len(report["resonances"]) < cli._BULK:
+            assert calls == []
+            return
+        # One call, one text row per level pair.
+        assert [n for n, _ in calls] == [listed]
+        assert pairs in (None, listed)
 
     def test_the_listing_builds_no_object_per_period(self, capsys, monkeypatch, tmp_path):
         calls = spy(monkeypatch, spectral, "resonant_periods")
@@ -834,7 +850,7 @@ class TestJsonWriter:
     @staticmethod
     def long_floats(seed, n=None):
         rng = np.random.default_rng(seed)
-        n = n or cli._BULK_FLOATS + 37
+        n = n or cli._BULK + 37
         return (rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)).tolist()
 
     @pytest.mark.parametrize("case", ["top-level", "in-object", "table-column", "two-arrays",
@@ -854,23 +870,38 @@ class TestJsonWriter:
             value = cli._Table({"tau": taus, "count": counts}, len(taus))
             records = [{"tau": tau, "count": count} for tau, count in zip(taus, counts)]
         elif case == "two-arrays":
-            value = [floats, self.long_floats(10, 2 * cli._BULK_FLOATS)]
+            value = [floats, self.long_floats(10, 2 * cli._BULK)]
         elif case == "with-nan":
             value = floats[:500] + [math.nan] + floats[500:]
         elif case == "with-np-float64":
             value = floats[:500] + [np.float64(0.25)] + floats[500:]
         else:
-            value = floats[:cli._BULK_FLOATS - 1]
+            value = floats[:cli._BULK - 1]
         expected = json.dumps(value if records is None else records, indent=2, sort_keys=True)
         assert cli._to_json(value, "\n") == expected
         bulk = case not in ("with-nan", "with-np-float64", "one-short")
         assert bool(joins) == bulk
-        assert all(size >= cli._BULK_FLOATS for size, _ in joins)
+        assert all(size >= cli._BULK for size, _ in joins)
         # A lone array is written with its own separator; a column's values are split apart.
         assert all(sep.startswith(",") == (case in ("top-level", "in-object")) for _, sep in joins)
 
+    def test_finite_floats_with_an_infinite_sum(self):
+        value = [1e308, 1e308, 0.5]
+        assert cli._to_json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+        assert cli._to_json({"a": [value]}, "\n") == json.dumps({"a": [value]}, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(4).random(cli._BULK + 3), np.random.default_rng(4).random(5), np.zeros(0),
+        np.arange(-3, cli._BULK), np.r_[np.random.default_rng(4).random(cli._BULK), math.nan, math.inf],
+    ], ids=["long", "short", "empty", "ints", "long-non-finite"])
+    def test_an_array_value_is_written_as_its_list(self, values):
+        value = {"n": 1, "values": cli._Array(values), "nested": [cli._Array(values)]}
+        expected = {"n": 1, "values": values.tolist(), "nested": [values.tolist()]}
+        assert cli._to_json(value, "\n") == json.dumps(expected, indent=2, sort_keys=True)
+
     @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": 1j}, {1, 2},
-                                       {(1, 2): 3}, {"x": [object()]}])
+                                       {(1, 2): 3}, {"x": [object()]}, np.arange(3),
+                                       {"a": np.zeros(2)}, [np.zeros(2), np.zeros(2)]])
     def test_unsupported_types_raise_type_error(self, value):
         with pytest.raises(TypeError):
             json.dumps(value, indent=2, sort_keys=True)
@@ -899,3 +930,58 @@ class TestFractions:
                     max_size=40))
     def test_column_matches_limit_denominator(self, values):
         assert cli._fractions_of(values) == [_limit_denominator(v) for v in values]
+
+
+@st.composite
+def _numeric_tables(draw):
+    """A table of numpy int and float columns, at most one ragged, next to the same records."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.sampled_from([1, 9, cli._BULK - 1, cli._BULK, cli._BULK + 29]))
+
+    def array(kind, size):
+        width = () if kind.endswith("1") else (int(rng.integers(1, 4)),)
+        if kind.startswith("int"):
+            big = rng.integers(-(2**63), 2**63 - 1, (size, *width), dtype=np.int64, endpoint=True)
+            return np.where(rng.random((size, *width)) < 0.8, rng.integers(-50, 3000, (size, *width)), big)
+        values = rng.standard_normal((size, *width)) * 10.0 ** rng.integers(-30, 30, (size, *width))
+        if draw(st.booleans()):
+            values.flat[int(rng.integers(values.size))] = draw(st.sampled_from([0.0, -0.0, 5e-324, math.nan]))
+        return values
+
+    kinds = st.sampled_from(["int1", "float1", "int2", "float2"])
+    names = sorted(draw(st.sets(st.sampled_from(["a", "pairs", "tau", "z\u00e9"]), min_size=1, max_size=3)))
+    columns = {name: array(draw(kinds), rows) for name in names}
+    records = [{name: column[row].tolist() for name, column in columns.items()} for row in range(rows)]
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(names))
+        lengths = rng.integers(1, 7, rows)
+        members = array(draw(kinds), int(lengths.sum()))
+        columns[name] = cli._Ragged(members, lengths)
+        bounds = np.r_[0, np.cumsum(lengths)].tolist()
+        for record, a, b in zip(records, bounds, bounds[1:]):
+            record[name] = members[a:b].tolist()
+    return records, cli._Table(columns, rows)
+
+
+class TestNumericTables:
+    @settings(max_examples=120, deadline=None)
+    @given(_numeric_tables(), st.sampled_from(["alone", "in-object", "in-array", "twice"]))
+    def test_a_numeric_table_matches_json_dumps_of_its_records(self, tables, place):
+        records, table = tables
+        wrap = {
+            "alone": lambda rows: rows,
+            "in-object": lambda rows: {"listing": rows, "other": [1.5, "x"]},
+            "in-array": lambda rows: [{"k": 2}, rows],
+            "twice": lambda rows: {"a": [rows, rows], "b": {"c": rows}},
+        }[place]
+        assert cli._to_json(wrap(table), "\n") == json.dumps(wrap(records), indent=2, sort_keys=True)
+        finite = all(math.isfinite(v) for v in chain.from_iterable(_leaves(r) for r in records))
+        assert (cli._bulk_table_text(table, "\n") is not None) == (table.rows >= cli._BULK and finite)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        return chain.from_iterable(map(_leaves, value.values()))
+    if isinstance(value, list):
+        return chain.from_iterable(map(_leaves, value))
+    return [value]

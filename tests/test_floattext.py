@@ -1,8 +1,9 @@
-"""The bulk float writer: ``_floattext.join`` against ``float.__repr__``."""
+"""The bulk number writer: ``_floattext.join`` and ``layout`` against ``float.__repr__`` and ``int.__repr__``."""
 
 import math
 import subprocess
 import sys
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -113,3 +114,78 @@ def test_g_table_is_the_definition():
         exact = (1 << -r) // 10**k if k > 0 else (10**-k >> r if r >= 0 else 10**-k << -r)
         assert int.from_bytes(g[16 * index:16 * index + 16], "little") == exact + 1
         assert 2**125 < exact + 1 <= 2**126
+
+
+def ints_reference(values, sep):
+    return sep.join(map(int.__repr__, np.asarray(values, dtype=np.int64).tolist()))
+
+
+class TestIntCells:
+    def test_every_digit_count_boundary(self):
+        edges = [0, 2**63 - 1, 2**62, 2**53, 2**32]
+        for k in range(1, 19):
+            edges += [10**k - 1, 10**k, 10**k + 1]
+        values = np.array(edges + [-v for v in edges] + [-(2**63), -(2**63) + 1], dtype=np.int64)
+        assert _floattext.layout(values.size, [(values, None), ("\n", None)]) == ints_reference(values, "\n") + "\n"
+
+    @pytest.mark.parametrize("values", [[0], [7, 0, 3], [-1], [10**18, 5], list(range(-20000, 20000, 7))])
+    def test_a_column_is_as_wide_as_its_longest_int(self, values):
+        values = np.array(values, dtype=np.int64)
+        assert _floattext.layout(values.size, [("[", None), (values, None), ("]", None)]) == "".join(
+            f"[{v}]" for v in values.tolist())
+
+
+def layout_reference(n, segments):
+    rows = [[] for _ in range(n)]
+    for content, where in segments:
+        where = range(n) if where is None else where.tolist()
+        texts = repeat(content) if type(content) is str else map(repr, content.tolist())
+        for row, text in zip(where, texts):
+            rows[row].append(text)
+    return "".join(map("".join, rows))
+
+
+_literals = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
+
+
+@st.composite
+def layouts(draw):
+    """Rows of literals, ints and floats, each segment on every row or on a sorted subset."""
+    n = draw(st.integers(0, 40))
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.one_of(st.none(), st.sets(st.integers(0, max(n - 1, 0)), max_size=n).map(
+            lambda s: np.array(sorted(s), dtype=np.int64))))
+        size = n if rows is None else rows.size
+        content = draw(st.one_of(
+            _literals,
+            st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size).map(
+                lambda v: np.array(v, dtype=np.int64)),
+            st.lists(st.floats(), min_size=size, max_size=size).map(lambda v: np.array(v, dtype=np.float64)),
+        ))
+        segments.append((content, rows))
+    return n, segments
+
+
+class TestLayout:
+    @settings(max_examples=200)
+    @given(layouts(), st.sampled_from([1, 3, 8, _floattext._CHUNK]))
+    def test_matches_the_rows_written_one_by_one(self, case, chunk):
+        n, segments = case
+        default, _floattext._CHUNK = _floattext._CHUNK, chunk
+        try:
+            assert _floattext.layout(n, segments) == layout_reference(n, segments)
+        finally:
+            _floattext._CHUNK = default
+
+    def test_rows_on_both_sides_of_a_chunk_edge(self):
+        n = 2 * _floattext._CHUNK + 5
+        rng = np.random.default_rng(3)
+        every_third = np.arange(0, n, 3)
+        segments = [("<", np.array([0])), (rng.integers(-99, 10**6, n), None), (",", None),
+                    (rng.standard_normal(every_third.size), every_third), ("|", np.arange(1, n, 2)), ("\n", None)]
+        assert _floattext.layout(n, segments) == layout_reference(n, segments)
+
+    def test_other_dtypes_are_refused(self):
+        with pytest.raises(TypeError):
+            _floattext.layout(2, [(np.array([1, 2], dtype=np.int32), None)])
