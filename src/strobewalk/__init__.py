@@ -45,7 +45,6 @@ from .quotient import (
 from .spectral import (
     EigenSystem,
     ResonantPeriod,
-    Sector,
     SpectralDecomposition,
     diagonalize,
     energy_sectors,
@@ -54,7 +53,7 @@ from .spectral import (
     is_resonant,
     resonant_periods,
 )
-from .states import as_state, localized_state, normalize, uniform_state
+from .states import as_state, localized_state, uniform_state
 from .symmetry import (
     Permutation,
     StabilizerGroup,
@@ -75,9 +74,9 @@ __all__ = [
     # graphs
     "WeightedGraph", "build_named", "hamiltonian", "load_graph", "save_graph", "graph_document",
     # states
-    "as_state", "localized_state", "normalize", "uniform_state",
+    "as_state", "localized_state", "uniform_state",
     # spectral
-    "EigenSystem", "Sector", "SpectralDecomposition", "ResonantPeriod",
+    "EigenSystem", "SpectralDecomposition", "ResonantPeriod",
     "diagonalize", "energy_sectors", "fold_sectors", "evolution_operator",
     "resonant_periods", "is_resonant",
     # detection

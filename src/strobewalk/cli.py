@@ -14,9 +14,10 @@ a flat sequence, a numpy array or a ``_Ragged`` column (members plus
 per-row lengths), and an ``_Array``: a list of numbers held as a numpy
 array.  Lists of dicts and nested arrays are reduced to the same columns, so
 one routine writes both.  ``resonances`` hands its listing over as such a
-table, straight from the spectral arrays, and ``simulate`` its per-attempt
-lists as two ``_Array`` values; the CSV and text layouts read the same
-arrays.  Long ones go to :mod:`._floattext`, which writes the bytes of
+table, straight from the spectral arrays, as ``spectrum`` does its sectors
+and ``analyze`` its rows, and ``simulate`` its per-attempt lists as two
+``_Array`` values; the CSV and text layouts read the same columns.  Long
+ones go to :mod:`._floattext`, which writes the bytes of
 ``float.__repr__`` and ``int.__repr__`` in a fixed number of numpy passes:
 a float column of ``_BULK`` values or more through ``_floattext.join``, and
 a table of ``_BULK`` rows or more whose columns are all numeric arrays
@@ -37,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -186,16 +187,19 @@ def _fractions_of(values: list[float]) -> list[str | None]:
 
 
 def _emit(report: dict, fmt: str, out: str | None) -> None:
+    """Write the report to ``out``, or to stdout; a JSON report's final newline
+    is written on its own, so that the text is not copied to append it."""
     if fmt == "json":
-        text = _to_json(report, "\n") + "\n"
+        texts = (_to_json(report, "\n"), "\n")
     elif fmt == "csv":
-        text = _to_csv(report)
+        texts = (_to_csv(report),)
     else:
-        text = _to_text(report)
+        texts = (_to_text(report),)
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 @dataclass(frozen=True)
@@ -512,7 +516,7 @@ def _to_csv(report: dict) -> str:
         columns = ["init", "pdet", "pdet_fraction", "orbit_rank", "upper_bound",
                    "upper_bound_fraction", "saturated", "bright_dim", "dark_dim"]
         writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in report["results"])
+        writer.writerows(zip(*map(report["results"].columns.get, columns)))
     elif command == "simulate":
         writer.writerow(["n", "first_detection_probability", "partial_sum"])
         columns = report["first_detection"].values.tolist(), report["partial_sums"].values.tolist()
@@ -527,13 +531,17 @@ def _to_csv(report: dict) -> str:
         writer.writerows(zip(table.columns["tau"].tolist(), _joined_pairs(table, "{}-{}x{}", ";")))
     elif command == "spectrum":
         writer.writerow(["sector", "phase", "degeneracy", "energies"])
-        for idx, sector in enumerate(report["sectors"]):
-            writer.writerow(
-                [idx, sector["phase"], sector["degeneracy"], " ".join(map(str, sector["energies"]))]
-            )
+        sectors = report["sectors"].columns
+        energies = (" ".join(map(str, energies)) for energies in _ragged_lists(sectors["energies"]))
+        writer.writerows(zip(count(), sectors["phase"].tolist(), sectors["degeneracy"].tolist(), energies))
     else:  # pragma: no cover - parser restricts commands
         raise ConfigError(f"no CSV layout for command {command!r}")
     return buf.getvalue()
+
+
+def _ragged_lists(column: _Ragged):
+    """Each array of a ragged column of numbers, as a list."""
+    return map(list, map(islice, repeat(iter(column.members.tolist())), column.lengths.tolist()))
 
 
 def _joined_pairs(table: _Table, layout: str, separator: str):
@@ -555,14 +563,14 @@ def _to_text(report: dict) -> str:
             f"saturated={report['saturated']}"
         )
         lines.append(f"{'init':>8}  {'pdet':>12}  {'bound':>12}  {'rank':>4}  bright/dark")
-        for row in report["results"]:
-            pdet_note = f" ({row['pdet_fraction']})" if row["pdet_fraction"] else ""
-            bound_note = f" ({row['upper_bound_fraction']})" if row["upper_bound_fraction"] else ""
-            lines.append(
-                f"{row['init']:>8}  {row['pdet']:>12.9f}{pdet_note}  "
-                f"{row['upper_bound']:>12.9f}{bound_note}  {row['orbit_rank']:>4}  "
-                f"{row['bright_dim']}/{row['dark_dim']}"
-            )
+        names = ("init", "pdet", "pdet_fraction", "upper_bound", "upper_bound_fraction", "orbit_rank",
+                 "bright_dim", "dark_dim")
+        for init, pdet, pdet_fraction, bound, bound_fraction, rank, bright, dark in zip(
+                *map(report["results"].columns.get, names)):
+            pdet_note = f" ({pdet_fraction})" if pdet_fraction else ""
+            bound_note = f" ({bound_fraction})" if bound_fraction else ""
+            lines.append(f"{init:>8}  {pdet:>12.9f}{pdet_note}  {bound:>12.9f}{bound_note}  "
+                         f"{rank:>4}  {bright}/{dark}")
     elif command == "simulate":
         series = report["series"]
         lines.append(
@@ -597,11 +605,10 @@ def _to_text(report: dict) -> str:
     elif command == "spectrum":
         lines.append(f"eigenvalues: {report['eigenvalues']}")
         lines.append(f"tau={report['tau']}")
-        for idx, sector in enumerate(report["sectors"]):
-            lines.append(
-                f"  sector {idx}: phase={sector['phase']:.12g} degeneracy={sector['degeneracy']} "
-                f"energies={sector['energies']}"
-            )
+        sectors = report["sectors"].columns
+        lines += map("  sector {}: phase={:.12g} degeneracy={} energies={}".format, count(),
+                     sectors["phase"].tolist(), sectors["degeneracy"].tolist(),
+                     _ragged_lists(sectors["energies"]))
     return "\n".join(lines) + "\n"
 
 
@@ -674,7 +681,7 @@ def cmd_analyze(q: _Query) -> dict:
 
     n = q.graph.node_count
     if args.init == "all":
-        labels, states = [str(r) for r in range(n)], np.eye(n, dtype=complex)
+        labels, states = list(map(str, range(n))), None
         # Node r's orbit rank is the size of its orbit, and its bound <r|P|r> is P[r, r].
         ranks = q.stab._orbit_sizes.tolist()
         bounds = symmetry_projector(q.stab).diagonal().real.clip(0.0, 1.0).tolist()
@@ -686,23 +693,21 @@ def cmd_analyze(q: _Query) -> dict:
     warnings += q.dark_warnings()
 
     cols = q.projection.pdet_columns(states, dark_tol=q.tols["dark"])
-    results = [
-        {
-            "init": label,
-            "pdet": pdet,
-            "pdet_fraction": pdet_fraction,
-            "orbit_rank": rank,
-            "upper_bound": bound,
-            "upper_bound_fraction": bound_fraction,
-            "saturated": saturated,
-            "bright_dim": bright_dim,
-            "dark_dim": cols.dark_dim,
-            "excluded_sectors": list(cols.excluded_sectors),
-        }
-        for label, pdet, rank, bound, pdet_fraction, bound_fraction in zip(
-            labels, cols.pdet, ranks, bounds, _fractions_of(cols.pdet), _fractions_of(bounds)
-        )
-    ]
+    rows = len(labels)
+    fractions = _fractions_of(cols.pdet + bounds)
+    excluded = list(cols.excluded_sectors)
+    results = _Table({
+        "init": labels,
+        "pdet": cols.pdet,
+        "pdet_fraction": fractions[:rows],
+        "orbit_rank": ranks,
+        "upper_bound": bounds,
+        "upper_bound_fraction": fractions[rows:],
+        "saturated": [saturated] * rows,
+        "bright_dim": [bright_dim] * rows,
+        "dark_dim": [cols.dark_dim] * rows,
+        "excluded_sectors": _Ragged(excluded * rows, [len(excluded)] * rows),
+    }, rows)
     return {
         "tau": tau,
         "tau_resonant": q.resonant,
@@ -784,18 +789,14 @@ def cmd_resonances(q: _Query) -> dict:
 
 
 def cmd_spectrum(q: _Query) -> dict:
+    sd = q.sectors
+    degeneracies = sd.degeneracies
+    sectors = {"phase": sd.phases, "degeneracy": degeneracies, "energies": _Ragged(sd.energies, degeneracies)}
     return {
         "tau": q.tau,
         "eigenvalues": q.eigensystem.eigenvalues.tolist(),
-        "sectors": [
-            {
-                "phase": float(s.phase),
-                "degeneracy": s.degeneracy,
-                "energies": s.energies.tolist(),
-            }
-            for s in q.sectors.sectors
-        ],
-        "warnings": list(q.sectors.warnings),
+        "sectors": _Table(sectors, degeneracies.size),
+        "warnings": list(sd.warnings),
     }
 
 

@@ -278,30 +278,32 @@ class _DetectorProjection:
     ``<psi_d| P_l |psi_d>``; sectors of weight at most ``dark_tol`` are the
     completely dark levels.
 
-    The nondegenerate sectors, one eigenvector ``v`` each, get their
+    The nondegenerate sectors, one eigenvector ``v`` each (column
+    ``bounds[l]`` of the decomposition's ``vectors``), get their
     coefficients ``c = <v|psi_d>`` from one product of the detection state
     with all their vectors.  ``weights`` (``|c|^2``) and ``columns``
     (``c v``) follow elementwise, in the real arithmetic of a one-column
     product, so they equal the sector-by-sector products bit for bit.  A
     degenerate sector keeps its own products, whose sums run over its
-    vectors.
+    vectors: a C-ordered copy of its column slice, since BLAS sums in an
+    order that depends on the memory layout.
     """
 
     def __init__(self, sd: SpectralDecomposition, detect_state: np.ndarray):
         psi_d = as_state(detect_state, sd.dim)
-        degeneracy = np.array(sd.degeneracies, dtype=np.intp)
+        degeneracy = sd.degeneracies
         self.sd = sd
         self.weights = np.empty(degeneracy.size)
         self.columns = np.empty((sd.dim, degeneracy.size), dtype=complex)
         single = np.flatnonzero(degeneracy == 1)
         if single.size:
-            v = np.concatenate([s.vectors for s in sd.sectors], axis=1)[:, np.cumsum(degeneracy)[single] - 1]
+            v = sd.vectors[:, sd.bounds[single]]
             c = v.conj().T @ psi_d
             self.weights[single] = c.real * c.real + c.imag * c.imag
             self.columns.real[:, single] = v.real * c.real - v.imag * c.imag
             self.columns.imag[:, single] = v.real * c.imag + v.imag * c.real
         for l in np.flatnonzero(degeneracy != 1).tolist():
-            vectors = sd.sectors[l].vectors
+            vectors = np.ascontiguousarray(sd.vectors[:, sd.bounds[l]:sd.bounds[l + 1]])
             c = vectors.conj().T @ psi_d
             self.weights[l] = float(np.real(c.conj() @ c))
             self.columns[:, l] = vectors @ c
@@ -316,12 +318,17 @@ class _DetectorProjection:
         w = self.weights[(self.weights > dark_tol**2) & (self.weights <= dark_tol)]
         return float(np.max(w)) if w.size else None
 
-    def pdet_columns(self, initial_states: np.ndarray, *, dark_tol: float) -> _PdetColumns:
+    def pdet_columns(self, initial_states: np.ndarray | None, *, dark_tol: float) -> _PdetColumns:
         """The detection probability of each column of ``initial_states``, from one
         matrix product: bright sector ``l`` contributes
-        ``|<psi_d| P_l |psi_in>|^2 / <psi_d| P_l |psi_d>``."""
+        ``|<psi_d| P_l |psi_in>|^2 / <psi_d| P_l |psi_d>``.
+
+        ``initial_states=None`` stands for every node: the amplitude of node
+        ``r`` is entry ``r`` of ``P_l psi_d``, read without a product."""
         bright = self.bright(dark_tol)
-        amps = self.columns[:, bright].conj().T @ initial_states
+        amps = self.columns[:, bright].conj().T
+        if initial_states is not None:
+            amps = amps @ initial_states
         contributions = np.abs(amps) ** 2 / self.weights[bright, None]
         return _PdetColumns(
             pdet=list(map(math.fsum, contributions.T.tolist())),
@@ -335,7 +342,7 @@ class _DetectorProjection:
         """One report per column of ``initial_states``, from :meth:`pdet_columns`."""
         cols = self.pdet_columns(initial_states, dark_tol=dark_tol)
         sectors = cols.bright.tolist()
-        degeneracies = self.sd.degeneracies
+        degeneracies = tuple(self.sd.degeneracies.tolist())
         return [
             DetectionReport(
                 pdet=pdet,

@@ -6,6 +6,10 @@ Repeated detection every ``tau`` time units only sees the evolution operator
 ``tau`` are dynamically indistinguishable and must be merged into one
 sector; ``fold_sectors`` performs that grouping, ``energy_sectors`` groups
 by energy alone (the generic, off-resonance sector structure).
+
+A grouping is held as columns, not as one object per sector: the levels'
+energies and eigenvectors in sector order, and the level at which each
+sector starts (see :class:`SpectralDecomposition`).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .errors import SpectralError
 
 __all__ = [
     "EigenSystem",
-    "Sector",
     "SpectralDecomposition",
     "ResonantPeriod",
     "diagonalize",
@@ -58,47 +61,34 @@ class EigenSystem:
 
 
 @dataclass(frozen=True, eq=False)
-class Sector:
-    """One quasienergy sector: eigenvectors sharing an evolution phase.
+class SpectralDecomposition:
+    """Partition of an eigensystem into quasienergy sectors, as columns.
 
-    ``energies`` lists the member eigenvalues and ``vectors`` holds the
-    matching orthonormal columns.  ``phase`` is the shared phase in
-    [0, 2*pi), or None when the sector was grouped by energy alone.
+    ``energies`` and the eigenvector columns of ``vectors`` list the levels
+    in sector order; sector ``l`` holds the levels ``bounds[l]:bounds[l + 1]``,
+    so ``bounds`` has one entry per sector plus the end.  ``phases[l]`` is
+    sector ``l``'s phase in [0, 2*pi), and ``phases`` is None when the
+    levels were grouped by energy alone.  ``tau`` is the detection period
+    used for phase folding, or None for a plain energy grouping.
+    ``warnings`` lists near-degenerate gaps that fell between the grouping
+    tolerance and 100x that tolerance.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
-    phase: float | None
-
-    @property
-    def degeneracy(self) -> int:
-        return self.vectors.shape[1]
-
-    def projector(self) -> np.ndarray:
-        v = self.vectors
-        return v @ v.conj().T
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Partition of an eigensystem into quasienergy sectors.
-
-    ``tau`` is the detection period used for phase folding, or None for a
-    plain energy grouping.  ``warnings`` lists near-degenerate gaps that
-    fell between the grouping tolerance and 100x that tolerance.
-    """
-
-    sectors: tuple[Sector, ...]
+    bounds: np.ndarray
+    phases: np.ndarray | None
     tau: float | None
     warnings: tuple[str, ...] = ()
 
     @property
     def dim(self) -> int:
-        return sum(s.degeneracy for s in self.sectors)
+        return self.energies.shape[0]
 
     @property
-    def degeneracies(self) -> tuple[int, ...]:
-        return tuple(s.degeneracy for s in self.sectors)
+    def degeneracies(self) -> np.ndarray:
+        """The number of levels in each sector."""
+        return np.diff(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -115,12 +105,21 @@ class ResonantPeriod:
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is positive real."""
+    """Rotate each column so its first significant component is positive real.
+
+    Real columns stay real.  Their factor ``p * (1 / |p|)`` is the real part
+    of what numpy's complex division ``conj(p) / |p|`` computes, so they get
+    the bits they would get as complex columns, up to the sign of zeros;
+    ``np.sign(p)`` would not, as ``p * (1 / |p|)`` can miss 1 by a unit in
+    the last place.
+    """
     significant = np.abs(vectors) > 1e-12
     pivots = vectors[significant.argmax(axis=0), np.arange(vectors.shape[1])]
     # A column with no significant component keeps its phase.
     pivots[~significant.any(axis=0)] = 1.0
-    return vectors * (np.conj(pivots) / np.abs(pivots))
+    if np.iscomplexobj(vectors):
+        return vectors * (np.conj(pivots) / np.abs(pivots))
+    return vectors * (pivots * (1.0 / np.abs(pivots)))
 
 
 def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem:
@@ -130,7 +129,9 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
     first nonzero component is positive real, which makes the output
     deterministic for identical input bits.  The residual
     ``||H v - E v|| <= 1e-10 * ||H||`` and pairwise orthonormality within
-    1e-10 are verified before returning.
+    1e-10 are verified before returning.  The sign fix and the checks run
+    in the arithmetic of ``eigh``'s output, real for a real ``H``; the
+    eigenvectors are cast to complex once, at the end.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -139,13 +140,14 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
     if dim > dim_cap:
         raise SpectralError(f"matrix dimension {dim} exceeds the cap {dim_cap}")
     scale = float(np.max(np.abs(h))) if dim else 0.0
-    if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, scale), rtol=0.0):
+    # ``not <=``: a NaN difference, from a NaN or an infinite entry, fails the check.
+    if dim and not np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, scale):
         raise SpectralError("matrix is not Hermitian")
     try:
         eigenvalues, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigendecomposition of {dim}x{dim} matrix did not converge: {exc}") from exc
-    vectors = _fix_eigenvector_signs(vectors.astype(complex))
+    vectors = _fix_eigenvector_signs(vectors)
 
     hnorm = float(np.max(np.abs(eigenvalues))) if dim else 0.0
     residual = float(np.max(np.abs(h @ vectors - vectors * eigenvalues))) if dim else 0.0
@@ -157,7 +159,7 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
     ortho = float(np.max(np.abs(gram - np.eye(dim))))
     if ortho > 1e-10:
         raise SpectralError(f"eigenvectors not orthonormal: deviation {ortho:.3e}")
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors)
+    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors.astype(complex, copy=False))
 
 
 def _group_starts(keys: np.ndarray, tol: float) -> np.ndarray:
@@ -183,21 +185,6 @@ def _energy_tol(ev: np.ndarray, rtol: float) -> float:
     return rtol * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
 
 
-def _sectors(energies: np.ndarray, rows: np.ndarray, bounds: list[int],
-             phases: list[float | None]) -> tuple[Sector, ...]:
-    """Sector ``j`` holds the levels ``bounds[j]:bounds[j + 1]``.
-
-    ``rows`` holds one eigenvector per row.  A nondegenerate sector's arrays
-    are views; a degenerate sector's vectors are copied into a C-ordered
-    array, since BLAS sums over its columns in an order that depends on the
-    memory layout.
-    """
-    return tuple(
-        Sector(energies=energies[a:b], vectors=np.ascontiguousarray(rows[a:b].T), phase=phase)
-        for a, b, phase in zip(bounds, bounds[1:], phases)
-    )
-
-
 def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> SpectralDecomposition:
     """Group eigenpairs into degenerate energy levels.
 
@@ -207,10 +194,9 @@ def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> Spect
     ev = es.eigenvalues
     tol = _energy_tol(ev, rtol)
     starts = _group_starts(ev, tol)
-    bounds = [*starts.tolist(), ev.shape[0]]
-    sectors = _sectors(ev, es.eigenvectors.T.copy(), bounds, [None] * starts.size)
     warnings = tuple(_near_degenerate_warnings(ev, starts, tol, "energy"))
-    return SpectralDecomposition(sectors=sectors, tau=None, warnings=warnings)
+    return SpectralDecomposition(energies=ev, vectors=es.eigenvectors, bounds=np.append(starts, ev.shape[0]),
+                                 phases=None, tau=None, warnings=warnings)
 
 
 def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_TOL) -> SpectralDecomposition:
@@ -225,9 +211,9 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     sorted by (phase, energy), a phase gap above ``phase_tol`` starts a
     group, and the last group joins the first when the gap across the seam
     closes.  The groups come out in phase order.  One stable sort by
-    (group, energy) then orders the levels, each sector's ``phase`` is the
-    least phase of its members, and one gather of the eigenvectors serves
-    every sector (see ``_sectors``).
+    (group, energy) then orders the levels, each sector's phase is the
+    least phase of its members, and one gather of the eigenvector columns
+    serves every sector.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -251,10 +237,10 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     level_group = np.empty_like(group)
     level_group[order] = group
     levels = np.lexsort((ev, level_group))
-    bounds = [0, *np.cumsum(np.bincount(group)).tolist()]
-    sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]).tolist() if ev.size else []
-    sectors = _sectors(ev[levels], es.eigenvectors.T[levels], bounds, sector_phases)
-    return SpectralDecomposition(sectors=sectors, tau=float(tau), warnings=tuple(warnings))
+    bounds = np.append(0, np.cumsum(np.bincount(group)))
+    sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]) if ev.size else np.zeros(0)
+    return SpectralDecomposition(energies=ev[levels], vectors=es.eigenvectors[:, levels], bounds=bounds,
+                                 phases=sector_phases, tau=float(tau), warnings=tuple(warnings))
 
 
 def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""State-vector helpers: construction, normalization and validation."""
+"""State-vector helpers: construction and validation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ __all__ = [
     "as_state",
     "localized_node",
     "localized_state",
-    "normalize",
     "uniform_state",
     "NORM_TOL",
 ]
@@ -29,14 +28,6 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
     if abs(norm - 1.0) > NORM_TOL:
         raise StateError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return psi
-
-
-def normalize(vec) -> np.ndarray:
-    psi = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise StateError("cannot normalize the zero vector")
-    return psi / norm
 
 
 def localized_state(dim: int, node: int) -> np.ndarray:

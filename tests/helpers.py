@@ -10,6 +10,23 @@ import scipy.linalg
 import strobewalk as sw
 
 
+def assert_same_text(got: str, want: str, what: str = "") -> None:
+    """``assert got == want`` for long texts, reported by their lengths and first differing line.
+
+    A failing ``==`` on reports of a megabyte or more makes pytest's assertion
+    rewriting diff the whole texts, which can take minutes; this names the
+    first difference in no time and checks no less.
+    """
+    if got == want:
+        return
+    lines, wanted = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((i for i, (a, b) in enumerate(zip(lines, wanted)) if a != b), min(len(lines), len(wanted)))
+    raise AssertionError(
+        f"{what}: texts differ: lengths {len(got)} and {len(want)}, {len(lines)} and {len(wanted)} lines; "
+        f"first differing line {k + 1}: {lines[k:k + 1]!r} != {wanted[k:k + 1]!r}"
+    )
+
+
 @cache
 def graph(spec: str) -> sw.WeightedGraph:
     return sw.build_named(spec)
@@ -39,6 +56,17 @@ def node_stabilizer(spec: str, node: int) -> sw.StabilizerGroup:
 def sectors(spec: str, tau: float | None = None) -> sw.SpectralDecomposition:
     es = eigensystem(spec)
     return sw.energy_sectors(es) if tau is None else sw.fold_sectors(es, tau)
+
+
+def sector_vectors(sd: sw.SpectralDecomposition, l: int) -> np.ndarray:
+    """The eigenvector columns of sector ``l``, as a C-ordered copy."""
+    return np.ascontiguousarray(sd.vectors[:, sd.bounds[l]:sd.bounds[l + 1]])
+
+
+def sector_projectors(sd: sw.SpectralDecomposition) -> list[np.ndarray]:
+    """The projector onto each sector, one matrix per sector."""
+    vectors = [sector_vectors(sd, l) for l in range(len(sd.degeneracies))]
+    return [v @ v.conj().T for v in vectors]
 
 
 def basis(spec: str, node: int) -> np.ndarray:
@@ -345,7 +373,8 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
 
     Groups the (phase, energy)-sorted levels by phase gaps, warns on gaps
     below 100 ``phase_tol``, joins the last group to the first across the
-    seam, then builds each sector from its own indices, sorted by energy.
+    seam, then builds each sector from its own indices, sorted by energy,
+    and puts the sectors side by side in phase order.
     """
     two_pi = 2.0 * math.pi
     ev = es.eigenvalues
@@ -372,6 +401,10 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
         idx = order[g]
         idx = idx[np.argsort(ev[idx], kind="stable")]
         phase = float(np.min(np.mod(ev[idx] * tau, two_pi)))
-        sectors.append(sw.Sector(energies=ev[idx].copy(), vectors=es.eigenvectors[:, idx].copy(), phase=phase))
-    sectors.sort(key=lambda s: s.phase)
-    return sw.SpectralDecomposition(sectors=tuple(sectors), tau=float(tau), warnings=tuple(warnings))
+        sectors.append((phase, idx))
+    sectors.sort(key=lambda sector: sector[0])
+    levels = np.concatenate([idx for _, idx in sectors]) if sectors else np.zeros(0, dtype=np.intp)
+    bounds = np.cumsum([0, *(idx.size for _, idx in sectors)])
+    return sw.SpectralDecomposition(
+        energies=ev[levels], vectors=es.eigenvectors[:, levels], bounds=bounds,
+        phases=np.array([phase for phase, _ in sectors]), tau=float(tau), warnings=tuple(warnings))

@@ -164,10 +164,11 @@ class TestAnalyze:
             for d in (0, n // 3, n - 1):
                 psi_d = sw.localized_state(n, d)
                 proj = detection._DetectorProjection(sd, psi_d)
-                for l, sector in enumerate(sd.sectors):
-                    c = sector.vectors.conj().T @ psi_d
+                for l in range(len(sd.degeneracies)):
+                    vectors = helpers.sector_vectors(sd, l)
+                    c = vectors.conj().T @ psi_d
                     assert proj.weights[l] == float(np.real(c.conj() @ c)), (tau, d, l)
-                    assert np.array_equal(proj.columns[:, l], sector.vectors @ c), (tau, d, l)
+                    assert np.array_equal(proj.columns[:, l], vectors @ c), (tau, d, l)
 
     @pytest.mark.parametrize("source", ["disordered", "lattice:8x8", "hypercube:4"])
     def test_all_inits_bound_and_rank_equal_the_per_init_library(self, capsys, tmp_path, source):
@@ -561,7 +562,7 @@ class TestResonanceListingBytes:
         expected = _dict_built_resonances(source, tau)
         for fmt, text in expected.items():
             assert main(["resonances", "--graph", source, "--tau", tau, "--format", fmt]) == 0
-            assert capsys.readouterr().out == text, fmt
+            helpers.assert_same_text(capsys.readouterr().out, text, fmt)
 
     @pytest.mark.parametrize("source, tau, pairs", [
         ("ring:64", "scan:0:20", 2587), ("DISORDERED", "scan:0:20", None), ("ring:6", "7", None),
@@ -601,6 +602,139 @@ class TestResonanceListingBytes:
         finally:
             gc.callbacks.remove(count)
         assert len(runs) < 5
+
+
+def _report_texts(report: dict, csv_rows: list, lines: list[str]) -> dict[str, str]:
+    """A dict-built report in each format: JSON by the stdlib, the CSV rows and the text lines after its head."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+    graph = report["graph"]
+    head = [f"strobewalk {report['command']}  graph={graph['source']} ({graph['nodes']} nodes)"]
+    head += [f"warning: {warning}" for warning in report["warnings"]]
+    return {"json": json.dumps(report, indent=2, sort_keys=True) + "\n", "csv": buf.getvalue(),
+            "text": "\n".join(head + lines) + "\n"}
+
+
+def _graph_fields(source: str, graph: sw.WeightedGraph) -> dict:
+    return {"source": source, "nodes": graph.node_count, "edges": graph.edge_count}
+
+
+def _dict_built_spectrum(source: str, graph: sw.WeightedGraph, tau: float) -> dict[str, str]:
+    """The spectrum report in each format, built as one dict per sector from the library's columns."""
+    es = sw.diagonalize(sw.hamiltonian(graph, 1.0))
+    sd = sw.fold_sectors(es, tau)
+    bounds = sd.bounds.tolist()
+    sectors = [{"phase": phase, "degeneracy": b - a, "energies": sd.energies[a:b].tolist()}
+               for phase, a, b in zip(sd.phases.tolist(), bounds, bounds[1:])]
+    report = {"command": "spectrum", "graph": _graph_fields(source, graph), "tau": tau,
+              "eigenvalues": es.eigenvalues.tolist(), "sectors": sectors, "warnings": list(sd.warnings)}
+    rows = [["sector", "phase", "degeneracy", "energies"]]
+    rows += [[i, s["phase"], s["degeneracy"], " ".join(map(str, s["energies"]))] for i, s in enumerate(sectors)]
+    lines = [f"eigenvalues: {report['eigenvalues']}", f"tau={tau}"]
+    lines += [f"  sector {i}: phase={s['phase']:.12g} degeneracy={s['degeneracy']} energies={s['energies']}"
+              for i, s in enumerate(sectors)]
+    return _report_texts(report, rows, lines)
+
+
+def _dict_built_analyze(source: str, graph: sw.WeightedGraph, detect: int, tau: float) -> dict[str, str]:
+    """The ``analyze --init all`` report in each format, one dict per init from per-init library calls."""
+    n = graph.node_count
+    es = sw.diagonalize(sw.hamiltonian(graph, 1.0))
+    sd = sw.fold_sectors(es, tau)
+    psi_d = sw.localized_state(n, detect)
+    group = sw.automorphisms(graph)
+    stab = sw.stabilizer(group, psi_d)
+    resonant = sw.is_resonant(es, tau)
+    inits = [sw.localized_state(n, r) for r in range(n)]
+    reports = [sw.pdet_spectral(sd, psi_d, psi) for psi in inits]
+    bounds = [sw.upper_bound(stab, psi) for psi in inits]
+    pdets = [rep.pdet for rep in reports]
+    bright_dim = reports[0].bright_dim
+    saturated = stab.symmetric_dim == bright_dim
+    warnings = list(sd.warnings)
+    if resonant:
+        warnings.append(f"tau={tau} is a resonant detection period: sectors merge and the "
+                        "symmetry analysis relies on the folded sectors")
+    weights = detection._DetectorProjection(sd, psi_d).weights
+    near = weights[(weights > 1e-24) & (weights <= 1e-12)]
+    if near.size:
+        warnings.append(f"a sector dropped as dark has detector weight {float(np.max(near)):.3e}, above the "
+                        "square of the dark tolerance 1e-12: it may be weakly bright; a smaller --tol dark= keeps it")
+    results = [
+        {"init": str(r), "pdet": rep.pdet, "pdet_fraction": pdet_fraction, "orbit_rank": sw.orbit_rank(stab, psi),
+         "upper_bound": bound, "upper_bound_fraction": bound_fraction, "saturated": saturated,
+         "bright_dim": rep.bright_dim, "dark_dim": rep.dark_dim, "excluded_sectors": list(rep.excluded_sectors)}
+        for r, (psi, rep, bound, pdet_fraction, bound_fraction) in enumerate(
+            zip(inits, reports, bounds, cli._fractions_of(pdets), cli._fractions_of(bounds)))
+    ]
+    report = {"command": "analyze", "graph": _graph_fields(source, graph), "tau": tau, "tau_resonant": resonant,
+              "detect": str(detect), "group_order": group.order, "stabilizer_order": stab.order,
+              "saturated": saturated, "symmetric_dark_dim": stab.symmetric_dim - bright_dim,
+              "results": results, "warnings": warnings}
+    names = ["init", "pdet", "pdet_fraction", "orbit_rank", "upper_bound", "upper_bound_fraction", "saturated",
+             "bright_dim", "dark_dim"]
+    rows = [names, *([row[name] for name in names] for row in results)]
+    lines = [f"detect={detect}  tau={tau}  group order={group.order}  stabilizer order={stab.order}  "
+             f"saturated={saturated}", f"{'init':>8}  {'pdet':>12}  {'bound':>12}  {'rank':>4}  bright/dark"]
+    for row in results:
+        pdet_note = f" ({row['pdet_fraction']})" if row["pdet_fraction"] else ""
+        bound_note = f" ({row['upper_bound_fraction']})" if row["upper_bound_fraction"] else ""
+        lines.append(f"{row['init']:>8}  {row['pdet']:>12.9f}{pdet_note}  {row['upper_bound']:>12.9f}{bound_note}  "
+                     f"{row['orbit_rank']:>4}  {row['bright_dim']}/{row['dark_dim']}")
+    return _report_texts(report, rows, lines)
+
+
+class TestSectorColumnBytes:
+    """``spectrum`` sectors and ``analyze`` rows reach the writers as columns; the bytes are
+    those of the same reports built as one dict per sector or per init."""
+
+    CASES = [("ring:6", "2.0943951023931953"), ("tree:2", "1.0"), ("complete:8", "0.7"), ("ONE", "1.0"),
+             ("DISORDERED-RING", "1.0"), ("DISORDERED-HYPERCUBE", "1.3")]
+    IDS = ["ring6-resonant", "tree2", "complete8", "one-node", "disordered-ring64", "disordered-hypercube6"]
+
+    @staticmethod
+    def source(tmp_path, name):
+        """A CLI graph source and its graph: a named graph, or a graph file."""
+        if name == "ONE":
+            path = tmp_path / "one.json"
+            path.write_text('{"nodes": 1, "edges": []}')
+            return str(path), sw.load_graph(path.read_bytes())
+        if name.startswith("DISORDERED"):
+            # ring seed 0 drops a sector as dark above the square of the tolerance: the warning is covered
+            path = disordered_ring(tmp_path, 0) if name.endswith("RING") else str(tmp_path / "hypercube6.json")
+            if name.endswith("HYPERCUBE"):
+                Path(path).write_bytes(sw.save_graph(helpers.disordered("hypercube:6", 4)))
+            return path, sw.load_graph(Path(path).read_bytes())
+        return name, helpers.graph(name)
+
+    @pytest.mark.parametrize("name, tau", CASES, ids=IDS)
+    def test_spectrum_writes_the_dict_built_report_byte_for_byte(self, capsys, tmp_path, name, tau):
+        source, graph = self.source(tmp_path, name)
+        expected = _dict_built_spectrum(source, graph, float(tau))
+        for fmt, text in expected.items():
+            assert main(["spectrum", "--graph", source, "--tau", tau, "--format", fmt]) == 0
+            helpers.assert_same_text(capsys.readouterr().out, text, fmt)
+
+    @pytest.mark.parametrize("name, tau", CASES, ids=IDS)
+    def test_analyze_all_writes_the_dict_built_report_byte_for_byte(self, capsys, tmp_path, name, tau):
+        source, graph = self.source(tmp_path, name)
+        expected = _dict_built_analyze(source, graph, 0, float(tau))
+        for fmt, text in expected.items():
+            assert main(["analyze", "--graph", source, "--detect", "0", "--init", "all", "--tau", tau,
+                         "--format", fmt]) == 0
+            helpers.assert_same_text(capsys.readouterr().out, text, fmt)
+
+    def test_the_cases_cover_merged_and_degenerate_sectors_and_a_dark_warning(self, tmp_path):
+        covered = set()
+        for name, tau in self.CASES:
+            es = sw.diagonalize(sw.hamiltonian(self.source(tmp_path, name)[1], 1.0))
+            if sw.is_resonant(es, float(tau)):
+                covered.add("resonant")
+            if (sw.fold_sectors(es, float(tau)).degeneracies > 1).any():
+                covered.add(name)
+        assert {"resonant", "ring:6", "tree:2", "complete:8"} <= covered
+        source, graph = self.source(tmp_path, "DISORDERED-RING")
+        assert "--tol dark=" in _dict_built_analyze(source, graph, 0, 1.0)["text"]
 
 
 def _listed_periods(es: sw.EigenSystem):
