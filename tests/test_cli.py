@@ -695,17 +695,18 @@ class TestSectorColumnBytes:
     @staticmethod
     def source(tmp_path, name):
         """A CLI graph source and its graph: a named graph, or a graph file."""
-        if name == "ONE":
+        if name == "DISORDERED-RING":
+            # seed 0 drops a sector as dark above the square of the tolerance: the warning is covered
+            path = Path(disordered_ring(tmp_path, 0))
+        elif name == "DISORDERED-HYPERCUBE":
+            path = tmp_path / "hypercube6.json"
+            path.write_bytes(sw.save_graph(helpers.disordered("hypercube:6", 4)))
+        elif name == "ONE":
             path = tmp_path / "one.json"
             path.write_text('{"nodes": 1, "edges": []}')
-            return str(path), sw.load_graph(path.read_bytes())
-        if name.startswith("DISORDERED"):
-            # ring seed 0 drops a sector as dark above the square of the tolerance: the warning is covered
-            path = disordered_ring(tmp_path, 0) if name.endswith("RING") else str(tmp_path / "hypercube6.json")
-            if name.endswith("HYPERCUBE"):
-                Path(path).write_bytes(sw.save_graph(helpers.disordered("hypercube:6", 4)))
-            return path, sw.load_graph(Path(path).read_bytes())
-        return name, helpers.graph(name)
+        else:
+            return name, helpers.graph(name)
+        return str(path), sw.load_graph(path.read_bytes())
 
     @pytest.mark.parametrize("name, tau", CASES, ids=IDS)
     def test_spectrum_writes_the_dict_built_report_byte_for_byte(self, capsys, tmp_path, name, tau):
