@@ -38,10 +38,15 @@ print(f"bright/dark    : {spectral.bright_dim}/{spectral.dark_dim}")
 dark = sw.dark_space_basis(sd, psi_d)
 print(f"\ndark subspace dimension: {dark.shape[1]}")
 
+# The listing is a column table: entry e holds the level pairs
+# starts[e]:starts[e + 1] of the columns l0, l1 and k.
 print("\nresonant detection periods up to 7:")
-for entry in sw.resonant_periods(es, 7.0):
-    pairs = ", ".join(f"levels {a}&{b} (k={k})" for a, b, k in entry.pairs)
-    print(f"  tau_c = {entry.tau:.6f}  from {pairs}")
+listing = sw.resonant_periods(es, 7.0)
+bounds = [*listing.starts.tolist(), listing.k.size]
+for tau_c, a, b in zip(listing.taus.tolist(), bounds, bounds[1:]):
+    rows = zip(listing.l0[a:b].tolist(), listing.l1[a:b].tolist(), listing.k[a:b].tolist())
+    pairs = ", ".join(f"levels {l0}&{l1} (k={k})" for l0, l1, k in rows)
+    print(f"  tau_c = {tau_c:.6f}  from {pairs}")
 
 # At the full revival tau = 2*pi the evolution operator is the identity:
 # the walker never moves, and only the initial overlap can ever be detected.

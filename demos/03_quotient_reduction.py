@@ -21,7 +21,7 @@ for detect_node, name in ((0, "root"), (1, "middle"), (3, "leaf")):
     psi_d = sw.localized_state(7, detect_node)
     stab = sw.stabilizer(group, psi_d)
     q = sw.symmetrize(h, stab, psi_d)
-    qgraph, class_map = sw.quotient_graph(q)
+    qgraph = sw.quotient_graph(q)
 
     print(f"\n=== detector on the {name} (node {detect_node}) ===")
     print(f"stabilizer order {stab.order}; {q.original_dim} nodes -> {q.reduced_dim} classes")
@@ -31,7 +31,7 @@ for detect_node, name in ((0, "root"), (1, "middle"), (3, "leaf")):
     print("  folded couplings (negated weights):")
     for i, j, w in qgraph.edges:
         print(f"    {i} -- {j}  weight {w:.6f}")
-    ev = sw.symmetric_eigensystem(q).eigenvalues
+    ev = q.eigensystem.eigenvalues
     print(f"  reduced spectrum: {np.round(ev, 6)}")
     saturated, sym_dark = sw.saturation_check(sd_full, stab, psi_d)
     print(f"  symmetric dark states: {sym_dark}  (bound exact: {saturated})")

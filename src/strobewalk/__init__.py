@@ -18,7 +18,6 @@ from .detection import (
     bright_eigenstates,
     dark_space_basis,
     first_detection_amplitudes,
-    krylov_bright_span,
     pdet_series,
     pdet_spectral,
 )
@@ -39,12 +38,11 @@ from .quotient import (
     QuotientSystem,
     pdet_symmetrized,
     quotient_graph,
-    symmetric_eigensystem,
     symmetrize,
 )
 from .spectral import (
     EigenSystem,
-    ResonantPeriod,
+    ResonanceListing,
     SpectralDecomposition,
     diagonalize,
     energy_sectors,
@@ -76,20 +74,19 @@ __all__ = [
     # states
     "as_state", "localized_state", "uniform_state",
     # spectral
-    "EigenSystem", "SpectralDecomposition", "ResonantPeriod",
+    "EigenSystem", "SpectralDecomposition", "ResonanceListing",
     "diagonalize", "energy_sectors", "fold_sectors", "evolution_operator",
     "resonant_periods", "is_resonant",
     # detection
     "DetectionSetup", "DetectionReport", "SeriesResult",
     "first_detection_amplitudes", "pdet_series", "bright_eigenstates",
-    "pdet_spectral", "dark_space_basis", "krylov_bright_span",
+    "pdet_spectral", "dark_space_basis",
     # symmetry
     "Permutation", "SymmetryGroup", "StabilizerGroup", "automorphisms",
     "stabilizer", "orbit_rank", "symmetry_projector", "symmetric_part",
     "equivalent_dark_basis", "upper_bound", "saturation_check", "node_orbits",
     # quotient
-    "NodeClass", "QuotientSystem", "symmetrize", "pdet_symmetrized",
-    "symmetric_eigensystem", "quotient_graph",
+    "NodeClass", "QuotientSystem", "symmetrize", "pdet_symmetrized", "quotient_graph",
     # errors
     "StrobewalkError", "GraphSpecError", "GraphFormatError", "GraphInvariantError",
     "StateError", "SpectralError", "GroupSearchError", "AsymmetricStateError",

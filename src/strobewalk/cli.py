@@ -56,8 +56,8 @@ from .errors import (
     StrobewalkError,
 )
 from .graphs import GENERATOR_NAMES, build_named, graph_document, hamiltonian, load_graph, save_graph
-from .quotient import quotient_graph, symmetric_eigensystem, symmetrize
-from .spectral import _resonant_columns, diagonalize, fold_sectors, is_resonant
+from .quotient import quotient_graph, symmetrize
+from .spectral import diagonalize, fold_sectors, is_resonant, resonant_periods
 from .states import as_state, localized_node, localized_state
 from .symmetry import automorphisms, orbit_rank, stabilizer, symmetry_projector, upper_bound
 
@@ -88,9 +88,18 @@ def _parse_tolerances(entries: list[str]) -> dict[str, float]:
                 f"bad --tol entry {entry!r}; expected KEY=VALUE with KEY in {', '.join(_TOL_DEFAULTS)}"
             )
         try:
-            tols[key] = float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"bad --tol value in {entry!r}") from None
+        if key == "series-cap":
+            valid, need = number >= 1 and number.is_integer(), "a whole number >= 1"
+        elif key == "series-rel":
+            valid, need = number > 0, "positive"
+        else:
+            valid, need = number >= 0, "non-negative"
+        if not (valid and math.isfinite(number)):
+            raise ConfigError(f"--tol {key} must be finite and {need}, got {value!r}")
+        tols[key] = number
     return tols
 
 
@@ -114,16 +123,18 @@ def _load_state_file(path: str, dim: int) -> np.ndarray:
         raise ConfigError(f"cannot read state file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"state file {path!r}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "amplitudes" not in doc:
-        raise ConfigError(f"state file {path!r} must be an object with an 'amplitudes' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("amplitudes"), list):
+        raise ConfigError(f"state file {path!r} must be an object with an 'amplitudes' list")
     amps = []
     for k, entry in enumerate(doc["amplitudes"]):
-        if isinstance(entry, (int, float)):
-            amps.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            amps.append(complex(entry[0], entry[1]))
-        else:
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        # JSON true and false are no amplitudes, as they are no edge weights in ``load_graph``.
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
             raise ConfigError(f"state file {path!r}: amplitudes[{k}] must be a number or [re, im]")
+        try:
+            amps.append(complex(*parts))
+        except OverflowError:
+            raise ConfigError(f"state file {path!r}: amplitudes[{k}] is too large") from None
     vec = np.array(amps, dtype=complex)
     try:
         return as_state(vec, dim)
@@ -757,7 +768,7 @@ def cmd_simulate(q: _Query) -> dict:
 
 def cmd_quotient(q: _Query) -> dict:
     qs = symmetrize(q.h, q.stab, q.detect)
-    graph = quotient_graph(qs)[0]
+    graph = quotient_graph(qs)
     if q.args.out:
         Path(q.args.out + ".graph.json").write_bytes(save_graph(graph))
     return {
@@ -769,14 +780,14 @@ def cmd_quotient(q: _Query) -> dict:
             {"id": cls.id, "members": list(cls.members), "multiplicity": cls.multiplicity}
             for cls in qs.classes
         ],
-        "symmetric_spectrum": symmetric_eigensystem(qs).eigenvalues.tolist(),
+        "symmetric_spectrum": qs.eigensystem.eigenvalues.tolist(),
         "quotient_graph": graph_document(graph),
     }
 
 
 def cmd_resonances(q: _Query) -> dict:
     lo, hi = _parse_tau_range(q.args.tau)
-    cols = _resonant_columns(q.eigensystem, hi)
+    cols = resonant_periods(q.eigensystem, hi)
     cut = int(np.searchsorted(cols.taus, lo, side="right"))
     starts = cols.starts[cut:]
     first = int(starts[0]) if starts.size else cols.k.size

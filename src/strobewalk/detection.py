@@ -38,7 +38,6 @@ __all__ = [
     "bright_eigenstates",
     "pdet_spectral",
     "dark_space_basis",
-    "krylov_bright_span",
     "DARK_OVERLAP_TOL",
 ]
 
@@ -162,6 +161,9 @@ def _bright_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
     Arnoldi with a second reorthogonalization pass.  The space is complete
     at the first step whose squared residual is at most
     ``DARK_OVERLAP_TOL``, the weight below which a sector counts as dark.
+    It is built from the evolution operator alone, never from the sectors,
+    so it is an independent check on ``bright_eigenstates``; at a resonant
+    period it is the smaller bright space of the sectors folded there.
     """
     dim = unitary.shape[0]
     basis = np.empty((dim, dim), dtype=complex)
@@ -417,17 +419,3 @@ def dark_space_basis(
     _, svals, vh = np.linalg.svd(b.conj().T, full_matrices=True)
     rank = int(np.sum(svals > 1e-12 * max(1.0, float(svals[0]))))
     return vh[rank:].conj().T
-
-
-def krylov_bright_span(h: np.ndarray, detect_state: np.ndarray, tau: float) -> np.ndarray:
-    """Orthonormal span of the detection state under repeated evolution.
-
-    Arnoldi over ``U(tau)^n |psi_d>`` (see ``_bright_basis``), from the
-    evolution operator alone.  This span is the bright subspace, which
-    makes it an independent cross-check on ``bright_eigenstates``: the two
-    bases must project onto each other with vanishing residual.  At a
-    resonant period it is the smaller resonant bright space, matching
-    ``bright_eigenstates`` over the sectors folded at that period.
-    """
-    es = diagonalize(np.asarray(h))
-    return _bright_basis(evolution_operator(es, tau), as_state(detect_state, es.dim))

@@ -32,7 +32,6 @@ __all__ = [
     "QuotientSystem",
     "symmetrize",
     "pdet_symmetrized",
-    "symmetric_eigensystem",
     "quotient_graph",
 ]
 
@@ -111,11 +110,6 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
     return QuotientSystem(h_s=h_s, classes=classes, lift=lift, detect_class=int(labels[detect_node]))
 
 
-def symmetric_eigensystem(q: QuotientSystem) -> EigenSystem:
-    """Eigendecomposition of the symmetrized Hamiltonian, computed once per system."""
-    return q.eigensystem
-
-
 def pdet_symmetrized(
     q: QuotientSystem,
     initial_state: np.ndarray,
@@ -144,8 +138,8 @@ def pdet_symmetrized(
     return replace(report, method="symmetrized", discarded_weight=discarded)
 
 
-def quotient_graph(q: QuotientSystem) -> tuple[WeightedGraph, dict[int, tuple[int, ...]]]:
-    """Weighted graph realizing the symmetrized Hamiltonian, plus class map.
+def quotient_graph(q: QuotientSystem) -> WeightedGraph:
+    """Weighted graph realizing the symmetrized Hamiltonian.
 
     The graph satisfies ``hamiltonian(graph, 1.0) == q.h_s``: edge weights
     are the negated off-diagonal entries (carrying the sqrt-multiplicity
@@ -159,5 +153,4 @@ def quotient_graph(q: QuotientSystem) -> tuple[WeightedGraph, dict[int, tuple[in
     kept = w != 0.0
     edges = tuple(zip(a[kept].tolist(), b[kept].tolist(), (-w[kept]).tolist()))
     labels = tuple(",".join(map(str, cls.members)) for cls in q.classes)
-    graph = WeightedGraph(node_count=k, edges=edges, onsite=tuple(h.diagonal().tolist()), labels=labels)
-    return graph, {cls.id: cls.members for cls in q.classes}
+    return WeightedGraph(node_count=k, edges=edges, onsite=tuple(h.diagonal().tolist()), labels=labels)

@@ -9,7 +9,9 @@ by energy alone (the generic, off-resonance sector structure).
 
 A grouping is held as columns, not as one object per sector: the levels'
 energies and eigenvectors in sector order, and the level at which each
-sector starts (see :class:`SpectralDecomposition`).
+sector starts (see :class:`SpectralDecomposition`).  The resonant periods
+are columns too, one row per level pair and harmonic, with the row at which
+each period's entry starts (see :class:`ResonanceListing`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import SpectralError
 __all__ = [
     "EigenSystem",
     "SpectralDecomposition",
-    "ResonantPeriod",
+    "ResonanceListing",
     "diagonalize",
     "energy_sectors",
     "fold_sectors",
@@ -89,19 +91,6 @@ class SpectralDecomposition:
     def degeneracies(self) -> np.ndarray:
         """The number of levels in each sector."""
         return np.diff(self.bounds)
-
-
-@dataclass(frozen=True)
-class ResonantPeriod:
-    """A detection period at which two energy levels fold together.
-
-    ``pairs`` holds ``(l, l_prime, k)`` entries: the indices of the two
-    distinct levels (in ascending-energy order) and the positive integer
-    harmonic with ``tau * |E_l - E_l'| = 2*pi*k``.
-    """
-
-    tau: float
-    pairs: tuple[tuple[int, int, int], ...]
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -256,11 +245,13 @@ def _distinct_levels(es: EigenSystem) -> np.ndarray:
     return ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
 
 
-class _ResonanceColumns(NamedTuple):
+class ResonanceListing(NamedTuple):
     """Resonant periods as columns: entry ``e`` holds the pairs ``starts[e]:starts[e + 1]``.
 
     ``taus`` holds each entry's period, ascending; ``starts`` the index of
-    each entry's first pair; ``l0``, ``l1`` and ``k`` one row per pair.
+    each entry's first pair; ``l0``, ``l1`` and ``k`` one row per pair: the
+    indices of two distinct levels (in ascending-energy order, ``l0 < l1``)
+    and the positive harmonic with ``tau * |E_l1 - E_l0| = 2*pi*k``.
     """
 
     taus: np.ndarray
@@ -270,8 +261,25 @@ class _ResonanceColumns(NamedTuple):
     k: np.ndarray
 
 
-def _resonant_columns(es: EigenSystem, tau_max: float) -> _ResonanceColumns:
-    """The resonant periods up to ``tau_max`` as columns; see :func:`resonant_periods`."""
+def resonant_periods(es: EigenSystem, tau_max: float) -> ResonanceListing:
+    """All resonant detection periods up to ``tau_max``, as columns.
+
+    A period is resonant when ``tau * |E_l - E_l'|`` is a multiple of
+    2*pi for some pair of distinct levels; every such period (including
+    harmonics) is listed ascending, with coinciding periods from different
+    level pairs merged into one entry.
+
+    The periods ``k * 2*pi / gap`` of all level pairs ``l < l'`` and
+    harmonics ``k`` with ``k * base <= tau_max * (1 + 1e-12)`` are built as
+    one array and stably sorted, so equal periods keep the pair order
+    ``(l, l', k)``.  A period joins the current entry when it lies within
+    ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
+    joining period; a chain of near neighbours can therefore start a new
+    entry although each lies within the tolerance of the one before.
+
+    Raises :class:`SpectralError` when the periods cannot be indexed as an
+    array, or when their arrays do not fit in memory.
+    """
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     levels = _distinct_levels(es)
@@ -314,37 +322,7 @@ def _resonant_columns(es: EigenSystem, tau_max: float) -> _ResonanceColumns:
             first = j
         previous = j
     starts = np.flatnonzero(starts)
-    return _ResonanceColumns(taus[starts], starts, l0[pair], l1[pair], k)
-
-
-def resonant_periods(es: EigenSystem, tau_max: float) -> list[ResonantPeriod]:
-    """All resonant detection periods up to ``tau_max``.
-
-    A period is resonant when ``tau * |E_l - E_l'|`` is a multiple of
-    2*pi for some pair of distinct levels; every such period (including
-    harmonics) is returned sorted ascending, with coinciding periods from
-    different level pairs merged into one entry.
-
-    The periods ``k * 2*pi / gap`` of all level pairs ``l < l'`` and
-    harmonics ``k`` with ``k * base <= tau_max * (1 + 1e-12)`` are built as
-    one array and stably sorted, so equal periods keep the pair order
-    ``(l, l', k)``.  A period joins the current entry when it lies within
-    ``1e-9 * max(1, tau)`` of the entry's *first* period, ``tau`` being the
-    joining period; a chain of near neighbours can therefore start a new
-    entry although each lies within the tolerance of the one before.
-
-    The work is done on columns by ``_resonant_columns``, which the CLI
-    calls directly; this function only builds one :class:`ResonantPeriod`
-    per entry from them.
-
-    Raises :class:`SpectralError` when the periods cannot be indexed as an
-    array, or when their arrays do not fit in memory.
-    """
-    cols = _resonant_columns(es, tau_max)
-    triples = list(zip(cols.l0.tolist(), cols.l1.tolist(), cols.k.tolist()))
-    bounds = [*cols.starts.tolist(), len(triples)]
-    groups = [tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return list(map(ResonantPeriod, cols.taus.tolist(), groups))
+    return ResonanceListing(taus[starts], starts, l0[pair], l1[pair], k)
 
 
 def is_resonant(es: EigenSystem, tau: float, *, tol: float = RESONANCE_TOL) -> bool:

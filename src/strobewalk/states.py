@@ -25,7 +25,8 @@ def as_state(vec, dim: int | None = None) -> np.ndarray:
     if dim is not None and psi.shape[0] != dim:
         raise StateError(f"state has dimension {psi.shape[0]}, expected {dim}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > NORM_TOL:
+    # ``not <=``: a NaN norm, from a NaN entry, fails the check.
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise StateError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return psi
 

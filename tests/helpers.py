@@ -3,6 +3,7 @@
 import itertools
 import math
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -288,9 +289,8 @@ def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
             assert group.order == len({p.image[d] for p in brute}) * stab.order, d
 
 
-def oracle_quotient_graph(q: sw.QuotientSystem):
-    """Nested-loop quotient graph and class map over every class pair ``a < b``: a reference for
-    ``quotient_graph``."""
+def oracle_quotient_graph(q: sw.QuotientSystem) -> sw.WeightedGraph:
+    """Nested-loop quotient graph over every class pair ``a < b``: a reference for ``quotient_graph``."""
     k = q.reduced_dim
     edges = []
     for a in range(k):
@@ -300,8 +300,7 @@ def oracle_quotient_graph(q: sw.QuotientSystem):
                 edges.append((a, b, -w))
     onsite = tuple(float(np.real(q.h_s[c, c])) for c in range(k))
     labels = tuple(",".join(str(m) for m in cls.members) for cls in q.classes)
-    graph = sw.WeightedGraph(node_count=k, edges=tuple(edges), onsite=onsite, labels=labels)
-    return graph, {cls.id: cls.members for cls in q.classes}
+    return sw.WeightedGraph(node_count=k, edges=tuple(edges), onsite=onsite, labels=labels)
 
 
 def disordered(spec: str, seed: int, symmetric_about: int | None = None) -> sw.WeightedGraph:
@@ -330,7 +329,21 @@ def _oracle_levels(es: sw.EigenSystem) -> np.ndarray:
     return np.array(levels)
 
 
-def oracle_resonant_periods(es: sw.EigenSystem, tau_max: float) -> list[sw.ResonantPeriod]:
+class Resonance(NamedTuple):
+    """One entry of a resonance listing: its period and its ``(l, l', k)`` pairs."""
+
+    tau: float
+    pairs: tuple[tuple[int, int, int], ...]
+
+
+def resonance_entries(listing: sw.ResonanceListing) -> list[Resonance]:
+    """A listing's columns as the oracle's entries: each period with every ``(l, l', k)`` of it."""
+    triples = list(zip(listing.l0.tolist(), listing.l1.tolist(), listing.k.tolist()))
+    bounds = [*listing.starts.tolist(), len(triples)]
+    return [Resonance(tau, tuple(triples[a:b])) for tau, a, b in zip(listing.taus.tolist(), bounds, bounds[1:])]
+
+
+def oracle_resonant_periods(es: sw.EigenSystem, tau_max: float) -> list[Resonance]:
     """Nested-loop resonant periods over the levels of ``energy_sectors``."""
     levels = _oracle_levels(es)
     hits = []
@@ -342,12 +355,12 @@ def oracle_resonant_periods(es: sw.EigenSystem, tau_max: float) -> list[sw.Reson
                 hits.append((k * base, (l0, l1, k)))
                 k += 1
     hits.sort(key=lambda t: t[0])
-    merged: list[sw.ResonantPeriod] = []
+    merged: list[Resonance] = []
     for tau_c, pair in hits:
         if merged and abs(tau_c - merged[-1].tau) <= 1e-9 * max(1.0, tau_c):
-            merged[-1] = sw.ResonantPeriod(tau=merged[-1].tau, pairs=merged[-1].pairs + (pair,))
+            merged[-1] = Resonance(tau=merged[-1].tau, pairs=merged[-1].pairs + (pair,))
         else:
-            merged.append(sw.ResonantPeriod(tau=tau_c, pairs=(pair,)))
+            merged.append(Resonance(tau=tau_c, pairs=(pair,)))
     return merged
 
 

@@ -530,7 +530,8 @@ def _dict_built_resonances(source: str, tau: str) -> dict[str, str]:
     graph = sw.build_named(source) if ":" in source else sw.load_graph(open(source, "rb").read())
     lo, hi = cli._parse_tau_range(tau)
     es = sw.diagonalize(sw.hamiltonian(graph, 1.0))
-    entries = [{"tau": p.tau, "pairs": p.pairs} for p in sw.resonant_periods(es, hi) if p.tau > lo]
+    entries = [{"tau": p.tau, "pairs": p.pairs}
+               for p in helpers.resonance_entries(sw.resonant_periods(es, hi)) if p.tau > lo]
     report = {"command": "resonances", "tau": None, "warnings": [], "range": [lo, hi], "resonances": entries,
               "graph": {"source": source, "nodes": graph.node_count, "edges": graph.edge_count}}
     buf = io.StringIO()
@@ -582,10 +583,10 @@ class TestResonanceListingBytes:
 
     def test_the_listing_builds_no_object_per_period(self, capsys, monkeypatch, tmp_path):
         calls = spy(monkeypatch, spectral, "resonant_periods")
-        monkeypatch.setattr(spectral, "ResonantPeriod", None)
         argv = ["resonances", "--graph", disordered_ring(tmp_path, 5), "--tau", "scan:0:20", "--format", "json"]
         assert main(argv) == 0
-        assert calls == []
+        # One listing, as columns.
+        assert len(calls) == 1
         # The 10512 periods as tuples, dicts or dataclasses alive at once would set off a
         # cyclic collection every 700 or so; the dict-built listing set off 60.
         runs = []
@@ -763,7 +764,7 @@ class TestScanRange:
         ))
         hi = data.draw(st.floats(min_value=lo, max_value=40.0).filter(lambda v: v > lo))
         kept = [{"tau": p.tau, "pairs": [list(t) for t in p.pairs]}
-                for p in sw.resonant_periods(es, hi) if p.tau > lo]
+                for p in helpers.resonance_entries(sw.resonant_periods(es, hi)) if p.tau > lo]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["resonances", "--graph", spec, "--tau", f"scan:{lo!r}:{hi!r}", "--format", "json"]) == 0
@@ -851,6 +852,16 @@ class TestFormatsAndErrors:
             ["resonances", "--graph", "ring:6", "--tau", "scan:5:2"],
             ["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "bogus=1"],
             ["quotient", "--graph", "ring:6", "--detect", "0", "--tol", "bogus=1"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=nan"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=inf"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=0"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=2.5"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-rel=0"],
+            ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-rel=-1"],
+            ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "all", "--tol", "dark=nan"],
+            ["analyze", "--graph", "complete:8", "--detect", "0", "--init", "3", "--tau", "1.0", "--tol", "phase=-1"],
+            ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "all", "--tol", "rank=-inf"],
+            ["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "resonance=nan"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):
@@ -872,11 +883,44 @@ class TestFormatsAndErrors:
         assert main(["spectrum", "--graph", str(path)]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["series-cap=nan", "series-rel=0", "dark=nan", "phase=-1"])
+    def test_a_bad_tolerance_value_names_its_key(self, capsys, entry):
+        assert main(["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", entry]) == 2
+        key, _, value = entry.partition("=")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --tol {key} must be finite and ") and f"got {value!r}" in err
+
     def test_unnormalized_state_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"amplitudes": [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]}))
         assert main(["analyze", "--graph", "ring:6", "--detect", str(path), "--init", "0"]) == 2
         assert "normalized" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitudes, message", [
+        ("[NaN, 0, 0, 0, 0, 0]", "normalized"),
+        ('[["1", 0], 0, 0, 0, 0, 0]', "amplitudes[0] must be a number or [re, im]"),
+        ("[[1, 0], [null, 0], 0, 0, 0, 0]", "amplitudes[1] must be a number or [re, im]"),
+        ("[true, false, false, false, false, false]", "amplitudes[0] must be a number or [re, im]"),
+        ("[1, [0, false], 0, 0, 0, 0]", "amplitudes[1] must be a number or [re, im]"),
+        ("[1e400, 0, 0, 0, 0, 0]", "normalized"),
+        ("[" + "1" * 400 + ", 0, 0, 0, 0, 0]", "amplitudes[0] is too large"),
+        ("5", "an 'amplitudes' list"),
+    ], ids=["nan", "string-part", "null-part", "bools", "bool-part", "inf", "huge-int", "not-a-list"])
+    @pytest.mark.parametrize("role", ["--init", "--detect"])
+    def test_bad_state_file_entries_rejected(self, capsys, tmp_path, amplitudes, message, role):
+        path = tmp_path / "bad.json"
+        path.write_text('{"amplitudes": ' + amplitudes + "}")
+        states = {"--init": "0", "--detect": "0", role: str(path)}
+        argv = ["analyze", "--graph", "ring:6", "--detect", states["--detect"], "--init", states["--init"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_state_file_takes_numbers_and_pairs(self, capsys, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text('{"amplitudes": [0.6, [0, 0.8], 0, 0.0, [0, 0], 0]}')
+        assert main(["analyze", "--graph", "ring:6", "--detect", "0", "--init", str(path), "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]) == 1
 
 
 _json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),

@@ -98,6 +98,12 @@ class TestAmplitudes:
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:3"), detect_state=sw.localized_state(4, 0),
                               initial_state=ok, tau=1.0)
 
+    @pytest.mark.parametrize("vec", [[math.nan, 0.0, 0.0], [1.0, math.nan, 0.0], [complex(0.0, math.nan), 0.0],
+                                     [math.inf, 0.0]])
+    def test_as_state_rejects_a_norm_that_is_not_one(self, vec):
+        with pytest.raises(StateError, match="not normalized"):
+            sw.as_state(vec)
+
 
 class TestSeries:
     def test_dark_state_sums_to_zero(self):
@@ -338,20 +344,27 @@ class TestResonantDetection:
             assert np.max(np.abs(beta[1::2])) < 1e-12
 
 
+def bright_span(spec, node, tau):
+    """The protocol's Krylov bright basis for the detector at ``node``."""
+    psi_d = helpers.basis(spec, node)
+    setup = sw.DetectionSetup(hamiltonian=helpers.ham(spec), detect_state=psi_d, initial_state=psi_d, tau=tau)
+    return setup.bright_basis
+
+
 class TestKrylov:
     @pytest.mark.parametrize(
         "spec, node, tau, rank",
         [("ring:6", 0, 1.0, 4), ("cross:4", 0, 1.1, 2), ("tree:2", 0, 0.7, 3)],
     )
     def test_rank_matches_bright_count(self, spec, node, tau, rank):
-        span = sw.krylov_bright_span(helpers.ham(spec), helpers.basis(spec, node), tau)
+        span = bright_span(spec, node, tau)
         assert span.shape[1] == rank
         sd = helpers.sectors(spec, tau)
         assert len(sw.bright_eigenstates(sd, helpers.basis(spec, node))) == rank
 
     def test_span_equals_bright_space(self):
         spec, node, tau = "tree:2", 3, 0.8
-        span = sw.krylov_bright_span(helpers.ham(spec), helpers.basis(spec, node), tau)
+        span = bright_span(spec, node, tau)
         sd = helpers.sectors(spec, tau)
         bright = np.column_stack([b for _, b in sw.bright_eigenstates(sd, helpers.basis(spec, node))])
         p_span = span @ span.conj().T

@@ -123,7 +123,7 @@ class TestSymmetrize:
 class TestSymmetricEigensystem:
     def test_tree_root_three_levels_all_bright(self):
         q = tree_quotient(0)
-        es = sw.symmetric_eigensystem(q)
+        es = q.eigensystem
         np.testing.assert_allclose(es.eigenvalues, [-2.0, 0.0, 2.0], atol=1e-12)
         sd = sw.energy_sectors(es)
         detect = sw.localized_state(3, q.detect_class)
@@ -131,17 +131,17 @@ class TestSymmetricEigensystem:
 
     def test_tree_middle_five_nondegenerate_levels(self):
         q = tree_quotient(1)
-        es = sw.symmetric_eigensystem(q)
+        es = q.eigensystem
         np.testing.assert_allclose(es.eigenvalues, [-2.0, -S2, 0.0, S2, 2.0], atol=1e-12)
 
     def test_tree_leaf_spectrum_has_double_zero(self):
         q = tree_quotient(3)
-        es = sw.symmetric_eigensystem(q)
+        es = q.eigensystem
         np.testing.assert_allclose(es.eigenvalues, [-2.0, -S2, 0.0, 0.0, S2, 2.0], atol=1e-12)
 
     def test_lifted_eigenvectors_solve_the_full_problem(self):
         q = tree_quotient(1)
-        es = sw.symmetric_eigensystem(q)
+        es = q.eigensystem
         h = helpers.ham("tree:2")
         for k in range(q.reduced_dim):
             lifted = q.lift @ es.eigenvectors[:, k]
@@ -151,7 +151,7 @@ class TestSymmetricEigensystem:
     def test_spectrum_contained_in_full_spectrum(self):
         full = helpers.eigensystem("tree:2").eigenvalues
         for node in (0, 1, 3):
-            reduced = sw.symmetric_eigensystem(tree_quotient(node)).eigenvalues
+            reduced = tree_quotient(node).eigensystem.eigenvalues
             remaining = list(full)
             for e in reduced:
                 match = min(range(len(remaining)), key=lambda i: abs(remaining[i] - e))
@@ -211,7 +211,7 @@ class TestPdetSymmetrized:
         monkeypatch.setattr(quotient, "diagonalize", lambda h: calls.append(h) or original(h))
         q = sw.symmetrize(helpers.ham("tree:4"), helpers.node_stabilizer("tree:4", 0), helpers.basis("tree:4", 0))
         reports = [sw.pdet_symmetrized(q, helpers.basis("tree:4", r), tau=0.9) for r in (0, 1, 3, 7, 15)]
-        assert sw.symmetric_eigensystem(q) is q.eigensystem
+        assert q.eigensystem is q.eigensystem
         assert len(calls) == 1
         full = helpers.sectors("tree:4", 0.9)
         for r, report in zip((0, 1, 3, 7, 15), reports):
@@ -245,12 +245,12 @@ class TestWeightedEndToEnd:
         stab = sw.stabilizer(sw.automorphisms(g), sw.localized_state(6, 0))
         assert stab.order == 2
         q = sw.symmetrize(h, stab, sw.localized_state(6, 0))
-        graph, class_map = sw.quotient_graph(q)
-        assert class_map == {0: (0,), 1: (1, 5), 2: (2, 4), 3: (3,)}
+        graph = sw.quotient_graph(q)
+        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 5), 2: (2, 4), 3: (3,)}
         assert [w for _, _, w in graph.edges] == pytest.approx([S2, 2.0, S2], abs=1e-12)
         s3 = math.sqrt(3.0)
         np.testing.assert_allclose(
-            sw.symmetric_eigensystem(q).eigenvalues,
+            q.eigensystem.eigenvalues,
             [-(s3 + 1), -(s3 - 1), s3 - 1, s3 + 1], atol=1e-9)
 
     def test_values_match_and_saturate_the_bound(self):
@@ -271,42 +271,42 @@ class TestWeightedEndToEnd:
 class TestQuotientGraph:
     def test_tree_root_line_with_sqrt2_links(self):
         q = tree_quotient(0)
-        graph, class_map = sw.quotient_graph(q)
+        graph = sw.quotient_graph(q)
         assert graph.node_count == 3
         assert {(i, j) for i, j, _ in graph.edges} == {(0, 1), (1, 2)}
         for _, _, w in graph.edges:
             assert w == pytest.approx(S2, abs=1e-12)
-        assert class_map == {0: (0,), 1: (1, 2), 2: (3, 4, 5, 6)}
+        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 2), 2: (3, 4, 5, 6)}
 
     def test_graph_reproduces_the_reduced_hamiltonian(self):
         for node in (0, 1, 3):
             q = tree_quotient(node)
-            graph, _ = sw.quotient_graph(q)
+            graph = sw.quotient_graph(q)
             np.testing.assert_allclose(sw.hamiltonian(graph, 1.0), q.h_s, atol=1e-12)
 
     def test_onsite_carries_class_internal_couplings(self):
         stab = helpers.node_stabilizer("square_center", 4)
         q = sw.symmetrize(helpers.ham("square_center"), stab, helpers.basis("square_center", 4))
-        graph, _ = sw.quotient_graph(q)
+        graph = sw.quotient_graph(q)
         assert graph.onsite == (-2.0, 0.0)
 
     def test_round_trips_through_the_file_format(self):
         q = tree_quotient(3)
-        graph, _ = sw.quotient_graph(q)
+        graph = sw.quotient_graph(q)
         assert sw.load_graph(sw.save_graph(graph)) == graph
 
     def test_ring8_quotient_is_a_path(self):
         stab = helpers.node_stabilizer("ring:8", 0)
         q = sw.symmetrize(helpers.ham("ring:8"), stab, helpers.basis("ring:8", 0))
-        graph, class_map = sw.quotient_graph(q)
-        assert class_map == {0: (0,), 1: (1, 7), 2: (2, 6), 3: (3, 5), 4: (4,)}
+        graph = sw.quotient_graph(q)
+        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 7), 2: (2, 6), 3: (3, 5), 4: (4,)}
         assert {(i, j) for i, j, _ in graph.edges} == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_complete8_two_classes(self):
         stab = helpers.node_stabilizer("complete:8", 0)
         q = sw.symmetrize(helpers.ham("complete:8"), stab, helpers.basis("complete:8", 0))
         assert q.reduced_dim == 2
-        graph, _ = sw.quotient_graph(q)
+        graph = sw.quotient_graph(q)
         # 7 equivalent neighbors: coupling sqrt(7), internal K7 folds to onsite -6
         np.testing.assert_allclose(sw.hamiltonian(graph, 1.0),
                                    [[0.0, -math.sqrt(7.0)], [-math.sqrt(7.0), -6.0]], atol=1e-12)
@@ -329,8 +329,9 @@ class TestQuotientGraphAgainstNestedLoops:
         psi_d = sw.localized_state(g.node_count, node)
         stab = sw.stabilizer(sw.automorphisms(g, base_point=node), psi_d)
         q = sw.symmetrize(sw.hamiltonian(g, 1.0), stab, psi_d)
-        graph, class_map = sw.quotient_graph(q)
-        expected, expected_map = helpers.oracle_quotient_graph(q)
-        assert graph == expected
-        assert class_map == expected_map
+        graph = sw.quotient_graph(q)
+        assert graph == helpers.oracle_quotient_graph(q)
+        # the classes number the orbits in order and partition the nodes
+        assert [c.id for c in q.classes] == list(range(q.reduced_dim))
+        assert sorted(m for c in q.classes for m in c.members) == list(range(g.node_count))
         assert graph.edge_count > 0

@@ -168,31 +168,32 @@ class TestSectors:
 
 class TestResonances:
     def test_ring6_periods_up_to_seven(self):
-        periods = [p.tau for p in sw.resonant_periods(helpers.eigensystem("ring:6"), 7.0)]
+        listing = sw.resonant_periods(helpers.eigensystem("ring:6"), 7.0)
+        periods = [p.tau for p in helpers.resonance_entries(listing)]
         # gaps of {-2,-1,1,2} are {1,2,3,4}: base periods 2*pi/k plus harmonics
         expected = sorted({TWO_PI / 4, TWO_PI / 3, TWO_PI / 2, TWO_PI, 2 * TWO_PI / 3, 3 * TWO_PI / 4})
         np.testing.assert_allclose(periods, expected, atol=1e-9)
 
     def test_pairs_annotated_with_level_indices(self):
-        periods = sw.resonant_periods(helpers.eigensystem("ring:6"), 1.6)
+        periods = helpers.resonance_entries(sw.resonant_periods(helpers.eigensystem("ring:6"), 1.6))
         assert len(periods) == 1  # only 2*pi/4 from the extreme levels
         assert periods[0].pairs == ((0, 3, 1),)
 
     def test_complete2_from_gap_two(self):
-        periods = sw.resonant_periods(helpers.eigensystem("complete:2"), 7.0)
+        periods = helpers.resonance_entries(sw.resonant_periods(helpers.eigensystem("complete:2"), 7.0))
         np.testing.assert_allclose([p.tau for p in periods], [math.pi, TWO_PI], atol=1e-12)
 
     def test_single_level_system_empty(self):
         g = sw.WeightedGraph(node_count=1, edges=(), onsite=(0.0,))
-        assert sw.resonant_periods(sw.diagonalize(sw.hamiltonian(g, 1.0)), 10.0) == []
+        assert helpers.resonance_entries(sw.resonant_periods(sw.diagonalize(sw.hamiltonian(g, 1.0)), 10.0)) == []
         # three degenerate states are still one level
         degenerate = sw.EigenSystem(eigenvalues=np.full(3, 1.5), eigenvectors=np.eye(3, dtype=complex))
-        assert sw.resonant_periods(degenerate, 10.0) == []
+        assert helpers.resonance_entries(sw.resonant_periods(degenerate, 10.0)) == []
 
     @pytest.mark.parametrize("tau_max", [TWO_PI / 3, math.pi, TWO_PI])
     def test_bound_on_a_harmonic_is_included(self, tau_max):
         es = helpers.eigensystem("ring:6")
-        periods = sw.resonant_periods(es, tau_max)
+        periods = helpers.resonance_entries(sw.resonant_periods(es, tau_max))
         assert periods == helpers.oracle_resonant_periods(es, tau_max)
         assert periods[-1].tau == pytest.approx(tau_max, abs=1e-12)
         assert len(periods[-1].pairs) > 1
@@ -203,7 +204,7 @@ class TestResonances:
         e = 0.7e-9
         es = sw.EigenSystem(eigenvalues=np.array([0.0, 1.0, 2.0 - 2 * e]),
                             eigenvectors=np.eye(3, dtype=complex))
-        periods = sw.resonant_periods(es, 7.0)
+        periods = helpers.resonance_entries(sw.resonant_periods(es, 7.0))
         assert periods == helpers.oracle_resonant_periods(es, 7.0)
         assert [p.pairs for p in periods] == [((0, 2, 1),), ((0, 1, 1), (0, 2, 2)), ((1, 2, 1),)]
         assert periods[1].tau == TWO_PI
@@ -212,7 +213,7 @@ class TestResonances:
     def test_equal_periods_keep_the_pair_order(self):
         # equally spaced levels: many pairs share each period exactly
         es = sw.EigenSystem(eigenvalues=np.arange(12.0), eigenvectors=np.eye(12, dtype=complex))
-        periods = sw.resonant_periods(es, 20.0)
+        periods = helpers.resonance_entries(sw.resonant_periods(es, 20.0))
         assert periods == helpers.oracle_resonant_periods(es, 20.0)
         assert max(len(p.pairs) for p in periods) > 10
 
@@ -229,7 +230,7 @@ class TestResonances:
             tau_max = k * base / (1.0 + 1e-12)
             for step in range(-3, 4):
                 bound = float(tau_max + step * np.spacing(tau_max))
-                periods = sw.resonant_periods(es, bound)
+                periods = helpers.resonance_entries(sw.resonant_periods(es, bound))
                 assert periods == helpers.oracle_resonant_periods(es, bound)
                 floor_count = math.floor(bound * (1.0 + 1e-12) / base)
                 if floor_count != len(periods):
@@ -238,7 +239,11 @@ class TestResonances:
 
     def test_plain_python_types(self):
         es = helpers.eigensystem("ring:64")
-        periods = sw.resonant_periods(es, 20.0)
+        listing = sw.resonant_periods(es, 20.0)
+        # fixed column dtypes, whose ``tolist`` gives plain floats and ints
+        assert listing.taus.dtype == np.float64
+        assert all(col.dtype == np.intp for col in (listing.starts, listing.l0, listing.l1, listing.k))
+        periods = helpers.resonance_entries(listing)
         assert periods == helpers.oracle_resonant_periods(es, 20.0)
         assert all(type(p.tau) is float for p in periods)
         assert all(type(x) is int for p in periods for pair in p.pairs for x in pair)
@@ -246,7 +251,7 @@ class TestResonances:
 
     def test_irrational_gap_families_do_not_coincide(self):
         es = sw.diagonalize(np.diag([0.0, 1.0, math.sqrt(2.0)]))
-        periods = sw.resonant_periods(es, TWO_PI)
+        periods = helpers.resonance_entries(sw.resonant_periods(es, TWO_PI))
         taus = [p.tau for p in periods]
         assert len(taus) == len(set(np.round(taus, 9)))
         gaps = {1.0, math.sqrt(2.0), math.sqrt(2.0) - 1.0}
@@ -274,7 +279,7 @@ class TestResonances:
     def test_dedup_merges_pairs_sharing_a_period(self):
         # gaps 1 and 2 share tau = 2*pi: level pair entries accumulate
         es = sw.diagonalize(np.diag([0.0, 1.0, 2.0]))
-        periods = sw.resonant_periods(es, TWO_PI)
+        periods = helpers.resonance_entries(sw.resonant_periods(es, TWO_PI))
         at_2pi = [p for p in periods if abs(p.tau - TWO_PI) < 1e-9]
         assert len(at_2pi) == 1
         assert set(at_2pi[0].pairs) == {(0, 1, 1), (1, 2, 1), (0, 2, 2)}
