@@ -2,10 +2,12 @@
 
 ``join(values, sep)`` equals ``sep.join(map(float.__repr__, values))`` for
 a float64 array, in a fixed number of numpy passes over the array instead
-of one ``float.__repr__`` call per value.  ``layout(n, segments)`` writes
-``n`` text rows made of literals and of int64 and float64 columns, such as
-the JSON of a table of numbers, the same way; ``join`` is its one-column
-case.  There are three stages:
+of one ``float.__repr__`` call per value; ``join_each`` does it for
+several arrays in one pass over their concatenation.  ``layout(n,
+segments)`` writes ``n`` text rows made of literals and of int64 and
+float64 columns, such as the JSON of a table of numbers, the same way, as
+one text or as the texts of row ranges; ``join_each`` is its one-column
+case, cut at the array boundaries.  There are three stages:
 
 1. **Digits.**  The Schubfach core (R. Giulietti, "The Schubfach way to
    render doubles", 2020; the algorithm of ``java.lang.Double.toString``
@@ -17,22 +19,27 @@ case.  There are three stages:
 2. **Cells.**  A float's cells are a fixed column for each character
    ``float.__repr__`` may write: the sign, the ``0.`` and up to three
    zeros before the digits of a value below 1, a block of 17 digits and a
-   point, and the ``e±XX`` of the exponent notation.  An int's cells are
-   as many as the longest int of its column needs, right-aligned.  A cell
-   the value does not use holds NUL.
+   point, and the ``e±XX`` of the exponent notation.  The digit count
+   comes from a table of the trailing zeros of ``0000`` to ``9999``, and
+   the positions in the cells (of the point, of the last digit, and the
+   exponent of the fixed notation, all in -4..18) are int8 columns, so
+   the masks of the digit block are 8-bit compares.  An int's cells are as
+   many as the longest int of its column needs, right-aligned.  A cell the
+   value does not use holds NUL.
 3. **Text.**  One ``uint8`` matrix has a row per text row and, in order, a
    block of columns per segment: a literal's characters, or the cells of a
    column's values.  A segment that covers only some rows leaves NUL on the
-   others.  ``bytes.translate`` drops the NULs, and the text is decoded
-   once.
+   others.  ``bytes.translate`` drops the NULs of each row range, and each
+   range's text is decoded once.
 
 Zero, subnormals, NaN and the infinities, and the values where both
 shorter candidates of the core lie in the rounding interval (none among
 millions of random doubles), are written by ``float.__repr__`` itself, one
 by one, so the text never differs from ``float.__repr__``.
 
-Every uint64 operation has uint64 operands, numpy scalars included, and
-every int64 one int64 operands and Python ints, so numpy's value-based
+Every uint64 operation has uint64 operands, numpy scalars included, every
+int64 one int64 operands and Python ints, and every int8 one int8 operands,
+numpy scalars included, and Python ints within int8, so numpy's value-based
 casting (before 2.0) and its NEP 50 rules give the same dtypes.  The tables
 are built on first use, in about half a millisecond.
 """
@@ -43,7 +50,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["join", "layout"]
+__all__ = ["join", "join_each", "layout"]
 
 _U1, _U2, _U3, _U4, _U10, _U40, _U10000 = (np.uint64(v) for v in (1, 2, 3, 4, 10, 40, 10000))
 _U32, _U63, _U64 = np.uint64(32), np.uint64(63), np.uint64(64)
@@ -58,9 +65,12 @@ _U8_ZERO, _U8_POINT, _U8_MINUS = np.uint8(_ZERO), np.uint8(ord(".")), np.uint8(o
 #: zeros before the digits of a value below 1; the digit block, 17 digits
 #: and a point; the exponent suffix.
 _SIGN, _LEAD, _DIGITS, _SUFFIX, _WIDTH = 0, 1, 6, 24, 29
-_BLOCK = np.arange(_SUFFIX - _DIGITS)[:, None]
-#: Rows per pass of :func:`layout`; the matrix of a pass stays a few MB.
-_CHUNK = 1 << 14
+#: The rows of the digit block, int8 like the positions they are compared with.
+_BLOCK = np.arange(_SUFFIX - _DIGITS, dtype=np.int8)[:, None]
+_I8_BEFORE, _I8_ONE, _I8_NO_POINT = np.int8(-1), np.int8(1), np.int8(_BLOCK.size)
+#: Rows per pass of :func:`layout`; the matrix of a pass stays a few MB.  Of 4096, 8192 and
+#: 16384 rows, 8192 wrote the 70784 floats of the ring:64 ``simulate`` report fastest.
+_CHUNK = 1 << 13
 
 
 def _flog10pow2(q):
@@ -114,8 +124,9 @@ def _tables():
     126-bit ``g`` of ``k``), then the steps from ``g * cb * 2**h`` to the
     upper and the lower end of the rounding interval (see
     :func:`_shortest`).  ``quads`` holds the ASCII of ``0000`` to ``9999``,
-    a column each, and ``suffixes`` the ``e±XX`` of each exponent,
-    NUL-padded to five bytes, with an empty last column.
+    a column each, and ``zeros`` the number of trailing zeros of each of
+    them, as int8, 4 for ``0000``.  ``suffixes`` holds the ``e±XX`` of each
+    exponent, NUL-padded to five bytes, with an empty last column.
     """
     lo, hi = np.frombuffer(_g_table(), "<u8").reshape(-1, 2).T.astype(np.uint64)
 
@@ -142,6 +153,8 @@ def _tables():
     quads[:, :, :2] = pairs[:, None]
     quads[:, :, 2:] = pairs
     quads = quads.reshape(10000, 4)
+    q = np.arange(10000)
+    zeros = sum((q % 10**j == 0).astype(np.int8) for j in range(1, 5))
 
     e = np.arange(_MIN_EXP, _MAX_EXP + 1)
     suffixes = np.zeros((e.size + 1, 5), np.uint8)
@@ -149,7 +162,7 @@ def _tables():
     suffixes[:-1, 1] = np.where(e < 0, ord("-"), ord("+"))
     suffixes[:-1, 2:] = quads[abs(e), 1:]
     suffixes[:-1, 2] *= abs(e) >= 100
-    tables = keyed, np.ascontiguousarray(quads.T), np.ascontiguousarray(suffixes.T)
+    tables = keyed, np.ascontiguousarray(quads.T), zeros, np.ascontiguousarray(suffixes.T)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -217,12 +230,21 @@ def _shortest(bits: np.ndarray, keyed: np.ndarray):
 
 def join(values: np.ndarray, sep: str) -> str:
     """``sep.join(map(float.__repr__, values))`` for a 1-d float64 array and an ASCII ``sep`` without NUL."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    text = layout(values.size, [(values, None), (sep, None)])
-    return text[:len(text) - len(sep)]
+    return join_each([values], sep)[0]
 
 
-def layout(n: int, segments) -> str:
+def join_each(arrays, sep: str) -> list[str]:
+    """:func:`join` of each of several arrays, in one pass over their concatenation."""
+    arrays = [np.ascontiguousarray(values, dtype=np.float64) for values in arrays]
+    if not arrays:
+        return []
+    values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    cuts = np.cumsum([values.size for values in arrays[:-1]], dtype=np.int64).tolist()
+    texts = layout(values.size, [(values, None), (sep, None)], cuts)
+    return [text[:len(text) - len(sep)] for text in texts]
+
+
+def layout(n: int, segments, cuts=None):
     """The text of ``n`` rows, each the concatenation of the segments that cover it.
 
     A segment is ``(content, rows)``.  ``rows`` is None for every row, or a
@@ -231,6 +253,10 @@ def layout(n: int, segments) -> str:
     one value for each of ``rows`` in turn, written as ``int.__repr__`` or
     ``float.__repr__`` writes it.  Segments with the same ``rows`` object
     next to each other are merged, and those with no rows dropped.
+
+    With ``cuts``, a sorted sequence of row indices, the result is instead
+    the list of the texts of the row ranges between them: rows ``0`` to
+    ``cuts[0]``, ``cuts[0]`` to ``cuts[1]``, ..., ``cuts[-1]`` to ``n``.
 
     ``_CHUNK`` rows at a time are laid out as one matrix (see the module
     docstring), so that it stays a few MB.  A value's cells are computed
@@ -246,7 +272,9 @@ def layout(n: int, segments) -> str:
             content = merged.pop()[0] + content
         merged.append((content, rows))
     columns = [(*_writer(content), rows) for content, rows in merged]
-    chunks = []
+    ends = [*(cuts or ()), n]
+    texts = [[] for _ in ends]
+    current = 0  # the range of the next row
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         blocks = []
@@ -279,8 +307,16 @@ def layout(n: int, segments) -> str:
         matrix[...] = template
         for cells, where, a, b in scattered:
             matrix[where, a:b] = cells
-        chunks.append(matrix.tobytes().translate(None, b"\0"))
-    return b"".join(chunks).decode("ascii")
+        # The rows of each range in the chunk, the NULs dropped.
+        row = start
+        while True:
+            end = min(ends[current], stop)
+            texts[current].append(matrix[row - start:end - start].tobytes().translate(None, b"\0"))
+            if end == stop:
+                break
+            row, current = end, current + 1
+    texts = [b"".join(chunks).decode("ascii") for chunks in texts]
+    return texts if cuts is not None else texts[0]
 
 
 def _writer(content):
@@ -300,7 +336,7 @@ def _writer(content):
 def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """The cells of ``float.__repr__`` of each float64 value in ``cells``' ``_WIDTH`` rows, NUL where unused."""
     n = values.size
-    keyed, quads, suffixes = _tables()
+    keyed, quads, zeros, suffixes = _tables()
     bits = values.view(np.int64)
     digits, k, unsure = _shortest(bits, keyed)
 
@@ -315,21 +351,26 @@ def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
     d = np.zeros((19, n), np.uint8)
     d[1] = lead + _ZERO
     d[2:18].reshape(4, 4, n).transpose(1, 0, 2)[...] = quads.take(quarters, axis=1)
-    ndigits = ((d[1:18] != _ZERO) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0)
+    # d[0] is never 0: the trailing zeros are those of the last group of four that is not 0000.
+    tz = zeros.take(quarters)
+    ndigits = 17 - (tz[3] + (tz[3] == 4) * (tz[2] + (tz[2] == 4) * (tz[1] + (tz[1] == 4) * tz[0])))
 
-    # float.__repr__ switches to the exponent notation outside 1e-4 <= |v| < 1e16.
+    # float.__repr__ switches to the exponent notation outside 1e-4 <= |v| < 1e16.  From here
+    # on the positions are int8: in fixed notation a value is 0.d[0]d[1]... * 10**fixed with
+    # -3 <= fixed <= 16, and the exponent notation has fixed = 0.
     exponent = (decpt < -3) | (decpt > 16)
-    small = ~exponent & (decpt <= 0)
-    big = ~exponent & ~small
+    fixed = np.where(exponent, 0, decpt).astype(np.int8)
+    small = ~exponent & (fixed <= 0)
+    big = fixed > 0
     # The digit block is d[:written] with "." before d[point]: after the integer part
     # of a fixed-point value, after d[0] of an exponent form with more than one digit.
-    written = np.where(big, np.maximum(ndigits, decpt + 1), ndigits)
-    point = np.where(big, decpt, np.where(small, -1, np.where(ndigits > 1, 1, _BLOCK.size)))
+    written = np.where(big, np.maximum(ndigits, fixed + 1), ndigits)
+    point = np.where(big, fixed, np.where(small, _I8_BEFORE, np.where(ndigits > 1, _I8_ONE, _I8_NO_POINT)))
 
     cells[_SIGN] = (bits < 0) * _U8_MINUS
     cells[_LEAD] = small * _U8_ZERO
     cells[_LEAD + 1] = small * _U8_POINT
-    cells[_LEAD + 2:_DIGITS] = (_BLOCK[:3] < np.where(small, -decpt, 0)) * _U8_ZERO
+    cells[_LEAD + 2:_DIGITS] = (_BLOCK[:3] < -fixed) * _U8_ZERO
     block = cells[_DIGITS:_SUFFIX]
     np.multiply(d[1:], _BLOCK < np.minimum(point, written), out=block)
     block += (_BLOCK == point) * _U8_POINT
@@ -344,7 +385,7 @@ def _float_cells(values: np.ndarray, cells: np.ndarray) -> None:
 
 def _int_cells(values: np.ndarray, cells: np.ndarray) -> None:
     """The cells of ``int.__repr__`` of each int64 value, right-aligned in ``cells``' rows, NUL before."""
-    _, quads, _ = _tables()
+    _, quads, _, _ = _tables()
     width = cells.shape[0]
     magnitude = values.view(np.uint64)
     negative = values < 0

@@ -19,10 +19,13 @@ and ``analyze`` its rows, and ``simulate`` its per-attempt lists as two
 ``_Array`` values; the CSV and text layouts read the same columns.  Long
 ones go to :mod:`._floattext`, which writes the bytes of
 ``float.__repr__`` and ``int.__repr__`` in a fixed number of numpy passes:
-a float column of ``_BULK`` values or more through ``_floattext.join``, and
-a table of ``_BULK`` rows or more whose columns are all numeric arrays
-through ``_floattext.layout``, as one text row per member of its ragged
-column with the keys, brackets and indentation between the numbers.
+a float column of ``_BULK`` values or more through ``_floattext.join``;
+the finite float ``_Array`` values of an object, if they hold
+``_BULK_ARRAYS`` values or more between them, through one
+``_floattext.join_each``; and a table of ``_BULK`` rows or more whose
+columns are all numeric arrays through ``_floattext.layout``, as one text
+row per member of its ragged column with the keys, brackets and
+indentation between the numbers.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
@@ -254,6 +257,11 @@ class _Array:
 #: are written by :mod:`._floattext`.  Its fixed cost of a few hundred microseconds a call
 #: outweighs ``float.__repr__`` and the per-row joins below it.
 _BULK = 512
+#: The float ``_Array`` values of an object are written by :mod:`._floattext` in one pass when
+#: they hold at least this many values between them.  For the two arrays of a ``simulate``
+#: report the pass (about 440 µs plus 0.25 µs a value) overtakes ``float.__repr__`` (about
+#: 60 µs plus 1.1 µs a value) between 384 and 448 values, on a 2-core x86-64 VM.
+_BULK_ARRAYS = 384
 #: The repr of each non-finite float and its JSON spelling.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
@@ -271,7 +279,9 @@ def _to_json(value, newline: str) -> str:
     ``float.__repr__`` call (about 0.8 µs on a 2-core x86-64 VM), except in
     a column of ``_BULK`` or more finite floats: there
     :func:`_floattext.join` writes the column and its separators at once
-    (about 0.3 µs a value at 4096 values).  A numeric table of ``_BULK``
+    (about 0.3 µs a value at 4096 values).  The float ``_Array`` values of
+    an object take one :func:`_floattext.join_each` pass between them (see
+    :func:`_write_arrays`).  A numeric table of ``_BULK``
     rows or more makes no str per value, row or array at all:
     :func:`_bulk_table_text` hands its arrays and the literals between them
     to :func:`_floattext.layout`, which writes the whole JSON array of
@@ -281,16 +291,18 @@ def _to_json(value, newline: str) -> str:
     return _json_column([value], newline)[0]
 
 
-def _json_column(values, newline: str) -> list[str]:
+def _json_column(values, newline: str, arrays: list | None = None) -> list[str]:
     """The JSON text of each of ``values``, sibling values at one nesting level.
 
     A column of one exact type is written in one go: ints, finite floats
     and strs with one ``map``; arrays by encoding all their members as the
     next column and splitting it by length; objects that share one set of
     ``str`` keys by encoding the values under each key as a column and
-    zipping the columns.  Any other column is written value by value.
-    ``values`` may also be a ``_Table`` (a column of objects) or a
-    ``_Ragged`` (a column of arrays), written the same way.
+    zipping the columns.  Any other column is written value by value (see
+    :func:`_json_values`, which leaves the text of a float ``_Array`` to the
+    caller when given ``arrays``).  ``values`` may also be a ``_Table`` (a
+    column of objects) or a ``_Ragged`` (a column of arrays), written the
+    same way.
     """
     kind = type(values)
     if kind is _Ragged:
@@ -321,7 +333,51 @@ def _json_column(values, newline: str) -> list[str]:
                 return texts
     if kinds and kinds <= {list, tuple}:
         return _json_arrays(values, newline)
-    return [_json_value(value, newline) for value in values]
+    return _json_values(values, newline, arrays)
+
+
+def _json_values(values, newline: str, arrays: list | None = None) -> list[str]:
+    """The JSON text of each of ``values``, value by value.
+
+    An ``_Array`` value whose array is finite float64 is left as None and
+    listed in ``arrays``, as ``(texts, index, array)``, for the caller to
+    write with the others of its object (see :func:`_write_arrays`); without
+    ``arrays``, the column's own are written at the end.
+    """
+    own = arrays is None
+    if own:
+        arrays = []
+    texts = []
+    for value in values:
+        if (type(value) is _Array and value.values.dtype == np.float64 and value.values.size
+                and np.isfinite(value.values).all()):
+            arrays.append((texts, len(texts), value.values))
+            texts.append(None)
+        else:
+            texts.append(_json_value(value, newline))
+    if own:
+        _write_arrays(arrays, newline)
+    return texts
+
+
+def _write_arrays(arrays: list, newline: str) -> None:
+    """Fill in the JSON text of each ``(texts, index, array)`` of finite float64 arrays.
+
+    If they hold ``_BULK_ARRAYS`` values or more between them,
+    :func:`_floattext.join_each` writes them all in one pass over their
+    concatenation; otherwise each is written as its list.
+    """
+    if sum(array.size for _, _, array in arrays) < _BULK_ARRAYS:
+        for texts, i, array in arrays:
+            texts[i] = _json_ragged(array, [array.size], newline)[0]
+        return
+    # Imported here, so that a command that writes no long array does not load it.
+    from . import _floattext
+
+    inner = newline + "  "
+    bodies = _floattext.join_each([array for _, _, array in arrays], "," + inner)
+    for (texts, i, _), body in zip(arrays, bodies):
+        texts[i] = "[" + inner + body + newline + "]"
 
 
 def _json_value(value, newline: str) -> str:
@@ -394,19 +450,13 @@ def _json_ragged(members, lengths, newline: str) -> list[str]:
 def _bulk_float_text(values, separator: str) -> str | None:
     """``separator.join(map(float.__repr__, values))``, written in bulk by :mod:`._floattext`.
 
-    None unless ``values`` are at least ``_BULK`` floats, all finite (NaN
-    and the infinities are spelled differently in JSON): a list or tuple of
-    exact floats, or a 1-d float64 array.
+    None unless ``values`` are a list or tuple of at least ``_BULK`` exact
+    floats, all finite (NaN and the infinities are spelled differently in
+    JSON).  The ``_Array`` values of a column take :func:`_json_values`.
     """
-    kind = type(values)
-    if kind is np.ndarray:
-        if values.dtype != np.float64 or values.ndim != 1 or values.size < _BULK:
-            return None
-        array = values
-    elif kind not in (list, tuple) or len(values) < _BULK or set(map(type, values)) != {float}:
+    if type(values) not in (list, tuple) or len(values) < _BULK or set(map(type, values)) != {float}:
         return None
-    else:
-        array = np.fromiter(values, np.float64, len(values))
+    array = np.fromiter(values, np.float64, len(values))
     # Imported here, so that a command that writes no long column does not load it.
     from . import _floattext
 
@@ -500,7 +550,11 @@ def _json_table(table: _Table, newline: str) -> list[str]:
     inner = newline + "  "
     keys = [encode_basestring_ascii(name) + ": " for name in names]
     literals = ["{" + inner + keys[0], *["," + inner + key for key in keys[1:]], newline + "}"]
-    return _json_rows(literals, [_json_column(table.columns[name], inner) for name in names])
+    # The float arrays of all the columns are written together, in one pass if they are long.
+    arrays = []
+    columns = [_json_column(table.columns[name], inner, arrays) for name in names]
+    _write_arrays(arrays, inner)
+    return _json_rows(literals, columns)
 
 
 def _json_rows(literals: list[str], columns) -> list[str]:

@@ -7,7 +7,9 @@ Two independent routes to the same number:
   matrix product, and sums first-detection probabilities until the bright
   survival is negligible: the undetected state's weight on the bright
   space, the cyclic space of ``U(tau)`` generated by the detection state,
-  which is exactly the rest of the series.
+  which is exactly the rest of the series.  The windows run in blocks of
+  up to ``SERIES_BLOCK``, and the stop rule, unchanged for each window, is
+  tested a block at a time.
 * ``pdet_spectral`` evaluates the closed-form sector sum over the
   eigendecomposition, skipping sectors with no weight on the detection
   state (the completely dark levels).
@@ -18,7 +20,6 @@ cross-check throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -45,8 +46,15 @@ __all__ = [
 DARK_OVERLAP_TOL = 1e-12
 
 #: Attempts per protocol window: one matrix product advances the protocol
-#: this far, and the stop rule of the series is tested once per window.
+#: this far, and the stop rule of the series is decided once per window
+#: (for a block of windows at a time, see ``SERIES_BLOCK``).
 SERIES_WINDOW = 32
+#: Most windows per block of the protocol loop: the stop rule is tested for
+#: a whole block at once, and blocks grow 1, 2, 4, ... up to this size.
+SERIES_BLOCK = 64
+#: A window whose block-wise bright survival lies this close (relative) to
+#: its limit is tested again window by window (see ``_first_below``).
+_RETEST_BAND = 1e-8
 
 #: Default relative tail tolerance and step cap of ``pdet_series``.
 SERIES_REL_TOL = 1e-6
@@ -181,14 +189,31 @@ def _bright_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
     return basis[:, :k]
 
 
-def _protocol_windows(setup: DetectionSetup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield, window by window, the next ``SERIES_WINDOW`` first-detection
-    amplitudes and the undetected (unnormalized) state after them."""
+def _protocol_blocks(setup: DetectionSetup, windows: int) -> Iterator[np.ndarray]:
+    """Yield the first ``windows`` windows of the protocol in blocks of 1, 2,
+    4, ... up to ``SERIES_BLOCK`` windows, a row each: the window's
+    ``SERIES_WINDOW`` first-detection amplitudes, then the undetected
+    (unnormalized) state after it.  The next block overwrites the rows."""
+    op = setup.window_operator
+    rows = np.empty((min(windows, SERIES_BLOCK), op.shape[0]), dtype=complex)
     psi = setup.initial_state.astype(complex)
-    while True:
-        out = setup.window_operator @ psi
-        psi = out[SERIES_WINDOW:]
-        yield out[:SERIES_WINDOW], psi
+    size = 1
+    while windows > 0:
+        block = rows[:min(size, windows)]
+        for row in block:
+            np.matmul(op, psi, out=row)
+            psi = row[SERIES_WINDOW:]
+        # The next block's first row must not overwrite the state it starts from.
+        psi = psi.copy()
+        yield block
+        windows -= block.shape[0]
+        size = min(2 * size, SERIES_BLOCK)
+
+
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    return int(value)
 
 
 def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
@@ -198,12 +223,11 @@ def first_detection_amplitudes(setup: DetectionSetup, n_max: int) -> np.ndarray:
     every ``tau``, is detected for the first time at the n-th attempt.
     The squared moduli are the first-detection probabilities.  The protocol
     runs in windows of ``SERIES_WINDOW`` attempts, the last one cut to
-    ``n_max``.
+    ``n_max``, which must be an int >= 1.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    windows = itertools.islice(_protocol_windows(setup), -(-n_max // SERIES_WINDOW))
-    return np.concatenate([amps for amps, _ in windows])[:n_max]
+    n_max = _check_count("n_max", n_max)
+    blocks = [block[:, :SERIES_WINDOW].copy() for block in _protocol_blocks(setup, -(-n_max // SERIES_WINDOW))]
+    return np.concatenate(blocks, axis=None)[:n_max]
 
 
 def pdet_series(
@@ -224,36 +248,79 @@ def pdet_series(
     times the running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully
     dark initial state stops after one window.
 
+    The windows run in blocks (see ``_protocol_blocks``), and the rule is
+    tested for a whole block at once (see ``_first_below``), with the
+    decisions of the window-by-window rule: the same probabilities,
+    ``n_used`` and ``stop``, bit for bit.
+
     Near a resonant detection period the decay can be arbitrarily slow; in
     that case the sum stops at ``n_cap`` (a last partial window is summed
     but not tested) with ``stop="cap"`` and ``converged=False``, and the
-    partial value is returned.
+    partial value is returned.  ``rel_tol`` must be finite and positive,
+    and ``n_cap`` an int >= 1.
     """
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    full, rest = divmod(max(n_cap, 0), SERIES_WINDOW)
-    windows = _protocol_windows(setup)
-    q_h = setup.bright_basis.conj().T
+    try:
+        valid = math.isfinite(rel_tol) and rel_tol > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
+    n_cap = _check_count("n_cap", n_cap)
+    full, rest = divmod(n_cap, SERIES_WINDOW)
+    q_conj = setup.bright_basis.conj()
     blocks: list[np.ndarray] = []
     total = 0.0
-    for amps, psi in itertools.islice(windows, full):
-        blocks.append(np.abs(amps) ** 2)
-        total += float(np.sum(blocks[-1]))
-        bright = q_h @ psi
-        if float(np.vdot(bright, bright).real) < rel_tol * max(total, DARK_OVERLAP_TOL):
-            stop = "bright-survival"
+    stop, n_used = "cap", n_cap
+    done = 0  # full windows before the block
+    for block in _protocol_blocks(setup, full + (rest > 0)):
+        blocks.append(np.abs(block[:, :SERIES_WINDOW]) ** 2)
+        tested = min(block.shape[0], full - done)  # a last partial window is not tested
+        if tested < 1:
             break
-    else:
-        stop = "cap"
-        if rest:
-            blocks.append(np.abs(next(windows)[0][:rest]) ** 2)
-    probabilities = np.concatenate(blocks) if blocks else np.zeros(0)
+        # The running sum after each window, accumulated left to right as window by window.
+        totals = blocks[-1][:tested].sum(axis=1)
+        totals[0] += total
+        totals = totals.cumsum()
+        total = float(totals[-1])
+        first = _first_below(block[:tested, SERIES_WINDOW:], totals, rel_tol, q_conj)
+        if first is not None:
+            stop, n_used = "bright-survival", (done + first + 1) * SERIES_WINDOW
+            break
+        done += tested
+    probabilities = np.concatenate(blocks, axis=None)[:n_used]
     return SeriesResult(
         estimate=math.fsum(probabilities),
         converged=stop != "cap",
         stop=stop,
         probabilities=probabilities,
     )
+
+
+def _first_below(states: np.ndarray, totals: np.ndarray, rel_tol: float, q_conj: np.ndarray) -> int | None:
+    """The first of a block of windows whose bright survival is below ``rel_tol``
+    times its running sum, floored at ``DARK_OVERLAP_TOL``: the stop rule of
+    ``pdet_series``, tested for the block at once.
+
+    Row ``j`` of ``states`` is the state after window ``j``, and ``totals[j]``
+    the running sum there.  One product with ``Q^H`` gives the survivals of
+    all the windows.  They may differ from :func:`_bright_survival` in the
+    last bits, far less than ``_RETEST_BAND``, so only a window that close
+    to its limit needs its own.
+    """
+    bright = (states @ q_conj).view(float)
+    survival = np.einsum("ij,ij->i", bright, bright)
+    floor = np.maximum(totals, DARK_OVERLAP_TOL)
+    for j in np.flatnonzero(survival < (1 + _RETEST_BAND) * rel_tol * floor).tolist():
+        limit = rel_tol * float(floor[j])
+        if survival[j] <= (1 - _RETEST_BAND) * limit or _bright_survival(q_conj, states[j]) < limit:
+            return j
+    return None
+
+
+def _bright_survival(q_conj: np.ndarray, psi: np.ndarray) -> float:
+    """``||Q^H psi||^2``, the bright survival of one state, as the stop rule defines it."""
+    bright = q_conj.T @ psi
+    return float(np.vdot(bright, bright).real)
 
 
 class _PdetColumns(NamedTuple):

@@ -130,6 +130,44 @@ def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
     return np.array(terms), "cap"
 
 
+def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
+    """``pdet_series`` as it ran before its windows ran in blocks: one matrix
+    product and one test of the stop rule per window of 32 attempts.
+    Returns a ``SeriesResult``."""
+    window = sw.detection.SERIES_WINDOW
+
+    def protocol_windows():
+        psi = setup.initial_state.astype(complex)
+        while True:
+            out = setup.window_operator @ psi
+            psi = out[window:]
+            yield out[:window], psi
+
+    full, rest = divmod(max(n_cap, 0), window)
+    windows = protocol_windows()
+    q_h = setup.bright_basis.conj().T
+    blocks: list[np.ndarray] = []
+    total = 0.0
+    for amps, psi in itertools.islice(windows, full):
+        blocks.append(np.abs(amps) ** 2)
+        total += float(np.sum(blocks[-1]))
+        bright = q_h @ psi
+        if float(np.vdot(bright, bright).real) < rel_tol * max(total, sw.detection.DARK_OVERLAP_TOL):
+            stop = "bright-survival"
+            break
+    else:
+        stop = "cap"
+        if rest:
+            blocks.append(np.abs(next(windows)[0][:rest]) ** 2)
+    probabilities = np.concatenate(blocks) if blocks else np.zeros(0)
+    return sw.SeriesResult(
+        estimate=math.fsum(probabilities),
+        converged=stop != "cap",
+        stop=stop,
+        probabilities=probabilities,
+    )
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool = True) -> np.ndarray:
     a = rng.normal(size=(dim, dim))
     if complex_entries:

@@ -1078,6 +1078,35 @@ class TestJsonWriter:
         expected = {"n": 1, "values": values.tolist(), "nested": [values.tolist()]}
         assert cli._to_json(value, "\n") == json.dumps(expected, indent=2, sort_keys=True)
 
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_the_float_arrays_of_an_object_take_one_pass(self, monkeypatch, short):
+        # Together the two finite arrays hold _BULK_ARRAYS values, or one fewer; the non-finite
+        # and the int array, and the one alone in the nested object, take the str path.
+        calls = spy(monkeypatch, _floattext, "join_each")
+        rng = np.random.default_rng(5)
+        half = cli._BULK_ARRAYS // 2
+        a, b = rng.random(half) ** 8, np.cumsum(rng.random(cli._BULK_ARRAYS - half - short))
+        value = {"a": cli._Array(a), "b": cli._Array(b), "bad": cli._Array(np.r_[a, math.nan, b]),
+                 "ints": cli._Array(np.arange(-3, 600)), "n": 1, "nested": {"a": cli._Array(a)}}
+        expected = {"a": a.tolist(), "b": b.tolist(), "bad": [*a.tolist(), math.nan, *b.tolist()],
+                    "ints": list(range(-3, 600)), "n": 1, "nested": {"a": a.tolist()}}
+        assert cli._to_json(value, "\n") == json.dumps(expected, indent=2, sort_keys=True)
+        assert [[array.size for array in arrays] for arrays, _ in calls] == ([] if short else [[a.size, b.size]])
+
+    @pytest.mark.parametrize("attempts", [96, 128, 160])
+    def test_a_short_simulate_report_is_the_same_on_either_path(self, capsys, monkeypatch, attempts):
+        argv = ["simulate", "--graph", "ring:64", "--detect", "0", "--init", "32", "--tau", "1.0",
+                "--tol", f"series-cap={attempts}", "--format", "json"]
+        texts = []
+        for threshold in (math.inf, 0, cli._BULK_ARRAYS):
+            monkeypatch.setattr(cli, "_BULK_ARRAYS", threshold)
+            assert main(argv) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        report = json.loads(texts[0])
+        assert len(report["first_detection"]) == len(report["partial_sums"]) == attempts
+        assert texts[0] == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"a": 1j}, {1, 2},
                                        {(1, 2): 3}, {"x": [object()]}, np.arange(3),
                                        {"a": np.zeros(2)}, [np.zeros(2), np.zeros(2)]])

@@ -98,6 +98,29 @@ class TestAmplitudes:
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:3"), detect_state=sw.localized_state(4, 0),
                               initial_state=ok, tau=1.0)
 
+    @pytest.mark.parametrize("n_max", [0, -5, 2.5, math.nan, math.inf, True, "40", None])
+    def test_n_max_must_be_an_int_of_at_least_one(self, n_max):
+        setup = setup_for("ring:8", 0, 3, 1.1)
+        with pytest.raises(ValueError, match="n_max"):
+            sw.first_detection_amplitudes(setup, n_max)
+
+    def test_a_numpy_int_n_max_is_an_int(self):
+        setup = setup_for("ring:8", 0, 3, 1.1)
+        assert sw.first_detection_amplitudes(setup, np.int64(40)).tobytes() == (
+            sw.first_detection_amplitudes(setup, 40).tobytes())
+
+    @pytest.mark.parametrize("n_max", [1, 31, 32, 33, 64, 65, 200, 2049])
+    def test_amplitudes_are_the_windows_cut_to_n_max(self, n_max):
+        # The blocks of windows give the amplitudes of one window at a time, bit for bit.
+        setup = setup_for("ring:16", 0, 5, 1.3)
+        psi, windows = setup.initial_state.astype(complex), []
+        for _ in range(-(-n_max // 32)):
+            out = setup.window_operator @ psi
+            windows.append(out[:32])
+            psi = out[32:]
+        expected = np.concatenate(windows)[:n_max]
+        assert sw.first_detection_amplitudes(setup, n_max).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("vec", [[math.nan, 0.0, 0.0], [1.0, math.nan, 0.0], [complex(0.0, math.nan), 0.0],
                                      [math.inf, 0.0]])
     def test_as_state_rejects_a_norm_that_is_not_one(self, vec):
@@ -179,6 +202,65 @@ class TestSeries:
         setup = setup_for("ring:16", 0, 5, 1.3)
         assert sw.pdet_series(setup).converged
         assert sw.first_detection_amplitudes(setup, 40).shape == (40,)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, math.inf, -math.inf, math.nan, "1e-6", None, 1j])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        # ring:8 detect 0 init 3 at tau=1.1 has pdet 0.5: rel_tol=inf stopped it at 0.49968 and
+        # called that converged, and rel_tol=nan ran it to the cap.
+        with pytest.raises(ValueError, match="rel_tol"):
+            sw.pdet_series(setup_for("ring:8", 0, 3, 1.1), rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("n_cap", [0, -5, 2.5, math.nan, math.inf, True, False, "100", None, 1e5])
+    def test_n_cap_must_be_an_int_of_at_least_one(self, n_cap):
+        with pytest.raises(ValueError, match="n_cap"):
+            sw.pdet_series(setup_for("ring:8", 0, 3, 1.1), n_cap=n_cap)
+
+    def test_the_smallest_valid_arguments(self):
+        setup = setup_for("ring:8", 0, 3, 1.1)
+        one = sw.pdet_series(setup, rel_tol=5e-324, n_cap=1)
+        assert (one.n_used, one.stop, one.converged) == (1, "cap", False)
+        assert sw.pdet_series(setup, n_cap=np.int32(40)).n_used == 40
+        assert sw.pdet_series(setup, rel_tol=1).stop == "bright-survival"
+
+    @pytest.mark.parametrize("spec, detect, init, tau, n_used", [
+        ("ring:64", 0, 32, 1.0, 35392),
+        ("lattice:8x8", 0, 36, 1.3, 75424),
+        ("ring:32", 4, 18, 1.7728, 1856),
+        ("lattice:8x8", 5, 36, 1.3, 100_000),
+    ])
+    def test_long_series_stop_where_window_by_window_does(self, spec, detect, init, tau, n_used):
+        setup = setup_for(spec, detect, init, tau)
+        series = sw.pdet_series(setup)
+        expected = helpers.window_by_window_series(setup, sw.detection.SERIES_REL_TOL, sw.detection.DEFAULT_SERIES_CAP)
+        assert series.n_used == n_used
+        assert series.stop == ("cap" if n_used == 100_000 else "bright-survival")
+        assert series.probabilities.tobytes() == expected.probabilities.tobytes()
+        assert (series.n_used, series.stop, series.estimate) == (expected.n_used, expected.stop, expected.estimate)
+
+    def test_a_survival_at_its_limit_is_tested_window_by_window(self, monkeypatch):
+        # rel_tol puts window 5's limit on its bright survival, to the last bits, so the
+        # block-wise survival is within the re-test band and the window's own survival decides.
+        setup = setup_for("ring:16", 0, 8, 1.3)
+        q_h = setup.bright_basis.conj().T
+        psi, total = setup.initial_state.astype(complex), 0.0
+        for _ in range(6):
+            out = setup.window_operator @ psi
+            total += float(np.sum(np.abs(out[:32]) ** 2))
+            psi = out[32:]
+        survival = float(np.vdot(q_h @ psi, q_h @ psi).real)
+        retests = []
+        original = sw.detection._bright_survival
+        monkeypatch.setattr(sw.detection, "_bright_survival", lambda *a: retests.append(a) or original(*a))
+        edge = survival / total
+        for rel_tol in [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), edge * (1 + 1e-9)]:
+            retests.clear()
+            series = sw.pdet_series(setup, rel_tol=rel_tol)
+            expected = helpers.window_by_window_series(setup, rel_tol, sw.detection.DEFAULT_SERIES_CAP)
+            assert retests
+            assert series.probabilities.tobytes() == expected.probabilities.tobytes()
+            assert (series.n_used, series.stop) == (expected.n_used, expected.stop)
+        assert sw.pdet_series(setup, rel_tol=edge * (1 + 1e-6)).n_used == 192
+        assert sw.pdet_series(setup, rel_tol=edge * (1 - 1e-6)).n_used > 192
 
     def test_full_revival_detects_only_the_overlap(self):
         # At the full revival nothing moves: the series is |<d|in>|^2 = 0 here.

@@ -94,6 +94,42 @@ class TestTables:
         assert_matches(values, ", ")
 
 
+class TestJoinEach:
+    """Several arrays in one pass over their concatenation, split back at the array boundaries."""
+
+    @staticmethod
+    def assert_each_matches(sizes, sep=",\n    "):
+        rng = np.random.default_rng(sum(sizes))
+        arrays = [rng.random(size) ** 8 * 10.0 ** rng.integers(-20, 20, size) for size in sizes]
+        assert _floattext.join_each(arrays, sep) == [reference(values, sep) for values in arrays]
+
+    @pytest.mark.parametrize("sizes", [[255], [256], [257], [128, 127], [128, 128], [128, 129], [1, 254, 2],
+                                       [0, 256, 0], [100, 0, 157]])
+    def test_totals_about_the_bulk_threshold(self, sizes):
+        self.assert_each_matches(sizes)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_one_array_about_a_chunk(self, offset):
+        self.assert_each_matches([_floattext._CHUNK + offset])
+
+    @pytest.mark.parametrize("sizes", [[_floattext._CHUNK - 1, 2], [_floattext._CHUNK, 1], [3, _floattext._CHUNK - 3],
+                                       [_floattext._CHUNK - 5, 10, 2 * _floattext._CHUNK], [_floattext._CHUNK, 0, 1]])
+    def test_arrays_that_meet_at_or_straddle_a_chunk_edge(self, sizes):
+        self.assert_each_matches(sizes, ",")
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(st.floats(), max_size=12), max_size=6), st.sampled_from(SEPARATORS),
+           st.sampled_from([1, 3, 8]))
+    def test_any_arrays_and_chunks(self, lists, sep, chunk):
+        arrays = [np.array(values, dtype=np.float64) for values in lists]
+        default, _floattext._CHUNK = _floattext._CHUNK, chunk
+        try:
+            got = _floattext.join_each(arrays, sep)
+        finally:
+            _floattext._CHUNK = default
+        assert got == [reference(values, sep) for values in arrays]
+
+
 def test_importing_the_cli_loads_no_kernel():
     code = "import sys, strobewalk.cli; print('strobewalk._floattext' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -135,14 +171,18 @@ class TestIntCells:
             f"[{v}]" for v in values.tolist())
 
 
-def layout_reference(n, segments):
+def layout_rows(n, segments):
     rows = [[] for _ in range(n)]
     for content, where in segments:
         where = range(n) if where is None else where.tolist()
         texts = repeat(content) if type(content) is str else map(repr, content.tolist())
         for row, text in zip(where, texts):
             rows[row].append(text)
-    return "".join(map("".join, rows))
+    return list(map("".join, rows))
+
+
+def layout_reference(n, segments):
+    return "".join(layout_rows(n, segments))
 
 
 _literals = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=4)
@@ -177,6 +217,19 @@ class TestLayout:
             assert _floattext.layout(n, segments) == layout_reference(n, segments)
         finally:
             _floattext._CHUNK = default
+
+    @settings(max_examples=200)
+    @given(layouts(), st.lists(st.integers(0, 40), max_size=4), st.sampled_from([1, 3, 8, _floattext._CHUNK]))
+    def test_cut_into_row_ranges(self, case, cuts, chunk):
+        n, segments = case
+        cuts = sorted(min(cut, n) for cut in cuts)
+        default, _floattext._CHUNK = _floattext._CHUNK, chunk
+        try:
+            texts = _floattext.layout(n, segments, cuts)
+        finally:
+            _floattext._CHUNK = default
+        rows, bounds = layout_rows(n, segments), [0, *cuts, n]
+        assert texts == ["".join(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def test_rows_on_both_sides_of_a_chunk_edge(self):
         n = 2 * _floattext._CHUNK + 5

@@ -350,6 +350,17 @@ def test_windowed_protocol_matches_the_step_by_step_oracle(setup, n, rel_tol):
     assert series.estimate == pytest.approx(math.fsum(probabilities), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(protocol_setups(), st.sampled_from([1, 31, 32, 33, 2000, 2049]), st.sampled_from([1e-6, 1e-3, 1e-10]))
+def test_blocks_of_windows_give_the_window_by_window_series(setup, n_cap, rel_tol):
+    # bit for bit: the probabilities, where the series stops, and the estimate
+    series = sw.pdet_series(setup, rel_tol=rel_tol, n_cap=n_cap)
+    expected = helpers.window_by_window_series(setup, rel_tol, n_cap)
+    assert series.probabilities.tobytes() == expected.probabilities.tobytes()
+    assert (series.n_used, series.stop, series.converged) == (expected.n_used, expected.stop, expected.converged)
+    assert series.estimate == expected.estimate
+
+
 @settings(max_examples=200)
 @given(protocol_setups())
 def test_running_sum_plus_bright_survival_is_the_spectral_pdet(setup):
@@ -364,7 +375,8 @@ def test_running_sum_plus_bright_survival_is_the_spectral_pdet(setup):
     distance = float(np.linalg.norm(q @ q.conj().T - bright @ bright.conj().T, 2))
     assert distance < 1e-8
     total = 0.0
-    for amps, psi in itertools.islice(detection._protocol_windows(setup), 8):
+    for window in itertools.chain.from_iterable(detection._protocol_blocks(setup, 8)):
+        amps, psi = window[:detection.SERIES_WINDOW], window[detection.SERIES_WINDOW:]
         total += float(np.sum(np.abs(amps) ** 2))
         survival = float(np.vdot(psi, psi).real)
         assert total + float(np.sum(np.abs(bright.conj().T @ psi) ** 2)) == pytest.approx(expected, abs=1e-12)
