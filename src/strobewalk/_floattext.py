@@ -68,9 +68,10 @@ _SIGN, _LEAD, _DIGITS, _SUFFIX, _WIDTH = 0, 1, 6, 24, 29
 #: The rows of the digit block, int8 like the positions they are compared with.
 _BLOCK = np.arange(_SUFFIX - _DIGITS, dtype=np.int8)[:, None]
 _I8_BEFORE, _I8_ONE, _I8_NO_POINT = np.int8(-1), np.int8(1), np.int8(_BLOCK.size)
-#: Rows per pass of :func:`layout`; the matrix of a pass stays a few MB.  Of 4096, 8192 and
-#: 16384 rows, 8192 wrote the 70784 floats of the ring:64 ``simulate`` report fastest.
-_CHUNK = 1 << 13
+#: About the rows per pass of :func:`layout`: ``n`` rows take ``round(n / _CHUNK)`` passes of
+#: equal size (at least one), so that the matrix of a pass stays a few MB and no pass is a
+#: short tail that pays the whole fixed cost of a pass.
+_CHUNK = 1 << 14
 
 
 def _flog10pow2(q):
@@ -239,7 +240,7 @@ def join_each(arrays, sep: str) -> list[str]:
     if not arrays:
         return []
     values = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    cuts = np.cumsum([values.size for values in arrays[:-1]], dtype=np.int64).tolist()
+    cuts = np.cumsum([array.size for array in arrays[:-1]], dtype=np.int64).tolist()
     texts = layout(values.size, [(values, None), (sep, None)], cuts)
     return [text[:len(text) - len(sep)] for text in texts]
 
@@ -258,8 +259,8 @@ def layout(n: int, segments, cuts=None):
     the list of the texts of the row ranges between them: rows ``0`` to
     ``cuts[0]``, ``cuts[0]`` to ``cuts[1]``, ..., ``cuts[-1]`` to ``n``.
 
-    ``_CHUNK`` rows at a time are laid out as one matrix (see the module
-    docstring), so that it stays a few MB.  A value's cells are computed
+    The rows are laid out in passes of about ``_CHUNK`` rows, each as one
+    matrix (see the module docstring), so that it stays a few MB.  A value's cells are computed
     column-wise and copied in transposed; a cell that is NUL on every row of
     the chunk gets no matrix column.  The literals that cover the whole
     chunk form one template row, copied to every row at once.
@@ -275,8 +276,9 @@ def layout(n: int, segments, cuts=None):
     ends = [*(cuts or ()), n]
     texts = [[] for _ in ends]
     current = 0  # the range of the next row
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
+    size = max(1, -(-n // max(1, round(n / _CHUNK))))
+    for start in range(0, n, size):
+        stop = min(start + size, n)
         blocks = []
         for content, write, width, rows in columns:
             where, part = slice(None), slice(start, stop)

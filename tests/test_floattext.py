@@ -112,8 +112,10 @@ class TestJoinEach:
     def test_one_array_about_a_chunk(self, offset):
         self.assert_each_matches([_floattext._CHUNK + offset])
 
-    @pytest.mark.parametrize("sizes", [[_floattext._CHUNK - 1, 2], [_floattext._CHUNK, 1], [3, _floattext._CHUNK - 3],
-                                       [_floattext._CHUNK - 5, 10, 2 * _floattext._CHUNK], [_floattext._CHUNK, 0, 1]])
+    # Two chunks' worth of rows make two passes that meet at _CHUNK.
+    @pytest.mark.parametrize("sizes", [[_floattext._CHUNK - 5, 10, _floattext._CHUNK - 5],
+                                       [_floattext._CHUNK + 1, _floattext._CHUNK - 1], [1, 2 * _floattext._CHUNK - 1],
+                                       [_floattext._CHUNK, _floattext._CHUNK], [_floattext._CHUNK, 0, _floattext._CHUNK]])
     def test_arrays_that_meet_at_or_straddle_a_chunk_edge(self, sizes):
         self.assert_each_matches(sizes, ",")
 
