@@ -131,9 +131,10 @@ def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
 
 
 def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
-    """``pdet_series`` as it ran before its windows ran in blocks: one matrix
-    product and one test of the stop rule per window of 32 attempts.
-    Returns a ``SeriesResult``."""
+    """The protocol series window by window: one matrix product and one test
+    of the stop rule per window of 32 attempts.  ``pdet_series``, which
+    tests a block of windows at once, must give this ``SeriesResult`` bit
+    for bit."""
     window = sw.detection.SERIES_WINDOW
 
     def protocol_windows():
