@@ -1,13 +1,13 @@
 """Shortest round-trip text of many numbers at once.
 
-``join(values, sep)`` equals ``sep.join(map(float.__repr__, values))`` for
-a float64 array, in a fixed number of numpy passes over the array instead
-of one ``float.__repr__`` call per value; ``join_each`` does it for
-several arrays in one pass over their concatenation.  ``layout(n,
-segments)`` writes ``n`` text rows made of literals and of int64 and
-float64 columns, such as the JSON of a table of numbers, the same way, as
-one text or as the texts of row ranges; ``join_each`` is its one-column
-case, cut at the array boundaries.  There are three stages:
+``join_each(arrays, sep)`` equals ``[sep.join(map(float.__repr__,
+values)) for values in arrays]`` for float64 arrays, in a fixed number of
+numpy passes over their concatenation instead of one ``float.__repr__``
+call per value.  ``layout(n, segments)`` writes ``n`` text rows made of
+literals and of int64 and float64 columns, such as the JSON of a table of
+numbers, the same way, as one text or as the texts of row ranges;
+``join_each`` is its one-column case, cut at the array boundaries.  There
+are three stages:
 
 1. **Digits.**  The Schubfach core (R. Giulietti, "The Schubfach way to
    render doubles", 2020; the algorithm of ``java.lang.Double.toString``
@@ -50,7 +50,7 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["join", "join_each", "layout"]
+__all__ = ["join_each", "layout"]
 
 _U1, _U2, _U3, _U4, _U10, _U40, _U10000 = (np.uint64(v) for v in (1, 2, 3, 4, 10, 40, 10000))
 _U32, _U63, _U64 = np.uint64(32), np.uint64(63), np.uint64(64)
@@ -229,13 +229,9 @@ def _shortest(bits: np.ndarray, keyed: np.ndarray):
     return np.where(unsure, 10**16, digits.view(np.int64)), np.where(unsure, -16, k.view(np.int64)), unsure
 
 
-def join(values: np.ndarray, sep: str) -> str:
-    """``sep.join(map(float.__repr__, values))`` for a 1-d float64 array and an ASCII ``sep`` without NUL."""
-    return join_each([values], sep)[0]
-
-
 def join_each(arrays, sep: str) -> list[str]:
-    """:func:`join` of each of several arrays, in one pass over their concatenation."""
+    """``sep.join(map(float.__repr__, values))`` for each of several 1-d float64 arrays, in one
+    pass over their concatenation; ``sep`` is ASCII without NUL."""
     arrays = [np.ascontiguousarray(values, dtype=np.float64) for values in arrays]
     if not arrays:
         return []

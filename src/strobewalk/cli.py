@@ -6,29 +6,28 @@ Subcommands: ``analyze`` (detection probabilities, bounds and saturation),
 and ``spectrum`` (eigenvalues and sectors).  Reports are deterministic:
 identical invocations produce identical bytes.
 
-A command returns its report as a dict, written as JSON, CSV or text.  One
+A command returns its report as a dict, written as JSON, CSV or text.  The
 JSON writer (:func:`_to_json`) matches ``json.dumps(indent=2,
-sort_keys=True)`` byte for byte and works column by column.  Besides plain
-values it takes a ``_Table``: a list of objects given as named columns, each
-a flat sequence, a numpy array or a ``_Ragged`` column (members plus
-per-row lengths), and an ``_Array``: a list of numbers held as a numpy
-array.  Lists of dicts and nested arrays are reduced to the same columns, so
-one routine writes both.  ``resonances`` hands its listing over as such a
-table, straight from the spectral arrays, as ``spectrum`` does its sectors
-and ``analyze`` its rows, and ``simulate`` its per-attempt lists as two
-``_Array`` values; the CSV and text layouts read the same columns.  Long
-ones go to :mod:`._floattext`, which writes the bytes of
-``float.__repr__`` and ``int.__repr__`` in a fixed number of numpy passes:
-a float column of ``_BULK`` values or more through ``_floattext.join``;
-the finite float ``_Array`` values of an object, if they hold
-``_BULK_ARRAYS`` values or more between them, through one
-``_floattext.join_each``; and a table of ``_BULK`` rows or more whose
-columns are all numeric arrays through ``_floattext.layout``, as one text
-row per member of its ragged column with the keys, brackets and
-indentation between the numbers.
+sort_keys=True)`` byte for byte.  A report's top-level values may be
+columns: a ``_Table``, a list of objects given as named columns, each a flat
+sequence, a 1-d or 2-d numpy array or a ``_Ragged`` column (members plus
+per-row lengths), or an ``_Array``, a list of numbers held as a numpy
+array.  ``resonances`` hands its listing over as such a table, straight
+from the spectral arrays, as ``spectrum`` does its sectors and ``analyze``
+its rows, and ``simulate`` its per-attempt lists as two ``_Array`` values;
+the CSV and text layouts read the same columns.  The writer writes these
+columns itself and leaves every other value to ``json.dumps``.  Long ones
+go to :mod:`._floattext`, which writes the bytes of ``float.__repr__`` and
+``int.__repr__`` in a fixed number of numpy passes: the finite float
+``_Array`` values of a report, if they hold ``_BULK_ARRAYS`` values or more
+between them, through one ``_floattext.join_each``; and a table of
+``_BULK`` rows or more whose columns are all numeric arrays through
+``_floattext.layout``, as one text row per member of its ragged column with
+the keys, brackets and indentation between the numbers.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+Exit codes: 0 on success, 2 on configuration errors (an input file that
+cannot be read and an ``--out`` path that cannot be written among them), 3
+on numerical failures.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, count, islice, repeat, starmap
+from itertools import count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -116,14 +114,20 @@ def _load_graph_source(source: str):
             f"graph source {source!r} is neither a known generator ({', '.join(GENERATOR_NAMES)}) "
             "nor an existing file"
         )
-    return load_graph(path.read_bytes())
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read graph file {source!r}: {exc.strerror or exc}") from exc
+    return load_graph(data)
 
 
 def _load_state_file(path: str, dim: int) -> np.ndarray:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read state file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"state file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"state file {path!r}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("amplitudes"), list):
@@ -210,10 +214,18 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
     else:
         texts = (_to_text(report),)
     if out:
-        with open(out, "w") as f:
-            f.writelines(texts)
+        _write_file(out, texts, "w")
     else:
         sys.stdout.writelines(texts)
+
+
+def _write_file(path: str, texts, mode: str) -> None:
+    """Write ``texts`` to ``path``; a path that cannot be written is a configuration error."""
+    try:
+        with open(path, mode) as f:
+            f.writelines(texts)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -234,9 +246,9 @@ class _Table:
     """A list of ``rows`` objects given as named columns, one per key.
 
     Each column is a flat sequence or numpy array of ``rows`` values (see
-    ``_Ragged``) or a ``_Ragged`` of ``rows`` arrays.  The writers take it
-    where a report holds a list of objects, so that a long listing needs no
-    dict, tuple or list per row.
+    ``_Ragged``) or a ``_Ragged`` of ``rows`` arrays.  A report holds one
+    where it holds a list of objects, so that a long listing needs no dict,
+    tuple or list per row.
     """
 
     columns: dict[str, object]
@@ -253,186 +265,140 @@ class _Array:
     values: np.ndarray
 
 
-#: Float columns of at least this many values, and numeric tables of at least this many rows,
-#: are written by :mod:`._floattext`.  Its fixed cost of a few hundred microseconds a call
-#: outweighs ``float.__repr__`` and the per-row joins below it.
+#: Numeric tables of at least this many rows are laid out by :mod:`._floattext`.  Its fixed cost
+#: of a few hundred microseconds a call outweighs the per-row joins below it.
 _BULK = 512
-#: The float ``_Array`` values of an object are written by :mod:`._floattext` in one pass when
+#: The float ``_Array`` values of a report are written by :mod:`._floattext` in one pass when
 #: they hold at least this many values between them.  For the two arrays of a ``simulate``
 #: report the pass (about 440 µs plus 0.25 µs a value) overtakes ``float.__repr__`` (about
 #: 60 µs plus 1.1 µs a value) between 384 and 448 values, on a 2-core x86-64 VM.
 _BULK_ARRAYS = 384
 #: The repr of each non-finite float and its JSON spelling.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-#: The types the JSON writer accepts, subclasses tested in the ``json`` encoder's order.
-_JSON_BASES = (str, int, float, list, tuple, dict)
-_JSON_TYPES = frozenset({*_JSON_BASES, bool, type(None)})
 
 
 def _to_json(value, newline: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     ``newline`` is the line break plus the indentation of ``value``'s own
-    nesting level.  :func:`_json_column` does the work, one pass per nesting
-    level, so what is left per value is the text of each leaf and one
-    ``str.join`` per array or object.  A leaf float costs one
-    ``float.__repr__`` call (about 0.8 µs on a 2-core x86-64 VM), except in
-    a column of ``_BULK`` or more finite floats: there
-    :func:`_floattext.join` writes the column and its separators at once
-    (about 0.3 µs a value at 4096 values).  The float ``_Array`` values of
-    an object take one :func:`_floattext.join_each` pass between them (see
-    :func:`_write_arrays`).  A numeric table of ``_BULK``
-    rows or more makes no str per value, row or array at all:
-    :func:`_bulk_table_text` hands its arrays and the literals between them
-    to :func:`_floattext.layout`, which writes the whole JSON array of
-    objects (0.5 to 0.8 µs a row for a resonance listing's rows of a float
-    and three ints, against 1.2 to 1.8 µs on the str path).
+    nesting level.  A report, a dict whose values include a ``_Table`` or an
+    ``_Array``, is written key by key, with str keys: each table by
+    :func:`_json_table_text`, the arrays together by :func:`_write_arrays`,
+    and every other value by :func:`_json_plain`.  Any other value is
+    :func:`_json_plain`'s.  A ``_Table`` or ``_Array`` below a report's top
+    level is no JSON value, as for ``json.dumps``.
     """
-    return _json_column([value], newline)[0]
-
-
-def _json_column(values, newline: str, arrays: list | None = None) -> list[str]:
-    """The JSON text of each of ``values``, sibling values at one nesting level.
-
-    A column of one exact type is written in one go: ints, finite floats
-    and strs with one ``map``; arrays by encoding all their members as the
-    next column and splitting it by length; objects that share one set of
-    ``str`` keys by encoding the values under each key as a column and
-    zipping the columns.  Any other column is written value by value (see
-    :func:`_json_values`, which leaves the text of a float ``_Array`` to the
-    caller when given ``arrays``).  ``values`` may also be a ``_Table`` (a
-    column of objects) or a ``_Ragged`` (a column of arrays), written the
-    same way.
-    """
-    kind = type(values)
-    if kind is _Ragged:
-        return _json_ragged(values.members, values.lengths, newline)
-    if kind is _Table:
-        return _json_table(values, newline)
-    if kind is np.ndarray:
-        values = values.tolist()
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        kind = next(iter(kinds))
-        if kind is int:
-            return list(map(int.__repr__, values))
-        if kind is float:
-            text = _bulk_float_text(values, "\n")
-            if text is not None:
-                return text.split("\n")
-            texts = list(map(float.__repr__, values))
-            # A finite sum means finite terms: a NaN or infinite term makes the sum NaN or
-            # infinite.  The converse fails, as finite terms can overflow ([1e308, 1e308]);
-            # then the spelling map runs, and it leaves every finite text as it is.
-            return texts if math.isfinite(sum(values)) else list(map(_NON_FINITE.get, texts, texts))
-        if kind is str:
-            return list(map(encode_basestring_ascii, values))
-        if kind is dict:
-            texts = _json_objects(values, newline)
-            if texts is not None:
-                return texts
-    if kinds and kinds <= {list, tuple}:
-        return _json_arrays(values, newline)
-    return _json_values(values, newline, arrays)
-
-
-def _json_values(values, newline: str, arrays: list | None = None) -> list[str]:
-    """The JSON text of each of ``values``, value by value.
-
-    An ``_Array`` value whose array is finite float64 is left as None and
-    listed in ``arrays``, as ``(texts, index, array)``, for the caller to
-    write with the others of its object (see :func:`_write_arrays`); without
-    ``arrays``, the column's own are written at the end.
-    """
-    own = arrays is None
-    if own:
-        arrays = []
-    texts = []
-    for value in values:
-        if (type(value) is _Array and value.values.dtype == np.float64 and value.values.size
-                and np.isfinite(value.values).all()):
-            arrays.append((texts, len(texts), value.values))
-            texts.append(None)
-        else:
-            texts.append(_json_value(value, newline))
-    if own:
-        _write_arrays(arrays, newline)
-    return texts
-
-
-def _write_arrays(arrays: list, newline: str) -> None:
-    """Fill in the JSON text of each ``(texts, index, array)`` of finite float64 arrays.
-
-    If they hold ``_BULK_ARRAYS`` values or more between them,
-    :func:`_floattext.join_each` writes them all in one pass over their
-    concatenation; otherwise each is written as its list.
-    """
-    if sum(array.size for _, _, array in arrays) < _BULK_ARRAYS:
-        for texts, i, array in arrays:
-            texts[i] = _json_ragged(array, [array.size], newline)[0]
-        return
-    # Imported here, so that a command that writes no long array does not load it.
-    from . import _floattext
-
+    if type(value) is not dict or {_Table, _Array}.isdisjoint(map(type, value.values())):
+        return _json_plain(value, newline)
     inner = newline + "  "
-    bodies = _floattext.join_each([array for _, _, array in arrays], "," + inner)
-    for (texts, i, _), body in zip(arrays, bodies):
-        texts[i] = "[" + inner + body + newline + "]"
+    texts = _write_arrays({key: item.values for key, item in value.items() if type(item) is _Array}, inner)
+    for key, item in value.items():
+        if type(item) is not _Array:
+            texts[key] = _json_table_text(item, inner) if type(item) is _Table else _json_plain(item, inner)
+    keys = sorted(texts)
+    members = map("{}: {}".format, map(encode_basestring_ascii, keys), map(texts.get, keys))
+    return "{" + inner + ("," + inner).join(members) + newline + "}"
 
 
-def _json_value(value, newline: str) -> str:
+def _json_plain(value, newline: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at the nesting level of ``newline``.
+
+    An exact ``float``, ``int``, ``str``, ``bool`` or None skips the encoder.
+    The re-indent is exact, as JSON text holds no raw line break.
+    """
     kind = type(value)
-    if kind is _Table:
-        return _json_ragged(value, [value.rows], newline)[0]
-    if kind is _Array:
-        return _json_ragged(value.values, [value.values.size], newline)[0]
-    if kind not in _JSON_TYPES:
-        kind = next((base for base in _JSON_BASES if isinstance(value, base)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if kind is str:
-        return encode_basestring_ascii(value)
     if kind is float:
         text = float.__repr__(value)
         return _NON_FINITE.get(text, text)
     if kind is int:
         return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if not value:
-        return "{}" if kind is dict else "[]"
-    if kind is dict:
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _write_arrays(arrays: dict[str, np.ndarray], newline: str) -> dict[str, str]:
+    """The JSON text of each of a report's ``_Array`` values, by key.
+
+    If its finite float64 arrays hold ``_BULK_ARRAYS`` values or more
+    between them, :func:`_floattext.join_each` writes them all in one pass
+    over their concatenation; every other array is written as its list.
+    """
+    bulk = {key: array for key, array in arrays.items()
+            if array.dtype == np.float64 and array.size and np.isfinite(array).all()}
+    if sum(array.size for array in bulk.values()) < _BULK_ARRAYS:
+        bulk = {}
+    texts = {key: _json_ragged(array, [array.size], newline)[0]
+             for key, array in arrays.items() if key not in bulk}
+    if bulk:
+        # Imported here, so that a command that writes no long array does not load it.
+        from . import _floattext
+
         inner = newline + "  "
-        keys, items = zip(*sorted(value.items()))
-        members = map("{}: {}".format, map(_json_key, keys), _json_column(items, inner))
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    return _json_arrays([value], newline)[0]
+        bodies = _floattext.join_each(list(bulk.values()), "," + inner)
+        texts.update(zip(bulk, ("[" + inner + body + newline + "]" for body in bodies)))
+    return texts
 
 
-def _json_arrays(arrays, newline: str) -> list[str]:
-    members = arrays[0] if len(arrays) == 1 else list(chain.from_iterable(arrays))
-    return _json_ragged(members, list(map(len, arrays)), newline)
+def _json_table_text(table: _Table, newline: str) -> str:
+    """The JSON text of a table as one array: :func:`_bulk_table_text`'s if
+    the table qualifies, else the texts of its objects joined."""
+    text = _bulk_table_text(table, newline)
+    if text is not None:
+        return text
+    inner = newline + "  "
+    objects = _json_table(table, inner)
+    return "[" + inner + ("," + inner).join(objects) + newline + "]" if objects else "[]"
+
+
+def _json_table(table: _Table, newline: str) -> list[str]:
+    """The JSON text of each object of a table, one column per key."""
+    names = sorted(table.columns)
+    if not names:
+        return ["{}"] * table.rows
+    inner = newline + "  "
+    keys = [encode_basestring_ascii(name) + ": " for name in names]
+    literals = ["{" + inner + keys[0], *["," + inner + key for key in keys[1:]], newline + "}"]
+    return _json_rows(literals, [_json_column(table.columns[name], inner) for name in names])
+
+
+def _json_column(values, newline: str) -> list[str]:
+    """The JSON text of each value of a table column, sibling values at one nesting level.
+
+    A ``_Ragged`` column is written by :func:`_json_ragged`, and so is a 2-d
+    array, as the column of its rows.  A column of only ints, only finite
+    floats or only strs is written with one ``map``, and any other value by
+    value by :func:`_json_plain`.
+    """
+    if type(values) is _Ragged:
+        return _json_ragged(values.members, values.lengths, newline)
+    if type(values) is np.ndarray:
+        if values.ndim == 2:
+            return _json_ragged(values.ravel(), [values.shape[1]] * values.shape[0], newline)
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    # A finite sum means finite terms: a NaN or infinite term makes the sum NaN or infinite.
+    # The converse fails, as finite terms can overflow ([1e308, 1e308]); those go value by value.
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    return [_json_plain(value, newline) for value in values]
 
 
 def _json_ragged(members, lengths, newline: str) -> list[str]:
     """The JSON text of each array of a ragged column: array ``i`` holds the next ``lengths[i]`` members."""
     inner = newline + "  "
     separator = "," + inner
-    if len(lengths) == 1 and type(members) is _Table:
-        text = _bulk_table_text(members, newline)
-        if text is not None:
-            return [text]
-    elif len(lengths) == 1:
-        text = _bulk_float_text(members, separator)
-        if text is not None:
-            return ["[" + inner + text + newline + "]"]
     if type(lengths) is np.ndarray:
         lengths = lengths.tolist()
     texts = _json_column(members, inner)
-    if len(lengths) == 1:
-        return ["[" + inner + separator.join(texts) + newline + "]" if texts else "[]"]
     width = lengths[0] if lengths else 0
     if lengths.count(width) == len(lengths) and width <= len(lengths):
         # Many short arrays of one length: member ``i`` of every array is ``texts[i::width]``.
@@ -447,20 +413,12 @@ def _json_ragged(members, lengths, newline: str) -> list[str]:
     return arrays
 
 
-def _bulk_float_text(values, separator: str) -> str | None:
-    """``separator.join(map(float.__repr__, values))``, written in bulk by :mod:`._floattext`.
-
-    None unless ``values`` are a list or tuple of at least ``_BULK`` exact
-    floats, all finite (NaN and the infinities are spelled differently in
-    JSON).  The ``_Array`` values of a column take :func:`_json_values`.
-    """
-    if type(values) not in (list, tuple) or len(values) < _BULK or set(map(type, values)) != {float}:
-        return None
-    array = np.fromiter(values, np.float64, len(values))
-    # Imported here, so that a command that writes no long column does not load it.
-    from . import _floattext
-
-    return _floattext.join(array, separator) if np.isfinite(array).all() else None
+def _json_rows(literals: list[str], columns) -> list[str]:
+    """``literals[0] + columns[0][j] + literals[1] + ... + literals[-1]`` for each row ``j``."""
+    pieces = [repeat(literals[0])]
+    for column, literal in zip(columns, literals[1:]):
+        pieces += (column, repeat(literal))
+    return list(map("".join, zip(*pieces)))
 
 
 def _bulk_table_text(table: _Table, newline: str) -> str | None:
@@ -526,51 +484,6 @@ def _number_segments(array: np.ndarray, newline: str, rows) -> list:
         segments += [(column, rows), ("," + inner, rows)]
     segments[-1] = (newline + "]", rows)
     return segments
-
-
-def _json_objects(objects, newline: str) -> list[str] | None:
-    """The JSON text of each object, or None unless all share the first's keys, each an exact ``str``.
-
-    Equal key views are not enough on their own: ``{1: x}.keys() == {True: y}.keys()``.
-    """
-    if not set(map(type, chain.from_iterable(objects))) <= {str} or len(set(map(len, objects))) != 1:
-        return None
-    try:
-        columns = {name: list(map(itemgetter(name), objects)) for name in objects[0]}
-    except KeyError:
-        return None
-    return _json_table(_Table(columns, len(objects)), newline)
-
-
-def _json_table(table: _Table, newline: str) -> list[str]:
-    """The JSON text of each object of a table, one column per key."""
-    names = sorted(table.columns)
-    if not names:
-        return ["{}"] * table.rows
-    inner = newline + "  "
-    keys = [encode_basestring_ascii(name) + ": " for name in names]
-    literals = ["{" + inner + keys[0], *["," + inner + key for key in keys[1:]], newline + "}"]
-    # The float arrays of all the columns are written together, in one pass if they are long.
-    arrays = []
-    columns = [_json_column(table.columns[name], inner, arrays) for name in names]
-    _write_arrays(arrays, inner)
-    return _json_rows(literals, columns)
-
-
-def _json_rows(literals: list[str], columns) -> list[str]:
-    """``literals[0] + columns[0][j] + literals[1] + ... + literals[-1]`` for each row ``j``."""
-    pieces = [repeat(literals[0])]
-    for column, literal in zip(columns, literals[1:]):
-        pieces += (column, repeat(literal))
-    return list(map("".join, zip(*pieces)))
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _json_value(key, "")
-    return encode_basestring_ascii(key)
 
 
 def _to_csv(report: dict) -> str:
@@ -688,6 +601,8 @@ class _Query:
         self.args = args
         self.tols = _parse_tolerances(args.tol)
         self.graph = _load_graph_source(args.graph)
+        # Every command diagonalizes H, so a graph above the cap is refused before H is built.
+        spectral._check_dim(self.graph.node_count)
         self.h = hamiltonian(self.graph, 1.0)
 
     @cached_property
@@ -824,7 +739,7 @@ def cmd_quotient(q: _Query) -> dict:
     qs = symmetrize(q.h, q.stab, q.detect)
     graph = quotient_graph(qs)
     if q.args.out:
-        Path(q.args.out + ".graph.json").write_bytes(save_graph(graph))
+        _write_file(q.args.out + ".graph.json", [save_graph(graph)], "wb")
     return {
         "detect": q.args.detect,
         "original_dim": qs.original_dim,
@@ -917,6 +832,7 @@ def main(argv: list[str] | None = None) -> int:
         graph = {"source": args.graph, "nodes": q.graph.node_count, "edges": q.graph.edge_count}
         report = {"command": args.command, "graph": graph, "tau": None, "warnings": [],
                   **args.run(q)}
+        _emit(report, args.format, args.out)
     except (ConfigError, GraphSpecError, GraphFormatError, GraphInvariantError,
             StateError, NonLocalizedDetectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -924,7 +840,6 @@ def main(argv: list[str] | None = None) -> int:
     except StrobewalkError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    _emit(report, args.format, args.out)
     return 0
 
 

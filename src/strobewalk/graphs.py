@@ -290,13 +290,14 @@ def load_graph(data: bytes | str) -> WeightedGraph:
          "onsite": [e0, e1, ...],             # optional, defaults to 0
          "labels": ["a", ...]}                # optional
 
-    Raises :class:`GraphFormatError` with field context on malformed input
-    and :class:`GraphInvariantError` on self-loops or duplicate edges.
+    Raises :class:`GraphFormatError` with field context on malformed input,
+    bytes that are not UTF-8 included, and :class:`GraphInvariantError` on
+    self-loops or duplicate edges.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

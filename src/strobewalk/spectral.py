@@ -111,6 +111,12 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * (pivots * (1.0 / np.abs(pivots)))
 
 
+def _check_dim(dim: int, dim_cap: int = DEFAULT_DIM_CAP) -> None:
+    """Raise :class:`SpectralError` if a ``dim x dim`` matrix is above the cap of :func:`diagonalize`."""
+    if dim > dim_cap:
+        raise SpectralError(f"matrix dimension {dim} exceeds the cap {dim_cap}")
+
+
 def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -126,8 +132,7 @@ def diagonalize(h: np.ndarray, *, dim_cap: int = DEFAULT_DIM_CAP) -> EigenSystem
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise SpectralError(f"expected a square matrix, got shape {h.shape}")
     dim = h.shape[0]
-    if dim > dim_cap:
-        raise SpectralError(f"matrix dimension {dim} exceeds the cap {dim_cap}")
+    _check_dim(dim, dim_cap)
     scale = float(np.max(np.abs(h))) if dim else 0.0
     # ``not <=``: a NaN difference, from a NaN or an infinite entry, fails the check.
     if dim and not np.max(np.abs(h - h.conj().T)) <= 1e-12 * max(1.0, scale):

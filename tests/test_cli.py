@@ -808,17 +808,20 @@ class TestFormatsAndErrors:
         text = capsys.readouterr().out
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["resonances", "--graph", "DISORDERED", "--tau", "scan:0:20"],
-        ["analyze", "--graph", "lattice:8x8", "--detect", "0", "--init", "all"],
-        ["simulate", "--graph", "ring:64", "--detect", "0", "--init", "32", "--tau", "1.0"],
-    ], ids=["resonances-disordered-ring64", "analyze-lattice8x8", "simulate-ring64"])
-    def test_long_reports_are_the_json_modules_own_layout(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv, key, size", [
+        (["resonances", "--graph", "DISORDERED", "--tau", "scan:0:20"], "resonances", 64),
+        (["analyze", "--graph", "lattice:8x8", "--detect", "0", "--init", "all"], "results", 64),
+        (["simulate", "--graph", "ring:64", "--detect", "0", "--init", "32", "--tau", "1.0"], "first_detection", 64),
+        (["spectrum", "--graph", "ring:512"], "eigenvalues", 512),
+        (["quotient", "--graph", "lattice:8x8", "--detect", "0"], "classes", 15),
+    ], ids=["resonances-disordered-ring64", "analyze-lattice8x8", "simulate-ring64", "spectrum-ring512",
+            "quotient-lattice8x8"])
+    def test_long_reports_are_the_json_modules_own_layout(self, capsys, tmp_path, argv, key, size):
         argv = [disordered_ring(tmp_path, 5) if arg == "DISORDERED" else arg for arg in argv]
         assert main([*argv, "--format", "json"]) == 0
         text = capsys.readouterr().out
         doc = json.loads(text)
-        assert max(len(doc.get(key, ())) for key in ("resonances", "results", "first_detection")) >= 64
+        assert len(doc[key]) >= size
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_text_format(self, capsys):
@@ -873,6 +876,38 @@ class TestFormatsAndErrors:
         # tree:6 has 127 nodes, above the search cap: the bad detector must be reported first
         assert main([command[0], "--graph", "tree:6", "--detect", "999", *command[1:]]) == 2
         assert capsys.readouterr().err == "error: detect node 999 out of range for 127 nodes\n"
+
+    @pytest.mark.parametrize("case", ["directory", "graph-bytes", "init-bytes", "detect-bytes"])
+    def test_unreadable_input_files_exit_2(self, capsys, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        graph, detect, init = {"directory": (tmp_path, "0", "1"), "graph-bytes": (path, "0", "1"),
+                               "init-bytes": ("ring:6", "0", path), "detect-bytes": ("ring:6", path, "1")}[case]
+        assert main(["analyze", "--graph", str(graph), "--detect", str(detect), "--init", str(init)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("cannot read graph file" if case == "directory" else "not UTF-8") in err
+
+    @pytest.mark.parametrize("argv, out, target", [
+        (["spectrum", "--graph", "ring:6", "--format", "json"], "r.json", "r.json"),
+        (["quotient", "--graph", "ring:6", "--detect", "0"], "r", "r.graph.json"),
+    ], ids=["spectrum", "quotient-graph"])
+    def test_an_unwritable_out_path_exits_2(self, capsys, tmp_path, argv, out, target):
+        missing = tmp_path / "missing"
+        assert main([*argv, "--out", str(missing / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {str(missing / target)!r}: ")
+        assert not missing.exists()
+
+    def test_a_huge_graph_file_exits_3_before_its_hamiltonian_is_built(self, capsys, monkeypatch, tmp_path):
+        # A million nodes: a dense H would need 7.3 TiB.  The cap is checked on the node count.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"nodes": 1_000_000, "edges": [[0, 1]]}))
+        built = spy(monkeypatch, sw.graphs, "hamiltonian")
+        assert main(["spectrum", "--graph", str(path)]) == 3
+        assert capsys.readouterr().err == "numerical error: matrix dimension 1000000 exceeds the cap 512\n"
+        assert built == []
 
     def test_numerical_failure_exits_3(self, capsys, tmp_path):
         # 600 nodes exceeds the eigendecomposition cap
@@ -1015,14 +1050,14 @@ class TestJsonWriter:
         assert cli._to_json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
 
     @settings(max_examples=300)
-    @given(_json_tables(), _json_values, st.sampled_from(["alone", "in-object", "in-array", "twice"]))
+    @given(_json_tables(), _json_values, st.sampled_from(["alone", "in-object", "after-other", "twice"]))
     def test_a_column_table_matches_json_dumps_of_its_records(self, tables, other, place):
         records, table = tables
         wrap = {
-            "alone": lambda rows: rows,
+            "alone": lambda rows: {"listing": rows},
             "in-object": lambda rows: {"listing": rows, "other": other},
-            "in-array": lambda rows: [other, rows],
-            "twice": lambda rows: {"a": [rows, rows], "b": {"c": rows}},
+            "after-other": lambda rows: {"a": other, "b": rows},
+            "twice": lambda rows: {"a": rows, "b": rows, "c": other},
         }[place]
         assert cli._to_json(wrap(table), "\n") == json.dumps(wrap(records), indent=2, sort_keys=True)
 
@@ -1035,9 +1070,8 @@ class TestJsonWriter:
     @pytest.mark.parametrize("case", ["top-level", "in-object", "table-column", "two-arrays",
                                       "with-nan", "with-np-float64", "one-short"])
     def test_long_float_columns_match_json_dumps(self, monkeypatch, case):
-        joins = []
-        original = _floattext.join
-        monkeypatch.setattr(_floattext, "join", lambda values, sep: joins.append((values.size, sep)) or original(values, sep))
+        # Plain lists, and the list columns of a table, never reach the float kernel.
+        joins, layouts = spy(monkeypatch, _floattext, "join_each"), spy(monkeypatch, _floattext, "layout")
         floats = self.long_floats(7)
         records = None
         if case == "top-level":
@@ -1046,8 +1080,8 @@ class TestJsonWriter:
             value = {"first_detection": floats, "partial_sums": self.long_floats(8), "n": 3}
         elif case == "table-column":
             taus, counts = self.long_floats(9), list(range(len(floats)))
-            value = cli._Table({"tau": taus, "count": counts}, len(taus))
-            records = [{"tau": tau, "count": count} for tau, count in zip(taus, counts)]
+            value = {"listing": cli._Table({"tau": taus, "count": counts}, len(taus))}
+            records = {"listing": [{"tau": tau, "count": count} for tau, count in zip(taus, counts)]}
         elif case == "two-arrays":
             value = [floats, self.long_floats(10, 2 * cli._BULK)]
         elif case == "with-nan":
@@ -1058,38 +1092,37 @@ class TestJsonWriter:
             value = floats[:cli._BULK - 1]
         expected = json.dumps(value if records is None else records, indent=2, sort_keys=True)
         assert cli._to_json(value, "\n") == expected
-        bulk = case not in ("with-nan", "with-np-float64", "one-short")
-        assert bool(joins) == bulk
-        assert all(size >= cli._BULK for size, _ in joins)
-        # A lone array is written with its own separator; a column's values are split apart.
-        assert all(sep.startswith(",") == (case in ("top-level", "in-object")) for _, sep in joins)
+        assert joins == layouts == []
 
     def test_finite_floats_with_an_infinite_sum(self):
         value = [1e308, 1e308, 0.5]
         assert cli._to_json(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
         assert cli._to_json({"a": [value]}, "\n") == json.dumps({"a": [value]}, indent=2, sort_keys=True)
+        table = {"t": cli._Table({"x": value}, len(value))}
+        records = {"t": [{"x": x} for x in value]}
+        assert cli._to_json(table, "\n") == json.dumps(records, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("values", [
         np.random.default_rng(4).random(cli._BULK + 3), np.random.default_rng(4).random(5), np.zeros(0),
         np.arange(-3, cli._BULK), np.r_[np.random.default_rng(4).random(cli._BULK), math.nan, math.inf],
     ], ids=["long", "short", "empty", "ints", "long-non-finite"])
     def test_an_array_value_is_written_as_its_list(self, values):
-        value = {"n": 1, "values": cli._Array(values), "nested": [cli._Array(values)]}
-        expected = {"n": 1, "values": values.tolist(), "nested": [values.tolist()]}
+        value = {"n": 1, "values": cli._Array(values)}
+        expected = {"n": 1, "values": values.tolist()}
         assert cli._to_json(value, "\n") == json.dumps(expected, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("short", [0, 1])
     def test_the_float_arrays_of_an_object_take_one_pass(self, monkeypatch, short):
         # Together the two finite arrays hold _BULK_ARRAYS values, or one fewer; the non-finite
-        # and the int array, and the one alone in the nested object, take the str path.
+        # and the int array take the str path.
         calls = spy(monkeypatch, _floattext, "join_each")
         rng = np.random.default_rng(5)
         half = cli._BULK_ARRAYS // 2
         a, b = rng.random(half) ** 8, np.cumsum(rng.random(cli._BULK_ARRAYS - half - short))
         value = {"a": cli._Array(a), "b": cli._Array(b), "bad": cli._Array(np.r_[a, math.nan, b]),
-                 "ints": cli._Array(np.arange(-3, 600)), "n": 1, "nested": {"a": cli._Array(a)}}
+                 "ints": cli._Array(np.arange(-3, 600)), "n": 1}
         expected = {"a": a.tolist(), "b": b.tolist(), "bad": [*a.tolist(), math.nan, *b.tolist()],
-                    "ints": list(range(-3, 600)), "n": 1, "nested": {"a": a.tolist()}}
+                    "ints": list(range(-3, 600)), "n": 1}
         assert cli._to_json(value, "\n") == json.dumps(expected, indent=2, sort_keys=True)
         assert [[array.size for array in arrays] for arrays, _ in calls] == ([] if short else [[a.size, b.size]])
 
@@ -1115,6 +1148,20 @@ class TestJsonWriter:
             json.dumps(value, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._to_json(value, "\n")
+
+    @pytest.mark.parametrize("place", ["alone", "in-list", "in-object", "in-table"])
+    @pytest.mark.parametrize("column", ["table", "array"])
+    def test_a_column_below_the_top_level_raises_type_error(self, column, place):
+        # Columns are a report's top-level values only; below that they are no JSON value.
+        value = cli._Table({"x": [1.5]}, 1) if column == "table" else cli._Array(np.zeros(2))
+        wrap = {
+            "alone": lambda v: v,
+            "in-list": lambda v: {"a": [v], "b": cli._Array(np.ones(1))},
+            "in-object": lambda v: {"a": {"b": v}, "c": cli._Array(np.ones(1))},
+            "in-table": lambda v: {"a": cli._Table({"x": [v]}, 1)},
+        }[place]
+        with pytest.raises(TypeError):
+            cli._to_json(wrap(value), "\n")
 
 
 def _limit_denominator(value):
@@ -1173,14 +1220,14 @@ def _numeric_tables(draw):
 
 class TestNumericTables:
     @settings(max_examples=120, deadline=None)
-    @given(_numeric_tables(), st.sampled_from(["alone", "in-object", "in-array", "twice"]))
+    @given(_numeric_tables(), st.sampled_from(["alone", "in-object", "after-other", "twice"]))
     def test_a_numeric_table_matches_json_dumps_of_its_records(self, tables, place):
         records, table = tables
         wrap = {
-            "alone": lambda rows: rows,
+            "alone": lambda rows: {"listing": rows},
             "in-object": lambda rows: {"listing": rows, "other": [1.5, "x"]},
-            "in-array": lambda rows: [{"k": 2}, rows],
-            "twice": lambda rows: {"a": [rows, rows], "b": {"c": rows}},
+            "after-other": lambda rows: {"a": {"k": 2}, "b": rows},
+            "twice": lambda rows: {"a": rows, "b": rows, "c": {"k": 2}},
         }[place]
         assert cli._to_json(wrap(table), "\n") == json.dumps(wrap(records), indent=2, sort_keys=True)
         finite = all(math.isfinite(v) for v in chain.from_iterable(_leaves(r) for r in records))

@@ -1,4 +1,4 @@
-"""The bulk number writer: ``_floattext.join`` and ``layout`` against ``float.__repr__`` and ``int.__repr__``."""
+"""The bulk number writer: ``_floattext.join_each`` and ``layout`` against ``float.__repr__`` and ``int.__repr__``."""
 
 import math
 import subprocess
@@ -21,9 +21,9 @@ def reference(values, sep):
 
 def assert_matches(values, sep=",\n  "):
     values = np.asarray(values, dtype=np.float64)
-    got = _floattext.join(values, sep)
+    got = _floattext.join_each([values], sep)[0]
     if got != reference(values, sep):
-        pairs = zip(map(float.__repr__, values.tolist()), _floattext.join(values, "\n").split("\n"))
+        pairs = zip(map(float.__repr__, values.tolist()), _floattext.join_each([values], "\n")[0].split("\n"))
         wrong = [(want, have) for want, have in pairs if want != have]
         pytest.fail(f"{len(wrong)} of {values.size} differ, first {wrong[:5]}")
 
@@ -80,7 +80,7 @@ class TestTables:
         specials = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
                     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0, -1.0]
         assert_matches(specials)
-        assert _floattext.join(np.array([]), ",") == ""
+        assert _floattext.join_each([np.array([])], ",") == [""]
 
     def test_a_million_values(self):
         rng = np.random.default_rng(20201)

@@ -174,6 +174,8 @@ class TestFileFormat:
     def test_parse_error_reports_location(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             sw.load_graph(b'{"nodes": 2,GARBAGE}')
+        with pytest.raises(GraphFormatError, match="^not UTF-8 text: invalid start byte at byte 25$"):
+            sw.load_graph(b'{"nodes": 2, "labels": ["\xff", "b"]}')
 
     def test_field_errors_name_the_field(self):
         with pytest.raises(GraphFormatError, match="nodes"):
