@@ -23,9 +23,10 @@ for k_d in (1, 3):
     print(f"\n=== detection on the k = {k_d} free wave ===")
     print(f"stabilizer order {stab.order} of the {group.order} ring symmetries")
     print("  generator phases (shift -> phase):")
-    for perm, phase in stab.generators:
-        kind = "shift" if perm.image[1] == (perm.image[0] + 1) % L else "reflected shift"
-        print(f"    {kind:<15} by {perm.image[0]}: {phase:.3f}")
+    for g, phase in enumerate(stab.phases):
+        image = stab.images[g]
+        kind = "shift" if image[1] == (image[0] + 1) % L else "reflected shift"
+        print(f"    {kind:<15} by {image[0]}: {phase:.3f}")
 
     # The phased projector maps every node state onto the detection wave.
     projector = sw.symmetry_projector(stab)

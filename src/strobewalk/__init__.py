@@ -53,7 +53,6 @@ from .spectral import (
 )
 from .states import as_state, localized_state, uniform_state
 from .symmetry import (
-    Permutation,
     StabilizerGroup,
     SymmetryGroup,
     automorphisms,
@@ -82,7 +81,7 @@ __all__ = [
     "first_detection_amplitudes", "pdet_series", "bright_eigenstates",
     "pdet_spectral", "dark_space_basis",
     # symmetry
-    "Permutation", "SymmetryGroup", "StabilizerGroup", "automorphisms",
+    "SymmetryGroup", "StabilizerGroup", "automorphisms",
     "stabilizer", "orbit_rank", "symmetry_projector", "symmetric_part",
     "equivalent_dark_basis", "upper_bound", "saturation_check", "node_orbits",
     # quotient

@@ -204,17 +204,28 @@ def _fractions_of(values: list[float]) -> list[str | None]:
     return [f"{int(p[i, j])}/{j + 1}" if close[i, j] else None for i, j in enumerate(first.tolist())]
 
 
-def _emit(report: dict, fmt: str, out: str | None) -> None:
+def _emit(report: dict, fmt: str, out: str | None, sidecars: dict[str, bytes]) -> None:
     """Write the report to ``out``, or to stdout; a JSON report's final newline
-    is written on its own, so that the text is not copied to append it."""
+    is written on its own, so that the text is not copied to append it.
+
+    The ``sidecars`` files (path to bytes) are written first; if the report
+    then cannot be written they are removed, so a failed run leaves no file.
+    """
     if fmt == "json":
         texts = (_to_json(report, "\n"), "\n")
     elif fmt == "csv":
         texts = (_to_csv(report),)
     else:
         texts = (_to_text(report),)
+    for path, data in sidecars.items():
+        _write_file(path, [data], "wb")
     if out:
-        _write_file(out, texts, "w")
+        try:
+            _write_file(out, texts, "w")
+        except ConfigError:
+            for path in sidecars:
+                Path(path).unlink()
+            raise
     else:
         sys.stdout.writelines(texts)
 
@@ -599,6 +610,8 @@ class _Query:
 
     def __init__(self, args):
         self.args = args
+        #: Files that go next to the report, path to bytes, written with it.
+        self.sidecars: dict[str, bytes] = {}
         self.tols = _parse_tolerances(args.tol)
         self.graph = _load_graph_source(args.graph)
         # Every command diagonalizes H, so a graph above the cap is refused before H is built.
@@ -739,7 +752,7 @@ def cmd_quotient(q: _Query) -> dict:
     qs = symmetrize(q.h, q.stab, q.detect)
     graph = quotient_graph(qs)
     if q.args.out:
-        _write_file(q.args.out + ".graph.json", [save_graph(graph)], "wb")
+        q.sidecars[q.args.out + ".graph.json"] = save_graph(graph)
     return {
         "detect": q.args.detect,
         "original_dim": qs.original_dim,
@@ -832,7 +845,7 @@ def main(argv: list[str] | None = None) -> int:
         graph = {"source": args.graph, "nodes": q.graph.node_count, "edges": q.graph.edge_count}
         report = {"command": args.command, "graph": graph, "tau": None, "warnings": [],
                   **args.run(q)}
-        _emit(report, args.format, args.out)
+        _emit(report, args.format, args.out, q.sidecars)
     except (ConfigError, GraphSpecError, GraphFormatError, GraphInvariantError,
             StateError, NonLocalizedDetectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,12 +9,14 @@ Both groups come from individualization-refinement searches on colored
 graphs (McKay and Piperno, "Practical graph isomorphism II", J. Symb.
 Comput. 60, 2014).  A search fixes base points one at a time, keeps one
 verified generator per new image of each base point, and returns the
-generators with the exact order: the product of the basic orbit lengths
-along the base.  No element list is built.  A stabilizer labels each node
-with its orbit, numbered by least member; orbit sizes, the quotient classes
-and, with trivial phases, the projector and the symmetric dimension (the
-orbit count) all read that one labelling.  With phases the symmetric
-subspace is the joint phase eigenspace of the generator matrices.
+generators, one integer array with a row of node images each, with the
+exact order: the product of the basic orbit lengths along the base.  No
+element list is built.  A stabilizer keeps the phase of each generator
+next to that array, and labels each node with its orbit, numbered by least
+member; orbit sizes, the quotient classes and, with trivial phases, the
+projector and the symmetric dimension (the orbit count) all read that one
+labelling.  With phases the symmetric subspace is the joint phase
+eigenspace of the generator matrices.
 
 Two shortcuts cut the work of a search without changing its result:
 
@@ -66,7 +68,6 @@ from .spectral import SpectralDecomposition
 from .states import as_state, localized_node
 
 __all__ = [
-    "Permutation",
     "SymmetryGroup",
     "StabilizerGroup",
     "automorphisms",
@@ -90,63 +91,30 @@ NULL_TOL = 1e-8
 DEFAULT_NODE_CAP = 64
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Node relabeling acting on states as ``(S psi)[image[r]] = psi[r]``."""
+def _permutation_rows(images, n: int) -> np.ndarray:
+    """``images`` as a read-only ``(g, n)`` intp array; row ``i`` maps node ``r`` to ``images[i][r]``.
 
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        # n entries that cover 0..n-1 cover each exactly once.
-        if not set(self.image).issuperset(range(len(self.image))):
-            raise ValueError(f"not a permutation of 0..{len(self.image) - 1}: {self.image}")
-
-    @property
-    def size(self) -> int:
-        return len(self.image)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == r for r, i in enumerate(self.image))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Apply ``other`` first, then this permutation."""
-        return Permutation(tuple(self.image[i] for i in other.image))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for r, i in enumerate(self.image):
-            inv[i] = r
-        return Permutation(tuple(inv))
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(state))
-        out[list(self.image)] = state
-        return out
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        m[list(self.image), range(self.size)] = 1.0
-        return m
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
-
-
-def _stacked(perms: Sequence[Permutation], n: int) -> np.ndarray:
-    """The images of ``perms`` as one ``(len(perms), n)`` array, row ``i`` from ``perms[i]``."""
-    images = chain.from_iterable(perm.image for perm in perms)
-    return np.fromiter(images, np.intp, len(perms) * n).reshape(len(perms), n)
+    Raises ValueError unless every row is a permutation of 0..n-1: one test
+    compares the bytes of the sorted rows with those of 0..n-1, once a row.
+    """
+    rows = np.array(images, dtype=np.intp).reshape(len(images), n)
+    if np.sort(rows).tobytes() != np.arange(n).tobytes() * len(rows):
+        bad = next(row for row in rows.tolist() if sorted(row) != list(range(n)))
+        raise ValueError(f"not a permutation of 0..{n - 1}: {bad}")
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
     """Automorphism group of a weighted graph, kept as generators and order.
 
-    Every generator, viewed as a permutation matrix, commutes with the walk
-    Hamiltonian of ``graph`` (for any coupling constant), since it preserves
-    weights and on-site energies; so does every element.
+    ``generators`` is a read-only ``(g, n)`` intp array: generator ``i``
+    maps node ``r`` to ``generators[i, r]`` and acts on states as ``(S
+    psi)[generators[i, r]] = psi[r]``.  Every generator, viewed as a
+    permutation matrix, commutes with the walk Hamiltonian of ``graph`` (for
+    any coupling constant), since it preserves weights and on-site energies;
+    so does every element.
 
     A group searched with a base point ``d`` also keeps ``_fixed = (d,
     count, order)``: its first ``count`` generators generate the stabilizer
@@ -154,9 +122,12 @@ class SymmetryGroup:
     """
 
     graph: WeightedGraph
-    generators: tuple[Permutation, ...]
+    generators: np.ndarray
     order: int
     _fixed: tuple[int, int, int] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", _permutation_rows(self.generators, self.dim))
 
     @property
     def dim(self) -> int:
@@ -167,23 +138,29 @@ class SymmetryGroup:
 class StabilizerGroup:
     """Symmetries fixing the detection state up to a unit phase.
 
-    Kept as generators, each paired with its phase p = <psi_d|S|psi_d>, so
-    that ``S psi_d = p psi_d``.  For a detection state localized on a node
-    every phase is 1.  Orbits and the projector are computed once, on first use.
+    Kept as generators: ``images``, a read-only ``(g, dim)`` intp array with
+    one generator a row, as in :class:`SymmetryGroup`, and ``phases``, a
+    read-only ``(g,)`` complex array with the phase p = <psi_d|S|psi_d> of
+    each, so that ``S psi_d = p psi_d``.  For a detection state localized on
+    a node every phase is 1.  Orbits and the projector are computed once, on
+    first use.
     """
 
-    generators: tuple[tuple[Permutation, complex], ...]
+    images: np.ndarray
+    phases: np.ndarray
     order: int
     dim: int
 
-    @property
-    def has_trivial_phases(self) -> bool:
-        return all(abs(phase - 1.0) <= 1e-9 for _, phase in self.generators)
+    def __post_init__(self):
+        images = _permutation_rows(self.images, self.dim)
+        phases = np.array(self.phases, dtype=complex).reshape(len(images))
+        phases.flags.writeable = False
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "phases", phases)
 
     @cached_property
-    def _images(self) -> np.ndarray:
-        """The generator images as one ``(g, n)`` array."""
-        return _stacked([perm for perm, _ in self.generators], self.dim)
+    def has_trivial_phases(self) -> bool:
+        return bool((np.abs(self.phases - 1.0) <= 1e-9).all())
 
     @cached_property
     def _orbit_labels(self) -> np.ndarray:
@@ -197,7 +174,7 @@ class StabilizerGroup:
         next, so the number of trees in an orbit at least halves every two
         rounds, and a round jumps about ``log2`` of its longest chain of hooks.
         """
-        steps = np.vstack([self._images, np.argsort(self._images, axis=1)])
+        steps = np.vstack([self.images, np.argsort(self.images, axis=1)])
         nodes = root = np.arange(self.dim)
         while True:
             hooked = root.copy()
@@ -219,15 +196,18 @@ class StabilizerGroup:
         """The read-only projector onto the symmetric subspace and the subspace's dimension.
 
         With trivial phases the projector has ``1/|orbit|`` within each orbit;
-        otherwise the subspace is the null space of the stacked ``S - p I``.
+        otherwise the subspace is the null space of the stacked ``S - p I``,
+        whose permutation matrices ``S[img[r], r] = 1`` take one scatter.
         """
         if self.has_trivial_phases:
             labels = self._orbit_labels
             p = (np.equal.outer(labels, labels) / self._orbit_sizes).astype(complex)
             dim = self.symmetric_dim
         else:
-            eye = np.eye(self.dim)
-            stacked = np.vstack([perm.matrix() - phase * eye for perm, phase in self.generators])
+            g, n = self.images.shape
+            matrices = np.zeros((g, n, n))
+            matrices[np.arange(g)[:, None], self.images, np.arange(n)] = 1.0
+            stacked = (matrices - self.phases[:, None, None] * np.eye(n)).reshape(g * n, n)
             _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
             span = vh[svals < NULL_TOL].conj().T
             p = span @ span.conj().T
@@ -268,7 +248,7 @@ class _Path:
         return len(self.base)
 
 
-def _orbit(point: int, generators: Sequence[tuple[int, ...]]) -> set[int]:
+def _orbit(point: int, generators: Sequence[list[int]]) -> set[int]:
     seen = {point}
     stack = [point]
     while stack:
@@ -488,7 +468,7 @@ class _Search:
         return self.match(path, level + 1, child, source, target)
 
     def chain(self, colors0: np.ndarray, point: int | None = None
-              ) -> tuple[list[tuple[int, ...]], int, tuple[int, int]]:
+              ) -> tuple[np.ndarray, int, tuple[int, int]]:
         """Generators and order of the automorphisms that preserve ``colors0``.
 
         Levels are closed from the deepest up.  At level j the generators
@@ -498,13 +478,16 @@ class _Search:
         the base point, then by walking the tree.  Only a failed walk rules
         out the node's whole orbit.
 
+        The generators come back as one ``(g, n)`` array, a row each; the
+        orbits are walked on their rows as lists.
+
         ``point`` goes first in the base.  The third result is ``(count,
         order)`` of the stabilizer of ``point``: the generators found below
         level 0, or all of them when the refined ``colors0`` already has
         ``point`` in a singleton cell, so that every automorphism fixes it.
         """
         path = self.descend(*self.refine(colors0), first=point)
-        generators: list[tuple[int, ...]] = []
+        generators: list[list[int]] = []
         order = 1
         fixed = None
         for level in reversed(range(path.depth)):
@@ -522,10 +505,11 @@ class _Search:
                 if img is None:
                     ruled_out |= _orbit(v, generators)
                 else:
-                    generators.append(tuple(img.tolist()))
+                    generators.append(img.tolist())
                     orbit = _orbit(path.base[level], generators)
             order *= len(orbit)
-        return generators, order, fixed or (len(generators), order)
+        images = np.array(generators, dtype=np.intp).reshape(len(generators), self.n)
+        return images, order, fixed or (len(generators), order)
 
     def isomorphism(self, source: np.ndarray, target: np.ndarray) -> np.ndarray | None:
         """An automorphism of the graph carrying coloring ``source`` onto ``target``.
@@ -564,7 +548,7 @@ def automorphisms(graph: WeightedGraph, *, node_cap: int = DEFAULT_NODE_CAP,
     generators, order, (count, fixed_order) = search.chain(_dense_ranks(search.onsite), base_point)
     return SymmetryGroup(
         graph=graph,
-        generators=tuple(Permutation(img) for img in generators),
+        generators=generators,
         order=order,
         _fixed=None if base_point is None else (base_point, count, fixed_order),
     )
@@ -594,7 +578,7 @@ def _distinct_amplitudes(values: np.ndarray, tol: float) -> np.ndarray:
     return np.array(reps)
 
 
-def _fixing_phases(images: np.ndarray, psi_d: np.ndarray, tol: float) -> list[complex]:
+def _fixing_phases(images: np.ndarray, psi_d: np.ndarray, tol: float) -> np.ndarray:
     """Unit phase ``p`` of each stacked image with ``S psi_d = p psi_d``.
 
     ``(S psi)[img[r]] = psi[r]``, so ``S psi_d = p psi_d`` reads ``psi_d =
@@ -604,12 +588,14 @@ def _fixing_phases(images: np.ndarray, psi_d: np.ndarray, tol: float) -> list[co
     """
     moved = psi_d[images]
     phases = moved.conj() @ psi_d
-    residuals = np.linalg.norm(psi_d - phases[:, None] * moved, axis=1)
-    bad = np.flatnonzero((np.abs(np.abs(phases) - 1.0) >= tol) | (residuals >= tol))
-    if bad.size:
+    moduli = np.abs(phases)
+    misfit = psi_d - phases[:, None] * moved
+    residuals = np.sqrt(np.add.reduce((misfit.conj() * misfit).real, axis=1))  # the row norms
+    bad = (np.abs(moduli - 1.0) >= tol) | (residuals >= tol)
+    if bad.any():
         raise StrobewalkError(
-            f"stabilizer generator {tuple(images[bad[0]].tolist())} does not fix the detection state")
-    return (phases / np.abs(phases)).tolist()
+            f"stabilizer generator {tuple(images[bad.argmax()].tolist())} does not fix the detection state")
+    return phases / moduli
 
 
 def stabilizer(
@@ -621,7 +607,7 @@ def stabilizer(
     """Subgroup whose elements fix the detection state up to a unit phase.
 
     Membership requires ``||S psi_d - p psi_d|| < tol`` with
-    ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored with each
+    ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored next to each
     generator.
 
     For a detector localized on the base point of ``group`` (see
@@ -640,17 +626,15 @@ def stabilizer(
         # Every other amplitude is within tol/2 of 0, so (for tol < 1/2) the
         # amplitude coloring individualizes the base point and nothing else.
         _, count, order = group._fixed
-        perms = group.generators[:count]
+        images = group.generators[:count]
     else:
         images, order = _searched_stabilizer(group.graph, psi_d, _distinct_amplitudes(psi_d, tol), tol)
-        perms = tuple(Permutation(img) for img in images)
-    stacked = _stacked(perms, group.dim)
-    phases = _fixing_phases(stacked, psi_d, tol)
-    return StabilizerGroup(generators=tuple(zip(perms, phases)), order=order, dim=group.dim)
+    phases = _fixing_phases(images, psi_d, tol)
+    return StabilizerGroup(images=images, phases=phases, order=order, dim=group.dim)
 
 
 def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarray,
-                         tol: float) -> tuple[list[tuple[int, ...]], int]:
+                         tol: float) -> tuple[np.ndarray, int]:
     """Generator images and order of the stabilizer of ``psi_d``, by a search of its own.
 
     ``reps`` are the distinct amplitudes of ``psi_d``; see :func:`stabilizer`.
@@ -663,7 +647,7 @@ def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarr
 
     target = coloring(_amplitude_classes(psi_d, reps, tol))
     kernel, kernel_order, _ = search.chain(_dense_ranks(target))
-    images = list(kernel)
+    cosets = []
 
     anchor = psi_d[int(np.argmax(np.abs(psi_d)))]
     phases = [1.0 + 0j]
@@ -681,14 +665,14 @@ def _searched_stabilizer(graph: WeightedGraph, psi_d: np.ndarray, reps: np.ndarr
         img = search.isomorphism(_dense_ranks(source), _dense_ranks(target))
         if img is not None:
             phases.append(p)
-            images.append(tuple(img.tolist()))
-    return images, kernel_order * len(phases)
+            cosets.append(img)
+    return np.vstack([kernel, *cosets]), kernel_order * len(phases)
 
 
 def _invariant_span_dim(stab: StabilizerGroup, psi: np.ndarray, rank_tol: float) -> int:
     """Dimension of the smallest generator-invariant subspace containing ``psi``."""
     n = stab.dim
-    moves = np.argsort(stab._images, axis=1)  # (S v)[i] = v[moves[i]]
+    moves = np.argsort(stab.images, axis=1)  # (S v)[i] = v[moves[i]]
     basis = np.empty((n, n), dtype=complex)
     basis[:, 0] = psi / np.linalg.norm(psi)
     size, done = 1, 0

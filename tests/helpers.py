@@ -235,8 +235,32 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def brute_force_automorphisms(g: sw.WeightedGraph) -> list[sw.Permutation]:
-    """Filter all n! permutations; test oracle for graphs of at most 8 nodes."""
+def compose(a, b) -> tuple[int, ...]:
+    """The image tuple of applying ``b`` first, then ``a``: ``r -> a[b[r]]``."""
+    return tuple(np.asarray(a)[np.asarray(b)].tolist())
+
+
+def inverse(image) -> tuple[int, ...]:
+    return tuple(np.argsort(image).tolist())
+
+
+def apply(image, state: np.ndarray) -> np.ndarray:
+    """``S psi`` for the permutation ``r -> image[r]``: ``(S psi)[image[r]] = psi[r]``."""
+    out = np.empty_like(np.asarray(state))
+    out[np.asarray(image)] = state
+    return out
+
+
+def matrix(image) -> np.ndarray:
+    """The permutation matrix with ``m[image[r], r] = 1``, so that ``matrix(image) @ psi == apply(image, psi)``."""
+    n = len(image)
+    m = np.zeros((n, n))
+    m[np.asarray(image), np.arange(n)] = 1.0
+    return m
+
+
+def brute_force_automorphisms(g: sw.WeightedGraph) -> list[tuple[int, ...]]:
+    """The image tuples of all n! permutations that survive the filter; test oracle for graphs of at most 8 nodes."""
     if g.node_count > 8:
         raise ValueError("brute force is limited to 8 nodes")
     adj = [dict() for _ in range(g.node_count)]
@@ -248,18 +272,18 @@ def brute_force_automorphisms(g: sw.WeightedGraph) -> list[sw.Permutation]:
         if any(g.onsite[perm[v]] != g.onsite[v] for v in range(g.node_count)):
             continue
         if all({perm[u]: w for u, w in nbrs.items()} == adj[perm[v]] for v, nbrs in enumerate(adj)):
-            out.append(sw.Permutation(perm))
+            out.append(perm)
     return out
 
 
-def brute_force_stabilizer(perms: list[sw.Permutation], node: int) -> list[sw.Permutation]:
+def brute_force_stabilizer(images: list[tuple[int, ...]], node: int) -> list[tuple[int, ...]]:
     """The elements of an explicit element list that fix ``node``."""
-    return [p for p in perms if p.image[node] == node]
+    return [img for img in images if img[node] == node]
 
 
-def brute_force_orbits(perms: list[sw.Permutation], n: int) -> list[tuple[int, ...]]:
+def brute_force_orbits(images: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Node orbits under an explicit element list, ordered by least member."""
-    orbits = {tuple(sorted({p.image[v] for p in perms})) for v in range(n)}
+    orbits = {tuple(sorted({img[v] for img in images})) for v in range(n)}
     return sorted(orbits)
 
 
@@ -267,9 +291,9 @@ def brute_force_orbits(perms: list[sw.Permutation], n: int) -> list[tuple[int, .
 ORDER_CAP = 10**6
 
 
-def close_group(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[sw.Permutation, complex]]:
-    """Every element of a group with its phase, closed from the generators and
-    sorted by image tuple; test oracle for groups of at most ``ORDER_CAP``.
+def close_group(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[tuple[int, ...], complex]]:
+    """Every element's image tuple with its phase, closed from the generators
+    and sorted by image tuple; test oracle for groups of at most ``ORDER_CAP``.
 
     Automorphisms carry phase 1.  The phase of a product is the product of
     the phases, since ``S T psi_d = p_T S psi_d = p_S p_T psi_d``.
@@ -277,9 +301,9 @@ def close_group(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[sw.P
     if group.order > ORDER_CAP:
         raise ValueError(f"group order {group.order} is above the cap of {ORDER_CAP} for listing elements")
     if isinstance(group, sw.SymmetryGroup):
-        generators = [(g.image, 1.0 + 0j) for g in group.generators]
+        generators = [(img, 1.0 + 0j) for img in group.generators.tolist()]
     else:
-        generators = [(perm.image, phase) for perm, phase in group.generators]
+        generators = list(zip(group.images.tolist(), group.phases.tolist()))
     known = {tuple(range(group.dim)): 1.0 + 0j}
     frontier = list(known)
     while frontier:
@@ -293,12 +317,12 @@ def close_group(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[sw.P
                     fresh.append(prod)
         frontier = fresh
     assert len(known) == group.order, (len(known), group.order)
-    return [(sw.Permutation(img), complex(phase)) for img, phase in sorted(known.items())]
+    return [(img, complex(phase)) for img, phase in sorted(known.items())]
 
 
-def group_elements(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[sw.Permutation]:
-    """The permutations of ``close_group``, without their phases."""
-    return [perm for perm, _ in close_group(group)]
+def group_elements(group: sw.SymmetryGroup | sw.StabilizerGroup) -> list[tuple[int, ...]]:
+    """The image tuples of ``close_group``, without their phases."""
+    return [img for img, _ in close_group(group)]
 
 
 def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
@@ -318,14 +342,14 @@ def assert_search_matches_brute_force(g: sw.WeightedGraph) -> None:
         detector = sw.localized_state(n, d)
         assert shared[d].order == group.order, d
         from_chain = sw.stabilizer(shared[d], detector)
-        count = len(from_chain.generators)
-        assert [perm for perm, _ in from_chain.generators] == list(shared[d].generators[:count]), d
+        count = len(from_chain.images)
+        np.testing.assert_array_equal(from_chain.images, shared[d].generators[:count], err_msg=str(d))
         fallback = sw.stabilizer(shared[(d + 1) % n], detector)
         for stab in (sw.stabilizer(group, detector), from_chain, fallback):
             assert stab.order == len(expected), d
             assert sw.node_orbits(stab) == brute_force_orbits(expected, n), d
-            assert all(perm.image[d] == d and phase == 1.0 for perm, phase in stab.generators), d
-            assert group.order == len({p.image[d] for p in brute}) * stab.order, d
+            assert np.all(stab.images[:, d] == d) and np.all(stab.phases == 1.0), d
+            assert group.order == len({img[d] for img in brute}) * stab.order, d
 
 
 def oracle_quotient_graph(q: sw.QuotientSystem) -> sw.WeightedGraph:

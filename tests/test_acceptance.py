@@ -199,9 +199,9 @@ def test_criterion_7_ring_eigenstate_detection():
         psi_d = helpers.ring_eigenstate(length, k_d)
         stab = sw.stabilizer(group, psi_d)
         assert stab.order == length
-        for perm, phase in helpers.close_group(stab):
-            shift = perm.image[0]
-            assert perm.image == tuple((r + shift) % length for r in range(length))
+        for image, phase in helpers.close_group(stab):
+            shift = image[0]
+            assert image == tuple((r + shift) % length for r in range(length))
             expected = np.exp(-1j * TWO_PI * k_d * shift / length)
             assert abs(phase - expected) < 1e-10
         for r in range(length):

@@ -889,16 +889,19 @@ class TestFormatsAndErrors:
         assert ("cannot read graph file" if case == "directory" else "not UTF-8") in err
 
     @pytest.mark.parametrize("argv, out, target", [
-        (["spectrum", "--graph", "ring:6", "--format", "json"], "r.json", "r.json"),
-        (["quotient", "--graph", "ring:6", "--detect", "0"], "r", "r.graph.json"),
-    ], ids=["spectrum", "quotient-graph"])
+        (["spectrum", "--graph", "ring:6", "--format", "json"], "missing/r.json", "missing/r.json"),
+        (["quotient", "--graph", "ring:6", "--detect", "0"], "missing/r", "missing/r.graph.json"),
+        # the graph file can be written next to the directory, the report cannot: neither is left
+        (["quotient", "--graph", "ring:6", "--detect", "0"], "dir", "dir"),
+    ], ids=["spectrum", "quotient-graph", "quotient-report-is-a-directory"])
     def test_an_unwritable_out_path_exits_2(self, capsys, tmp_path, argv, out, target):
-        missing = tmp_path / "missing"
-        assert main([*argv, "--out", str(missing / out)]) == 2
+        (tmp_path / "dir").mkdir()
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: cannot write {str(missing / target)!r}: ")
-        assert not missing.exists()
+        assert captured.err.startswith(f"error: cannot write {str(tmp_path / target)!r}: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["dir"]
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_a_huge_graph_file_exits_3_before_its_hamiltonian_is_built(self, capsys, monkeypatch, tmp_path):
         # A million nodes: a dense H would need 7.3 TiB.  The cap is checked on the node count.

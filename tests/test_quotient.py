@@ -236,7 +236,7 @@ class TestWeightedEndToEnd:
     def test_symmetries_respect_the_weights(self):
         g = sw.load_graph(sw.save_graph(self.weighted_ring()))
         group = sw.automorphisms(g)
-        assert {p.image for p in helpers.group_elements(group)} == {
+        assert set(helpers.group_elements(group)) == {
             (0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1), (3, 4, 5, 0, 1, 2), (3, 2, 1, 0, 5, 4)}
 
     def test_quotient_path_and_spectrum(self):

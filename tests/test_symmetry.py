@@ -11,7 +11,6 @@ import pytest
 import strobewalk as sw
 from strobewalk import symmetry
 from strobewalk.errors import AsymmetricStateError, GroupSearchError, StateError
-from strobewalk.symmetry import identity_permutation
 
 import helpers
 
@@ -19,25 +18,64 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestPermutation:
+    """A permutation is a row of node images, ``r -> image[r]``, acting on states as
+    ``(S psi)[image[r]] = psi[r]``; the helpers the tests compose, invert and apply them with."""
+
     def test_compose_applies_right_factor_first(self):
-        p = sw.Permutation((1, 2, 0))
-        q = sw.Permutation((0, 2, 1))
-        assert p.compose(q).image == (1, 0, 2)
+        assert helpers.compose((1, 2, 0), (0, 2, 1)) == (1, 0, 2)
 
     def test_inverse(self):
-        p = sw.Permutation((2, 0, 3, 1))
-        assert p.compose(p.inverse()).image == (0, 1, 2, 3)
-        assert p.inverse().compose(p).image == (0, 1, 2, 3)
+        p = np.array([2, 0, 3, 1])
+        assert helpers.compose(p, helpers.inverse(p)) == (0, 1, 2, 3)
+        assert helpers.compose(helpers.inverse(p), p) == (0, 1, 2, 3)
 
     def test_matrix_and_apply_agree(self):
-        p = sw.Permutation((1, 2, 0))
+        p = np.array([1, 2, 0])
         vec = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(p.matrix() @ vec, p.apply(vec))
-        np.testing.assert_array_equal(p.apply(vec), [3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(helpers.matrix(p) @ vec, helpers.apply(p, vec))
+        np.testing.assert_array_equal(helpers.apply(p, vec), [3.0, 1.0, 2.0])
 
     def test_rejects_non_bijections(self):
+        # every row must be a permutation of 0..n-1, in the automorphism group and the stabilizer alike:
+        # a repeated image, a missing one, a negative one, a bad second row, a short row
+        for images in ([[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]], [[0, 1, 2], [2, 2, 1]], [[0, 1]]):
+            with pytest.raises(ValueError):
+                sw.SymmetryGroup(graph=helpers.graph("ring:3"), generators=images, order=6)
+            with pytest.raises(ValueError):
+                sw.StabilizerGroup(images=images, phases=[1.0] * len(images), order=6, dim=3)
+        assert sw.StabilizerGroup(images=[[2, 0, 1]], phases=[1.0], order=3, dim=3).images.tolist() == [[2, 0, 1]]
+
+    def test_generator_phases_follow_the_image_convention(self):
+        # the shift r -> r + 1 takes the k = 1 wave exp(2 pi i r / 6) to exp(-2 pi i / 6) times itself
+        psi_d = helpers.ring_eigenstate(6, 1)
+        shift = np.roll(np.arange(6), -1)
+        stab = sw.stabilizer(helpers.group("ring:6"), psi_d)
+        assert stab.images.shape == (len(stab.phases), 6)
+        for image, phase in zip(stab.images, stab.phases):
+            np.testing.assert_allclose(helpers.apply(image, psi_d), phase * psi_d, atol=1e-12)
+        rotated = dataclasses.replace(stab, images=[shift], phases=[np.exp(-1j * TWO_PI / 6)])
+        assert not rotated.has_trivial_phases
+        assert symmetry._fixing_phases(rotated.images, psi_d, 1e-10) == pytest.approx([np.exp(-1j * TWO_PI / 6)])
+        np.testing.assert_allclose(sw.symmetry_projector(rotated) @ psi_d, psi_d, atol=1e-12)
+
+    def test_invariant_span_follows_the_image_convention(self):
+        # (S psi)[image[r]] = psi[r]: the span of psi's orbit under S is the span of its images
+        shift = np.roll(np.arange(6), -1)
+        stab = sw.StabilizerGroup(images=[shift], phases=[1.0], order=6, dim=6)
+        # neighbor pairs span all but the alternating state; every other node gives two states
+        for nodes, rank in [([0, 1], 5), ([0, 1, 3], 6), ([0, 2, 4], 2)]:
+            orbit = [sw.uniform_state(6, nodes)]
+            for _ in range(5):
+                orbit.append(helpers.apply(shift, orbit[-1]))
+            assert sw.orbit_rank(stab, orbit[0]) == np.linalg.matrix_rank(np.array(orbit)) == rank
+
+    @pytest.mark.parametrize("field", ["generators", "images", "phases"])
+    def test_the_arrays_are_read_only(self, field):
+        group = helpers.group("ring:6")
+        owner = group if field == "generators" else sw.stabilizer(group, helpers.ring_eigenstate(6, 1))
+        array = getattr(owner, field)
         with pytest.raises(ValueError):
-            sw.Permutation((0, 0, 1))
+            array[0] = array[-1]
 
 
 class TestAutomorphisms:
@@ -55,8 +93,8 @@ class TestAutomorphisms:
         g = helpers.graph(spec)
         if g.node_count > 8:
             pytest.skip("brute force capped at 8 nodes")
-        expected = {p.image for p in helpers.brute_force_automorphisms(g)}
-        got = {p.image for p in helpers.group_elements(helpers.group(spec))}
+        expected = set(helpers.brute_force_automorphisms(g))
+        got = set(helpers.group_elements(helpers.group(spec)))
         assert got == expected
 
     def test_weights_break_symmetry(self):
@@ -67,8 +105,8 @@ class TestAutomorphisms:
             onsite=(0.0,) * 4,
         )
         group = sw.automorphisms(g)
-        assert {p.image for p in helpers.group_elements(group)} == {(0, 1, 2, 3), (1, 0, 3, 2)}
-        assert {p.image for p in helpers.brute_force_automorphisms(g)} == {(0, 1, 2, 3), (1, 0, 3, 2)}
+        assert set(helpers.group_elements(group)) == {(0, 1, 2, 3), (1, 0, 3, 2)}
+        assert set(helpers.brute_force_automorphisms(g)) == {(0, 1, 2, 3), (1, 0, 3, 2)}
 
     def test_onsite_energy_breaks_symmetry(self):
         g = sw.WeightedGraph(
@@ -79,28 +117,28 @@ class TestAutomorphisms:
         group = sw.automorphisms(g)
         # only the identity and the reflection fixing node 0 survive
         assert group.order == 2
-        assert {p.image for p in helpers.group_elements(group)} == {(0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1)}
+        assert set(helpers.group_elements(group)) == {(0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1)}
 
     def test_group_axioms_by_enumeration(self):
         elements = helpers.group_elements(helpers.group("tree:2"))
-        images = {p.image for p in elements}
-        assert identity_permutation(7).image in images
+        images = set(elements)
+        assert tuple(range(7)) in images
         for p in elements:
-            assert p.inverse().image in images
+            assert helpers.inverse(p) in images
             for q in elements:
-                assert p.compose(q).image in images
+                assert helpers.compose(p, q) in images
 
     def test_elements_commute_with_hamiltonian(self):
         for spec in ("ring:8", "tree:2", "square_center"):
             h = helpers.ham(spec)
             for p in helpers.group_elements(helpers.group(spec)):
-                m = p.matrix()
+                m = helpers.matrix(p)
                 assert np.max(np.abs(m @ h - h @ m)) < 1e-10
 
     def test_generators_generate_the_group(self):
         group = helpers.group("hypercube:3")
-        gens = [p.image for p in group.generators]
-        known = {identity_permutation(8).image}
+        gens = group.generators.tolist()
+        known = {tuple(range(8))}
         frontier = list(known)
         while frontier:
             fresh = []
@@ -111,10 +149,10 @@ class TestAutomorphisms:
                         known.add(prod)
                         fresh.append(prod)
             frontier = fresh
-        assert known == {p.image for p in helpers.group_elements(group)}
+        assert known == set(helpers.group_elements(group))
 
     def test_deterministic_lexicographic_order(self):
-        images = [p.image for p in helpers.group_elements(helpers.group("ring:6"))]
+        images = helpers.group_elements(helpers.group("ring:6"))
         assert images == sorted(images)
         assert images[0] == tuple(range(6))
 
@@ -128,7 +166,7 @@ class TestStabilizer:
     def test_ring8_detect_node_is_identity_plus_reflection(self):
         stab = helpers.node_stabilizer("ring:8", 0)
         assert stab.order == 2
-        images = {p.image for p in helpers.group_elements(stab)}
+        images = set(helpers.group_elements(stab))
         reflection = tuple((-r) % 8 for r in range(8))
         assert images == {tuple(range(8)), reflection}
         assert all(phase == pytest.approx(1.0) for _, phase in helpers.close_group(stab))
@@ -140,7 +178,7 @@ class TestStabilizer:
         stab = helpers.node_stabilizer("tree:2", 3)
         assert stab.order == 2
         swap56 = tuple(5 if r == 6 else 6 if r == 5 else r for r in range(7))
-        assert {p.image for p in helpers.group_elements(stab)} == {tuple(range(7)), swap56}
+        assert set(helpers.group_elements(stab)) == {tuple(range(7)), swap56}
 
     def test_ring_eigenstate_translations_with_phases(self):
         length = 6
@@ -148,9 +186,9 @@ class TestStabilizer:
             psi_d = helpers.ring_eigenstate(length, k_d)
             stab = sw.stabilizer(helpers.group("ring:6"), psi_d)
             assert stab.order == length  # translations only, no reflections
-            for perm, phase in helpers.close_group(stab):
-                shift = perm.image[0]
-                assert perm.image == tuple((r + shift) % length for r in range(length))
+            for image, phase in helpers.close_group(stab):
+                shift = image[0]
+                assert image == tuple((r + shift) % length for r in range(length))
                 expected = np.exp(-1j * TWO_PI * k_d * shift / length)
                 assert phase == pytest.approx(expected, abs=1e-10)
 
@@ -192,13 +230,13 @@ class TestOrbitRank:
 
 class TestProjector:
     def test_singleton_group_gives_identity(self):
-        stab = sw.StabilizerGroup(generators=(), order=1, dim=4)
+        stab = sw.StabilizerGroup(images=(), phases=(), order=1, dim=4)
         np.testing.assert_allclose(sw.symmetry_projector(stab), np.eye(4), atol=1e-15)
 
     def test_ring8_two_element_projector(self):
         stab = helpers.node_stabilizer("ring:8", 0)
-        reflection = next(p for p in helpers.group_elements(stab) if not p.is_identity)
-        expected = (np.eye(8) + reflection.matrix()) / 2.0
+        reflection = next(p for p in helpers.group_elements(stab) if p != tuple(range(8)))
+        expected = (np.eye(8) + helpers.matrix(reflection)) / 2.0
         np.testing.assert_allclose(sw.symmetry_projector(stab), expected, atol=1e-15)
 
     @pytest.mark.parametrize("spec, node", [("ring:8", 0), ("tree:2", 1), ("square_center", 4)])
@@ -333,8 +371,8 @@ class TestStabilizerInvariance:
         base = sw.first_detection_amplitudes(
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:6"), detect_state=psi_d,
                               initial_state=psi, tau=0.9), 20)
-        for perm, phase in helpers.close_group(stab)[:4]:
-            moved = perm.apply(psi)
+        for image, phase in helpers.close_group(stab)[:4]:
+            moved = helpers.apply(image, psi)
             amps = sw.first_detection_amplitudes(
                 sw.DetectionSetup(hamiltonian=helpers.ham("ring:6"), detect_state=psi_d,
                                   initial_state=moved, tau=0.9), 20)
@@ -342,14 +380,14 @@ class TestStabilizerInvariance:
 
     def test_equivalent_states_share_detection_statistics(self):
         stab = helpers.node_stabilizer("ring:8", 0)
-        reflection = next(p for p in helpers.group_elements(stab) if not p.is_identity)
+        reflection = next(p for p in helpers.group_elements(stab) if p != tuple(range(8)))
         psi = helpers.basis("ring:8", 1)
         base = sw.first_detection_amplitudes(
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:8"), detect_state=helpers.basis("ring:8", 0),
                               initial_state=psi, tau=0.9), 20)
         partner = sw.first_detection_amplitudes(
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:8"), detect_state=helpers.basis("ring:8", 0),
-                              initial_state=reflection.apply(psi), tau=0.9), 20)
+                              initial_state=helpers.apply(reflection, psi), tau=0.9), 20)
         np.testing.assert_allclose(np.abs(partner) ** 2, np.abs(base) ** 2, atol=1e-10)
 
 
@@ -404,8 +442,8 @@ class TestNodeOrbits:
 
     def test_one_long_cycle_and_a_fixed_point(self):
         n = 257
-        rotation = sw.Permutation(tuple((r + 1) % 256 for r in range(256)) + (256,))
-        stab = sw.StabilizerGroup(generators=((rotation, 1.0 + 0j),), order=256, dim=n)
+        rotation = [*((r + 1) % 256 for r in range(256)), 256]
+        stab = sw.StabilizerGroup(images=[rotation], phases=[1.0], order=256, dim=n)
         assert sw.node_orbits(stab) == [tuple(range(256)), (256,)]
         assert stab.symmetric_dim == 2
 
@@ -420,8 +458,7 @@ class TestNodeOrbits:
         images = [list(range(n)), list(range(n))]
         for hop, (u, v) in enumerate(zip(order, order[1:])):
             images[hop % 2][u], images[hop % 2][v] = v, u
-        stab = sw.StabilizerGroup(
-            generators=tuple((sw.Permutation(tuple(img)), 1.0 + 0j) for img in images), order=2 * n, dim=n)
+        stab = sw.StabilizerGroup(images=images, phases=[1.0, 1.0], order=2 * n, dim=n)
 
         class CountingNumpy:
             compares = 0
@@ -544,7 +581,7 @@ class TestClosedFormOrders:
         # node 0 is the tree root (fixed by every automorphism); the other graphs are vertex-transitive
         assert stab.order == (order if spec.startswith("tree") else order // n)
         for p in group.generators:
-            m = p.matrix()
+            m = helpers.matrix(p)
             h = helpers.ham(spec)
             assert np.max(np.abs(m @ h - h @ m)) == 0.0
 
@@ -572,7 +609,7 @@ class TestGeneratorRoutesMatchElementSums:
     @pytest.mark.parametrize("spec, wave", CASES)
     def test_projector_is_the_phase_weighted_group_average(self, spec, wave):
         stab = self._stab(spec, wave)
-        expected = sum(np.conj(phase) * perm.matrix() for perm, phase in helpers.close_group(stab)) / stab.order
+        expected = sum(np.conj(phase) * helpers.matrix(p) for p, phase in helpers.close_group(stab)) / stab.order
         np.testing.assert_allclose(sw.symmetry_projector(stab), expected, atol=1e-12)
 
     @pytest.mark.parametrize("spec, wave", CASES)
@@ -582,15 +619,15 @@ class TestGeneratorRoutesMatchElementSums:
         n = stab.dim
         states = [helpers.random_state(rng, n), sw.localized_state(n, 1), sw.uniform_state(n, [0, 1])]
         for psi in states:
-            orbit = np.array([perm.apply(psi) for perm in helpers.group_elements(stab)])
+            orbit = np.array([helpers.apply(p, psi) for p in helpers.group_elements(stab)])
             assert sw.orbit_rank(stab, psi) == np.linalg.matrix_rank(orbit, tol=1e-8)
 
     def test_elements_close_the_generators_with_phases(self):
         stab = self._stab("ring:6", 3)
         psi_d = helpers.ring_eigenstate(6, 3)
         assert len(helpers.close_group(stab)) == stab.order == 12
-        for perm, phase in helpers.close_group(stab):
-            np.testing.assert_allclose(perm.apply(psi_d), phase * psi_d, atol=1e-12)
+        for p, phase in helpers.close_group(stab):
+            np.testing.assert_allclose(helpers.apply(p, psi_d), phase * psi_d, atol=1e-12)
 
 
 class TestWeakRefinement:
@@ -617,7 +654,7 @@ class TestWeakRefinement:
         for stab in (sw.stabilizer(group, detector), sw.stabilizer(shared, detector)):
             assert stab.order == stab_order
             assert [len(o) for o in sw.node_orbits(stab)] == orbit_sizes
-            assert all(perm.image[0] == 0 for perm, _ in stab.generators)
+            assert np.all(stab.images[:, 0] == 0)
 
 
 class TestPastTheNodeCap:
@@ -637,8 +674,7 @@ class TestPastTheNodeCap:
         stab = sw.stabilizer(group, sw.localized_state(g.node_count, 0))
         assert stab.order == stab_order
         h = helpers.ham(spec)
-        for perm in group.generators:
-            img = np.array(perm.image)
+        for img in group.generators:
             # S H S^T = H reads H[img[r], img[c]] == H[r, c]
             np.testing.assert_array_equal(h[np.ix_(img, img)], h)
 
@@ -715,13 +751,13 @@ class TestSymmetricSubspace:
         with pytest.raises(ValueError):
             p[0, 0] = 0.0
 
-    def test_the_group_is_its_three_fields(self):
+    def test_the_group_is_its_four_fields(self):
         stab = helpers.node_stabilizer("ring:8", 0)
-        assert [f.name for f in dataclasses.fields(stab)] == ["generators", "order", "dim"]
+        assert [f.name for f in dataclasses.fields(stab)] == ["images", "phases", "order", "dim"]
         sw.node_orbits(stab)
         # a copy with other generators labels its own orbits, not the cached ones
-        rotation = sw.Permutation(tuple((r + 1) % 8 for r in range(8)))
-        rotated = dataclasses.replace(stab, generators=((rotation, 1.0 + 0j),), order=8)
+        rotation = [(r + 1) % 8 for r in range(8)]
+        rotated = dataclasses.replace(stab, images=[rotation], phases=[1.0], order=8)
         assert sw.node_orbits(rotated) == [tuple(range(8))]
         assert rotated.symmetric_dim == 1
 
@@ -769,5 +805,5 @@ class TestSearchArraysOnFirstUse:
         assert len(searches) == 2
         for a, b in zip(lazy, eager):
             assert a.order == b.order
-            assert a.generators == b.generators
+            np.testing.assert_array_equal(a.generators, b.generators)
             assert a._fixed == b._fixed
