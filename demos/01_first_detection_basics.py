@@ -51,6 +51,6 @@ for tau_c, a, b in zip(listing.taus.tolist(), bounds, bounds[1:]):
 # At the full revival tau = 2*pi the evolution operator is the identity:
 # the walker never moves, and only the initial overlap can ever be detected.
 revival = 2.0 * np.pi
-print(f"\nis_resonant(tau=2*pi): {sw.is_resonant(es, revival)}")
+print(f"\nis_resonant(tau=2*pi): {sw.is_resonant(sw.fold_sectors(es, revival))}")
 u = sw.evolution_operator(es, revival)
 print(f"||U(2*pi) - identity||_max = {np.max(np.abs(u - np.eye(6))):.2e}")

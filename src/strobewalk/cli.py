@@ -70,7 +70,6 @@ _TOL_DEFAULTS = {
     "phase": spectral.PHASE_GROUP_TOL,
     "dark": detection.DARK_OVERLAP_TOL,
     "rank": symmetry.RANK_TOL,
-    "resonance": spectral.RESONANCE_TOL,
     "series-rel": detection.SERIES_REL_TOL,
     "series-cap": detection.DEFAULT_SERIES_CAP,
 }
@@ -631,10 +630,6 @@ class _Query:
         return fold_sectors(self.eigensystem, self.tau, phase_tol=self.tols["phase"])
 
     @cached_property
-    def resonant(self) -> bool:
-        return is_resonant(self.eigensystem, self.tau, tol=self.tols["resonance"])
-
-    @cached_property
     def detect(self) -> np.ndarray:
         return _parse_state(self.args.detect, self.graph.node_count, "detect")
 
@@ -663,7 +658,8 @@ class _Query:
 def cmd_analyze(q: _Query) -> dict:
     args, tau = q.args, q.tau
     warnings = list(q.sectors.warnings)
-    if q.resonant:
+    resonant = is_resonant(q.sectors)
+    if resonant:
         warnings.append(
             f"tau={tau} is a resonant detection period: sectors merge and the "
             "symmetry analysis relies on the folded sectors"
@@ -703,7 +699,7 @@ def cmd_analyze(q: _Query) -> dict:
     }, rows)
     return {
         "tau": tau,
-        "tau_resonant": q.resonant,
+        "tau_resonant": resonant,
         "detect": args.detect,
         "group_order": q.group.order,
         "stabilizer_order": q.stab.order,
@@ -722,7 +718,8 @@ def cmd_simulate(q: _Query) -> dict:
     setup = DetectionSetup(hamiltonian=q.h, detect_state=psi_d, initial_state=psi_in, tau=tau)
     q.eigensystem = setup.eigensystem  # the setup's diagonalization serves the whole query
     warnings = []
-    if q.resonant:
+    resonant = is_resonant(q.sectors)
+    if resonant:
         warnings.append(
             f"tau={tau} is a resonant detection period; the series may not converge"
         )
@@ -733,7 +730,7 @@ def cmd_simulate(q: _Query) -> dict:
         warnings.append(f"series did not converge within n={series.n_used}")
     return {
         "tau": tau,
-        "tau_resonant": q.resonant,
+        "tau_resonant": resonant,
         "detect": args.detect,
         "init": args.init,
         "series": {
@@ -808,7 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--detect", required=True, help="detection node id or state file path")
         if init:
             p.add_argument("--init", required=True, help="initial node id, state file path, or 'all'")
-        p.add_argument("--tau", default=tau_default, help=f"{tau_help} (default %(default)s)")
+        if tau_default is not None:
+            p.add_argument("--tau", default=tau_default, help=f"{tau_help} (default %(default)s)")
         p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
                        help=f"override a tolerance; keys: {', '.join(_TOL_DEFAULTS)}")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -819,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("simulate", help="direct protocol summation next to the spectral value"),
                cmd_simulate, detect=True, init=True)
     add_common(sub.add_parser("quotient", help="symmetrized (quotient) system for a detection node"),
-               cmd_quotient, detect=True)
+               cmd_quotient, detect=True, tau_default=None)
     add_common(sub.add_parser("resonances", help="resonant detection periods up to a bound"),
                cmd_resonances, tau_default="6.2831853",
                tau_help="largest period listed, or scan:min:max[:steps] for the periods in (min, max]; "

@@ -5,7 +5,9 @@ Repeated detection every ``tau`` time units only sees the evolution operator
 ``E * tau mod 2*pi``.  Two energy levels whose phases coincide at a given
 ``tau`` are dynamically indistinguishable and must be merged into one
 sector; ``fold_sectors`` performs that grouping, ``energy_sectors`` groups
-by energy alone (the generic, off-resonance sector structure).
+by energy alone (the generic, off-resonance sector structure).  The fold is
+the one judge of resonance: ``is_resonant`` reads whether a folded sector
+holds two distinct levels, with no tolerance of its own.
 
 A grouping is held as columns, not as one object per sector: the levels'
 energies and eigenvectors in sector order, and the level at which each
@@ -44,8 +46,6 @@ PHASE_GROUP_TOL = 1e-8
 ENERGY_GROUP_RTOL = 1e-8
 #: Phase gaps in (tolerance, NEAR_DEGENERATE_FACTOR * tolerance) produce a warning.
 NEAR_DEGENERATE_FACTOR = 100.0
-#: |phase gap mod 2pi| below this counts as a resonance.
-RESONANCE_TOL = 1e-9
 
 DEFAULT_DIM_CAP = 512
 
@@ -244,12 +244,6 @@ def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def _distinct_levels(es: EigenSystem) -> np.ndarray:
-    """Lowest member energy of each degenerate level, as ``energy_sectors`` groups them."""
-    ev = es.eigenvalues
-    return ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
-
-
 class ResonanceListing(NamedTuple):
     """Resonant periods as columns: entry ``e`` holds the pairs ``starts[e]:starts[e + 1]``.
 
@@ -287,7 +281,9 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> ResonanceListing:
     """
     if tau_max <= 0:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
-    levels = _distinct_levels(es)
+    # The lowest member energy of each degenerate level, as ``energy_sectors`` groups them.
+    ev = es.eigenvalues
+    levels = ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
     l0, l1 = np.triu_indices(levels.shape[0], k=1)
     base = TWO_PI / np.abs(levels[l1] - levels[l0])
     limit = tau_max * (1.0 + 1e-12)
@@ -330,11 +326,17 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> ResonanceListing:
     return ResonanceListing(taus[starts], starts, l0[pair], l1[pair], k)
 
 
-def is_resonant(es: EigenSystem, tau: float, *, tol: float = RESONANCE_TOL) -> bool:
-    """Whether some pair of distinct levels folds together at this period."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    levels = _distinct_levels(es)
-    gaps = levels[None, :] - levels[:, None]
-    phases = np.fmod(gaps[gaps > 0] * tau, TWO_PI)  # the levels ascend: each pair once
-    return bool(np.any((phases < tol) | (TWO_PI - phases < tol)))
+def is_resonant(sd: SpectralDecomposition) -> bool:
+    """Whether the fold merged two distinct levels into one sector.
+
+    Two levels are distinct when their energies lie more than the
+    ``energy_sectors`` tolerance apart, and a sector lists its levels in
+    ascending energy, so only the gaps inside a sector are read.  The
+    answer follows the ``phase_tol`` the sectors were folded with; an
+    energy grouping (``phases`` None) is never resonant.
+    """
+    if sd.phases is None:
+        return False
+    distinct = np.diff(sd.energies) > _energy_tol(sd.energies, ENERGY_GROUP_RTOL)
+    distinct[sd.bounds[1:-1] - 1] = False  # the gaps between sectors
+    return bool(distinct.any())

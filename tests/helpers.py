@@ -428,14 +428,32 @@ def oracle_resonant_periods(es: sw.EigenSystem, tau_max: float) -> list[Resonanc
 
 
 def oracle_is_resonant(es: sw.EigenSystem, tau: float, tol: float) -> bool:
-    """Pair-by-pair resonance test over the levels of ``energy_sectors``."""
-    levels = _oracle_levels(es)
-    for l0 in range(levels.shape[0]):
-        for l1 in range(l0 + 1, levels.shape[0]):
-            phase = math.fmod(abs(levels[l1] - levels[l0]) * tau, 2.0 * math.pi)
-            if phase < tol or 2.0 * math.pi - phase < tol:
-                return True
-    return False
+    """Pair-by-pair resonance test: whether phases within ``tol`` of each other link two levels.
+
+    The phases ``E * tau mod 2 pi`` chain as ``fold_sectors`` folds them: two
+    eigenvalues are linked when a chain of steps, each within ``tol`` on the
+    circle, leads from one to the other.  Levels are those of
+    ``energy_sectors``: a level starts where the step from the previous
+    eigenvalue exceeds 1e-8 * max(1, max|E|).
+    """
+    two_pi = 2.0 * math.pi
+    ev = es.eigenvalues.tolist()
+    energy_tol = 1e-8 * max(1.0, max(map(abs, ev), default=0.0))
+    level = [0]
+    for prev, e in zip(ev, ev[1:]):
+        level.append(level[-1] + (e - prev > energy_tol))
+    phases = [e * tau % two_pi for e in ev]
+    # Every eigenvalue takes the least label of those linked to it, pair by pair, until none changes.
+    label = list(range(len(ev)))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ev)):
+            for j in range(len(ev)):
+                gap = abs(phases[i] - phases[j])
+                if min(gap, two_pi - gap) <= tol and label[j] > label[i]:
+                    label[j], changed = label[i], True
+    return any(label[i] == label[j] and level[i] != level[j] for i in range(len(ev)) for j in range(i))
 
 
 def _oracle_groups(keys: np.ndarray, tol: float) -> list[list[int]]:

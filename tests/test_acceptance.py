@@ -143,7 +143,7 @@ def test_criterion_5_randomized_oracle_equivalence():
             detect_node, init_node = rng.integers(0, n, size=2)
             tau = float(rng.uniform(0.4, 2.6))
             psi_d = sw.localized_state(n, int(detect_node))
-            if not sw.is_resonant(es, tau) and _survival_decay(h, psi_d, tau) <= 0.999:
+            if not sw.is_resonant(sw.fold_sectors(es, tau)) and _survival_decay(h, psi_d, tau) <= 0.999:
                 break
         psi_in = sw.localized_state(n, int(init_node))
         sd = sw.fold_sectors(es, tau)
@@ -248,7 +248,7 @@ def test_criterion_9_tau_independence_and_resonance_flags():
         g = helpers.graph(spec)
         es = helpers.eigensystem(spec)
         for tau in taus:
-            assert not sw.is_resonant(es, tau), (spec, tau)
+            assert not sw.is_resonant(sw.fold_sectors(es, tau)), (spec, tau)
         for detect_node in range(g.node_count):
             psi_d = helpers.basis(spec, detect_node)
             for init_node in range(g.node_count):
@@ -259,7 +259,7 @@ def test_criterion_9_tau_independence_and_resonance_flags():
                 ]
                 assert max(values) - min(values) < 1e-12, (spec, detect_node, init_node)
     es6 = helpers.eigensystem("ring:6")
-    assert sw.is_resonant(es6, math.pi)
-    assert sw.is_resonant(es6, TWO_PI)
+    assert sw.is_resonant(sw.fold_sectors(es6, math.pi))
+    assert sw.is_resonant(sw.fold_sectors(es6, TWO_PI))
     report(9, "pdet identical to 1e-12 at tau in {0.7, 1.1, 1.9} on tree:2 and ring:6; "
               "tau = pi and 2*pi correctly flagged resonant on ring:6")

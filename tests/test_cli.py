@@ -105,6 +105,33 @@ class TestAnalyze:
         assert report["tau_resonant"] is True
         assert any("resonant" in w for w in report["warnings"])
 
+    # 2 pi / 3 plus 2e-9: the phase gap of the merging pairs lies between 1e-9 and the phase tolerance 1e-8
+    NEAR_THIRD = "2.094395104393195"
+
+    def test_a_gap_the_fold_merges_is_resonant(self, capsys, schema):
+        sd = sw.fold_sectors(helpers.eigensystem("ring:6"), float(self.NEAR_THIRD))
+        assert sorted(sd.degeneracies.tolist()) == [3, 3]
+        report = run_json(capsys, "analyze", "--graph", "ring:6", "--detect", "0", "--init", "all",
+                          "--tau", self.NEAR_THIRD)
+        jsonschema.validate(report, schema)
+        assert report["tau_resonant"] is True
+        assert any("sectors merge" in w for w in report["warnings"])
+        pdet = {row["init"]: row["pdet"] for row in report["results"]}
+        for init in ("1", "2", "4", "5"):
+            assert pdet[init] < 1e-12  # the resonant value, not the generic 1/2
+
+    def test_a_phase_tolerance_below_the_gap_is_not_resonant(self, capsys, schema):
+        sd = sw.fold_sectors(helpers.eigensystem("ring:6"), 2 * math.pi / 3, phase_tol=0.0)
+        assert sd.degeneracies.size >= 4  # the four levels stay apart
+        report = run_json(capsys, "analyze", "--graph", "ring:6", "--detect", "0", "--init", "all",
+                          "--tau", repr(2 * math.pi / 3), "--tol", "phase=0")
+        jsonschema.validate(report, schema)
+        assert report["tau_resonant"] is False
+        assert not any("resonant" in w for w in report["warnings"])
+        pdet = {row["init"]: row["pdet"] for row in report["results"]}
+        for init in ("1", "2", "4", "5"):
+            assert pdet[init] == pytest.approx(0.5, abs=1e-12)
+
     def test_deterministic_output(self, capsys):
         argv = ["analyze", "--graph", "square_center", "--detect", "4", "--init", "all",
                 "--format", "json"]
@@ -350,8 +377,25 @@ class TestSimulate:
         assert report["tau_resonant"] is True
         assert any("resonant" in w for w in report["warnings"])
 
+    def test_a_gap_the_fold_merges_warns(self, capsys, schema):
+        report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0", "--init", "1",
+                          "--tau", TestAnalyze.NEAR_THIRD, "--tol", "series-cap=2000")
+        jsonschema.validate(report, schema)
+        assert report["tau_resonant"] is True
+        assert report["warnings"] == [
+            f"tau={TestAnalyze.NEAR_THIRD} is a resonant detection period; the series may not converge",
+            "series did not converge within n=2000",
+        ]
+
 
 class TestQuotientCommand:
+    def test_takes_no_tau(self, capsys):
+        assert run_json(capsys, "quotient", "--graph", "ring:6", "--detect", "0")["tau"] is None
+        with pytest.raises(SystemExit) as bad:
+            main(["quotient", "--graph", "ring:6", "--detect", "0", "--tau", "1.0"])
+        assert bad.value.code == 2
+        assert "unrecognized arguments: --tau 1.0" in capsys.readouterr().err
+
     def test_tree_root_line(self, capsys, schema):
         report = run_json(capsys, "quotient", "--graph", "tree:2", "--detect", "0")
         jsonschema.validate(report, schema)
@@ -645,7 +689,7 @@ def _dict_built_analyze(source: str, graph: sw.WeightedGraph, detect: int, tau: 
     psi_d = sw.localized_state(n, detect)
     group = sw.automorphisms(graph)
     stab = sw.stabilizer(group, psi_d)
-    resonant = sw.is_resonant(es, tau)
+    resonant = sw.is_resonant(sd)
     inits = [sw.localized_state(n, r) for r in range(n)]
     reports = [sw.pdet_spectral(sd, psi_d, psi) for psi in inits]
     bounds = [sw.upper_bound(stab, psi) for psi in inits]
@@ -730,7 +774,7 @@ class TestSectorColumnBytes:
         covered = set()
         for name, tau in self.CASES:
             es = sw.diagonalize(sw.hamiltonian(self.source(tmp_path, name)[1], 1.0))
-            if sw.is_resonant(es, float(tau)):
+            if sw.is_resonant(sw.fold_sectors(es, float(tau))):
                 covered.add("resonant")
             if (sw.fold_sectors(es, float(tau)).degeneracies > 1).any():
                 covered.add(name)
@@ -741,7 +785,8 @@ class TestSectorColumnBytes:
 
 def _listed_periods(es: sw.EigenSystem):
     """Every raw period ``k * 2 pi / gap`` of the levels up to 40, the members of each run among them."""
-    levels = spectral._distinct_levels(es).tolist()
+    sd = sw.energy_sectors(es)
+    levels = sd.energies[sd.bounds[:-1]].tolist()  # the lowest energy of each level
     gaps = [b - a for i, a in enumerate(levels) for b in levels[i + 1:]]
     return sorted(k * (2.0 * math.pi / gap) for gap in gaps for k in range(1, int(40 * gap / (2 * math.pi)) + 1))
 
@@ -870,6 +915,11 @@ class TestFormatsAndErrors:
     def test_config_errors_exit_2(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_the_tolerance_keys_are_five(self, capsys):
+        assert main(["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "resonance=nan"]) == 2
+        assert capsys.readouterr().err == ("error: bad --tol entry 'resonance=nan'; expected KEY=VALUE with KEY in "
+                                           "phase, dark, rank, series-rel, series-cap\n")
 
     @pytest.mark.parametrize("command", [["analyze", "--init", "0"], ["quotient"]])
     def test_detector_is_checked_before_the_group_search(self, capsys, command):

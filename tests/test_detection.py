@@ -401,8 +401,8 @@ class TestResonantDetection:
     )
     def test_merged_sectors_and_reduced_values(self, tau, table, sizes, dark):
         es = helpers.eigensystem("ring:6")
-        assert sw.is_resonant(es, tau)
         sd = sw.fold_sectors(es, tau)
+        assert sw.is_resonant(sd)
         assert sorted(sd.degeneracies.tolist()) == sizes
         psi_d = helpers.basis("ring:6", 0)
         assert sw.dark_space_basis(sd, psi_d).shape[1] == dark

@@ -204,10 +204,11 @@ def test_resonance_search_matches_the_nested_loop_oracle(es, data):
         at = data.draw(st.sampled_from(periods))
         k = at.pairs[0][2]
         taus += [at.tau * (1.0 + c * tol / (TWO_PI * k))
-                 for tol in (sw.spectral.RESONANCE_TOL, 1e-6) for c in (0.0, 0.5, -0.99, 1.01, -2.0, 10.0)]
+                 for tol in (sw.spectral.PHASE_GROUP_TOL, 1e-6) for c in (0.0, 0.5, -0.99, 1.01, -2.0, 10.0)]
     for tau in taus:
-        for tol in (sw.spectral.RESONANCE_TOL, 1e-6):
-            assert sw.is_resonant(es, tau, tol=tol) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
+        for tol in (sw.spectral.PHASE_GROUP_TOL, 1e-6):
+            sd = sw.fold_sectors(es, tau, phase_tol=tol)
+            assert sw.is_resonant(sd) == helpers.oracle_is_resonant(es, tau, tol), (tau, tol)
 
 
 PHASE_TOL = sw.spectral.PHASE_GROUP_TOL

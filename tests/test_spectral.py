@@ -121,8 +121,8 @@ class TestSectors:
     def test_off_resonance_sector_count_equals_distinct_levels(self):
         es = helpers.eigensystem("tree:2")
         for tau in (0.7, 1.1, 1.9):
-            assert not sw.is_resonant(es, tau)
             sd = sw.fold_sectors(es, tau)
+            assert not sw.is_resonant(sd)
             assert len(sd.degeneracies) == len(sw.energy_sectors(es).degeneracies) == 5
 
     def test_wraparound_seam_merges(self):
@@ -147,7 +147,7 @@ class TestSectors:
         es = helpers.eigensystem("square_center")
         a = sw.fold_sectors(es, 0.59)
         b = sw.fold_sectors(es, 1.23)
-        assert not sw.is_resonant(es, 0.59) and not sw.is_resonant(es, 1.23)
+        assert not sw.is_resonant(a) and not sw.is_resonant(b)
         assert sorted(a.degeneracies.tolist()) == sorted(b.degeneracies.tolist())
 
     def test_energy_sectors_sum_to_dim(self):
@@ -270,11 +270,12 @@ class TestResonances:
 
     def test_is_resonant_ring6(self):
         es = helpers.eigensystem("ring:6")
-        assert sw.is_resonant(es, math.pi)
-        assert sw.is_resonant(es, TWO_PI)
-        assert sw.is_resonant(es, math.pi / 2)
-        assert not sw.is_resonant(es, 1.0)
-        assert not sw.is_resonant(es, 0.3)  # below the first resonance
+        assert sw.is_resonant(sw.fold_sectors(es, math.pi))
+        assert sw.is_resonant(sw.fold_sectors(es, TWO_PI))
+        assert sw.is_resonant(sw.fold_sectors(es, math.pi / 2))
+        assert not sw.is_resonant(sw.fold_sectors(es, 1.0))
+        assert not sw.is_resonant(sw.fold_sectors(es, 0.3))  # below the first resonance
+        assert not sw.is_resonant(sw.energy_sectors(es))  # an energy grouping folds nothing
 
     def test_dedup_merges_pairs_sharing_a_period(self):
         # gaps 1 and 2 share tau = 2*pi: level pair entries accumulate
