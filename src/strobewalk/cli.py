@@ -65,7 +65,7 @@ from .symmetry import automorphisms, orbit_rank, stabilizer, symmetry_projector,
 CONFIG_EXIT = 2
 NUMERICAL_EXIT = 3
 
-#: The ``--tol`` keys and their defaults, the library's own.
+#: The ``--tol`` keys and their defaults, the library's own.  Each command takes the keys it reads.
 _TOL_DEFAULTS = {
     "phase": spectral.PHASE_GROUP_TOL,
     "dark": detection.DARK_OVERLAP_TOL,
@@ -79,14 +79,13 @@ class ConfigError(ValueError):
     """Bad command-line configuration."""
 
 
-def _parse_tolerances(entries: list[str]) -> dict[str, float]:
-    tols = dict(_TOL_DEFAULTS)
+def _parse_tolerances(entries: list[str], keys: tuple[str, ...]) -> dict[str, float]:
+    """The command's ``keys`` at their defaults, with the ``--tol`` entries applied."""
+    tols = {key: _TOL_DEFAULTS[key] for key in keys}
     for entry in entries:
         key, sep, value = entry.partition("=")
-        if not sep or key not in _TOL_DEFAULTS:
-            raise ConfigError(
-                f"bad --tol entry {entry!r}; expected KEY=VALUE with KEY in {', '.join(_TOL_DEFAULTS)}"
-            )
+        if not sep or key not in tols:
+            raise ConfigError(f"bad --tol entry {entry!r}; expected KEY=VALUE with KEY in {', '.join(keys)}")
         try:
             number = float(value)
         except ValueError:
@@ -171,17 +170,14 @@ def _parse_tau(text: str) -> float:
 def _parse_tau_range(text: str) -> tuple[float, float]:
     if text.startswith("scan:"):
         parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"--tau scan must look like scan:min:max[:steps], got {text!r}")
+        if len(parts) != 3:
+            raise ConfigError(f"--tau scan must look like scan:min:max, got {text!r}")
         try:
             lo, hi = float(parts[1]), float(parts[2])
         except ValueError:
             raise ConfigError(f"bad scan bounds in {text!r}") from None
         if not (0 <= lo < hi < math.inf):
             raise ConfigError(f"scan range must satisfy 0 <= min < max < inf, got {text!r}")
-        # The listing is exact, so the step count only has to be well formed.
-        if len(parts) == 4 and not (parts[3].isdecimal() and int(parts[3]) > 0):
-            raise ConfigError(f"scan steps must be a positive integer, got {parts[3]!r}")
         return lo, hi
     return 0.0, _parse_tau(text)
 
@@ -603,15 +599,16 @@ def _to_text(report: dict) -> str:
 class _Query:
     """The inputs the commands share, each computed at most once.
 
-    ``--tol``, the graph and the Hamiltonian come first, for every command;
-    the rest is computed on first use, in the order the command asks.
+    ``tols``, the command's own ``--tol`` keys (none without the flag), the
+    graph and the Hamiltonian come first, for every command; the rest is
+    computed on first use, in the order the command asks.
     """
 
     def __init__(self, args):
         self.args = args
         #: Files that go next to the report, path to bytes, written with it.
         self.sidecars: dict[str, bytes] = {}
-        self.tols = _parse_tolerances(args.tol)
+        self.tols = _parse_tolerances(args.tol, args.tol_keys) if args.tol_keys else {}
         self.graph = _load_graph_source(args.graph)
         # Every command diagonalizes H, so a graph above the cap is refused before H is built.
         spectral._check_dim(self.graph.node_count)
@@ -798,8 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, run, detect=False, init=False, tau_default="1.0", tau_help="detection period"):
-        p.set_defaults(run=run)
+    def add_common(p, run, tols, detect=False, init=False, tau_default="1.0", tau_help="detection period"):
+        p.set_defaults(run=run, tol_keys=tols)
         p.add_argument("--graph", required=True, help="generator spec (e.g. ring:6) or graph JSON path")
         if detect:
             p.add_argument("--detect", required=True, help="detection node id or state file path")
@@ -807,22 +804,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--init", required=True, help="initial node id, state file path, or 'all'")
         if tau_default is not None:
             p.add_argument("--tau", default=tau_default, help=f"{tau_help} (default %(default)s)")
-        p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                       help=f"override a tolerance; keys: {', '.join(_TOL_DEFAULTS)}")
+        if tols:
+            p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
+                           help=f"override a tolerance; keys: {', '.join(tols)}")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     add_common(sub.add_parser("analyze", help="detection probability, bound and saturation"),
-               cmd_analyze, detect=True, init=True)
+               cmd_analyze, ("phase", "dark", "rank"), detect=True, init=True)
     add_common(sub.add_parser("simulate", help="direct protocol summation next to the spectral value"),
-               cmd_simulate, detect=True, init=True)
+               cmd_simulate, ("phase", "dark", "series-rel", "series-cap"), detect=True, init=True)
     add_common(sub.add_parser("quotient", help="symmetrized (quotient) system for a detection node"),
-               cmd_quotient, detect=True, tau_default=None)
+               cmd_quotient, (), detect=True, tau_default=None)
     add_common(sub.add_parser("resonances", help="resonant detection periods up to a bound"),
-               cmd_resonances, tau_default="6.2831853",
-               tau_help="largest period listed, or scan:min:max[:steps] for the periods in (min, max]; "
-                        "the listing is exact, so steps, a positive integer, does not change it")
-    add_common(sub.add_parser("spectrum", help="eigenvalues and quasienergy sectors"), cmd_spectrum)
+               cmd_resonances, (), tau_default="6.2831853",
+               tau_help="largest period listed, or scan:min:max for the periods in (min, max]")
+    add_common(sub.add_parser("spectrum", help="eigenvalues and quasienergy sectors"), cmd_spectrum, ("phase",))
     return parser
 
 

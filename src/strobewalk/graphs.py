@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -43,15 +44,18 @@ class WeightedGraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise GraphInvariantError(f"node_count must be positive, got {self.node_count}")
-        n = self.node_count
+        n = _index(self.node_count, "node_count")
+        if n < 1:
+            raise GraphInvariantError(f"node_count must be positive, got {n}")
+        object.__setattr__(self, "node_count", n)
         normalized = []
         seen: set[tuple[int, int]] = set()
         for k, edge in enumerate(self.edges):
             if len(edge) != 3:
                 raise GraphInvariantError(f"edges[{k}]: expected (i, j, w), got {edge!r}")
             i, j, w = edge
+            if type(i) is not int or type(j) is not int:
+                i, j = _index(i, f"edges[{k}]: node index"), _index(j, f"edges[{k}]: node index")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphInvariantError(f"edges[{k}]: node index out of range for {n} nodes: ({i}, {j})")
             if i == j:
@@ -99,6 +103,16 @@ class WeightedGraph:
             deg[i] += 1
             deg[j] += 1
         return tuple(deg)
+
+
+def _index(value, what: str) -> int:
+    """``value`` as a Python int, if it is an integer and no bool; else :class:`GraphInvariantError`."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise GraphInvariantError(f"{what} must be an integer, got {value!r}")
 
 
 def _unit_graph(node_count: int, pairs: list[tuple[int, int]]) -> WeightedGraph:

@@ -174,19 +174,20 @@ def _near_degenerate_warnings(keys: np.ndarray, starts: np.ndarray, tol: float, 
     ]
 
 
-def _energy_tol(ev: np.ndarray, rtol: float) -> float:
-    """Grouping tolerance ``rtol`` relative to the scale ``max(1, max|E|)``."""
-    return rtol * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
+def _energy_tol(ev: np.ndarray) -> float:
+    """Grouping tolerance ``ENERGY_GROUP_RTOL`` relative to the scale ``max(1, max|E|)``."""
+    return ENERGY_GROUP_RTOL * max(1.0, float(np.max(np.abs(ev))) if ev.size else 0.0)
 
 
-def energy_sectors(es: EigenSystem, *, rtol: float = ENERGY_GROUP_RTOL) -> SpectralDecomposition:
+def energy_sectors(es: EigenSystem) -> SpectralDecomposition:
     """Group eigenpairs into degenerate energy levels.
 
-    The grouping tolerance is ``rtol`` relative to the spectral scale
-    ``max(1, max|E|)``.
+    The grouping tolerance is ``ENERGY_GROUP_RTOL`` relative to the spectral
+    scale ``max(1, max|E|)``, the rule by which ``is_resonant`` and
+    ``resonant_periods`` call two levels distinct.
     """
     ev = es.eigenvalues
-    tol = _energy_tol(ev, rtol)
+    tol = _energy_tol(ev)
     starts = _group_starts(ev, tol)
     warnings = tuple(_near_degenerate_warnings(ev, starts, tol, "energy"))
     return SpectralDecomposition(energies=ev, vectors=es.eigenvectors, bounds=np.append(starts, ev.shape[0]),
@@ -207,11 +208,13 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     closes.  The groups come out in phase order.  One stable sort by
     (group, energy) then orders the levels, each sector's phase is the
     least phase of its members, and one gather of the eigenvector columns
-    serves every sector.
+    serves every sector.  Raises :class:`SpectralError` when some
+    ``E * tau`` overflows.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     ev = es.eigenvalues
+    _check_phase_range(ev, tau)
     phases = np.mod(ev * tau, TWO_PI)
     order = np.lexsort((ev, phases))
     sorted_phases = phases[order]
@@ -238,10 +241,21 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
 
 
 def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:
-    """Unitary one-period evolution ``exp(-i * tau * H)`` from the eigensystem."""
+    """Unitary one-period evolution ``exp(-i * tau * H)`` from the eigensystem.
+
+    Raises :class:`SpectralError` when some ``E * tau`` overflows.
+    """
+    _check_phase_range(es.eigenvalues, tau)
     v = es.eigenvectors
     phases = np.exp(-1j * es.eigenvalues * tau)
     return (v * phases) @ v.conj().T
+
+
+def _check_phase_range(ev: np.ndarray, tau: float) -> None:
+    """Raise :class:`SpectralError` if ``E * tau`` overflows for some level: then so does ``max|E| * tau``."""
+    scale = float(np.max(np.abs(ev))) if ev.size else 0.0
+    if not math.isfinite(scale * tau):
+        raise SpectralError(f"E * tau overflows at tau={tau!r}: the largest |E| is {scale!r}")
 
 
 class ResonanceListing(NamedTuple):
@@ -283,7 +297,7 @@ def resonant_periods(es: EigenSystem, tau_max: float) -> ResonanceListing:
         raise ValueError(f"tau_max must be positive, got {tau_max}")
     # The lowest member energy of each degenerate level, as ``energy_sectors`` groups them.
     ev = es.eigenvalues
-    levels = ev[_group_starts(ev, _energy_tol(ev, ENERGY_GROUP_RTOL))]
+    levels = ev[_group_starts(ev, _energy_tol(ev))]
     l0, l1 = np.triu_indices(levels.shape[0], k=1)
     base = TWO_PI / np.abs(levels[l1] - levels[l0])
     limit = tau_max * (1.0 + 1e-12)
@@ -337,6 +351,6 @@ def is_resonant(sd: SpectralDecomposition) -> bool:
     """
     if sd.phases is None:
         return False
-    distinct = np.diff(sd.energies) > _energy_tol(sd.energies, ENERGY_GROUP_RTOL)
+    distinct = np.diff(sd.energies) > _energy_tol(sd.energies)
     distinct[sd.bounds[1:-1] - 1] = False  # the gaps between sectors
     return bool(distinct.any())

@@ -598,15 +598,10 @@ def _fixing_phases(images: np.ndarray, psi_d: np.ndarray, tol: float) -> np.ndar
     return phases / moduli
 
 
-def stabilizer(
-    group: SymmetryGroup,
-    detect_state: np.ndarray,
-    *,
-    tol: float = STABILIZER_TOL,
-) -> StabilizerGroup:
+def stabilizer(group: SymmetryGroup, detect_state: np.ndarray) -> StabilizerGroup:
     """Subgroup whose elements fix the detection state up to a unit phase.
 
-    Membership requires ``||S psi_d - p psi_d|| < tol`` with
+    Membership requires ``||S psi_d - p psi_d|| < STABILIZER_TOL`` with
     ``p = <psi_d|S|psi_d>`` of unit modulus; ``p`` is stored next to each
     generator.
 
@@ -622,14 +617,15 @@ def stabilizer(
     detection state.
     """
     psi_d = as_state(detect_state, group.dim)
-    if group._fixed is not None and group._fixed[0] == localized_node(psi_d, tol / 2):
-        # Every other amplitude is within tol/2 of 0, so (for tol < 1/2) the
+    if group._fixed is not None and group._fixed[0] == localized_node(psi_d, STABILIZER_TOL / 2):
+        # Every other amplitude is within STABILIZER_TOL / 2 of 0, so the
         # amplitude coloring individualizes the base point and nothing else.
         _, count, order = group._fixed
         images = group.generators[:count]
     else:
-        images, order = _searched_stabilizer(group.graph, psi_d, _distinct_amplitudes(psi_d, tol), tol)
-    phases = _fixing_phases(images, psi_d, tol)
+        reps = _distinct_amplitudes(psi_d, STABILIZER_TOL)
+        images, order = _searched_stabilizer(group.graph, psi_d, reps, STABILIZER_TOL)
+    phases = _fixing_phases(images, psi_d, STABILIZER_TOL)
     return StabilizerGroup(images=images, phases=phases, order=order, dim=group.dim)
 
 

@@ -489,14 +489,16 @@ class TestParserReuse:
         cli._parser.cache_clear()
         assert main(argv) == 0
         alone = capsys.readouterr().out
-        assert main([*argv, "--tol", "dark=1e-20", "--tol", "series-cap=500"]) == 0
+        assert main([*argv, "--tol", "dark=1e-20", "--tol", "phase=0"]) == 0
         assert capsys.readouterr().out != alone  # the overrides do change this report
         assert main(argv) == 0
         assert capsys.readouterr().out == alone
         parser = cli._parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for sub in commands.choices.values():
-            assert sub._option_string_actions["--tol"].default == []
+        for name, sub in commands.choices.items():
+            tol = sub._option_string_actions.get("--tol")
+            assert (tol is not None) == bool(TOL_TAKES[name])
+            assert tol is None or tol.default == []
 
     def test_exit_codes_survive_a_successful_call(self, capsys):
         assert main(["spectrum", "--graph", "ring:3"]) == 0
@@ -534,26 +536,19 @@ class TestResonancesCommand:
         assert report["resonances"] == []
 
     def test_scan_syntax_filters_range(self, capsys, schema):
-        report = run_json(capsys, "resonances", "--graph", "ring:6", "--tau", "scan:2:5:10")
+        report = run_json(capsys, "resonances", "--graph", "ring:6", "--tau", "scan:2:5")
         jsonschema.validate(report, schema)
         taus = [entry["tau"] for entry in report["resonances"]]
         assert all(2 < t <= 5 for t in taus)
         assert taus == pytest.approx([2 * math.pi / 3, math.pi, 4 * math.pi / 3, 3 * math.pi / 2])
 
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_scan_steps_do_not_change_the_listing(self, capsys, fmt):
-        reports = []
-        for tau in ("scan:2:5:10", "scan:2:5"):
-            assert main(["resonances", "--graph", "ring:6", "--tau", tau, "--format", fmt]) == 0
-            reports.append(capsys.readouterr().out)
-        assert reports[0] == reports[1]
-
-    @pytest.mark.parametrize("steps", ["abc", "0", "-3", ""])
-    def test_scan_steps_must_be_a_positive_integer(self, capsys, steps):
+    @pytest.mark.parametrize("steps", ["10", "abc", "0", "-3", ""])
+    def test_a_scan_takes_no_steps(self, capsys, steps):
+        # the listing is exact: a step count would be a setting that nothing reads
         assert main(["resonances", "--graph", "ring:6", "--tau", f"scan:2:5:{steps}"]) == 2
-        assert capsys.readouterr().err == f"error: scan steps must be a positive integer, got {steps!r}\n"
+        assert capsys.readouterr().err == f"error: --tau scan must look like scan:min:max, got 'scan:2:5:{steps}'\n"
 
-    @pytest.mark.parametrize("tau", ["scan:0:inf", "scan:1:inf:10"])
+    @pytest.mark.parametrize("tau", ["scan:0:inf", "scan:1:inf"])
     def test_infinite_scan_max_is_a_config_error(self, capsys, tau):
         assert main(["resonances", "--graph", "ring:6", "--tau", tau]) == 2
         assert capsys.readouterr().err.startswith("error: scan range must satisfy")
@@ -818,6 +813,70 @@ class TestScanRange:
         assert report["resonances"] == kept
 
 
+#: The ``--tol`` keys, and the keys each command takes.
+TOL_KEYS = ("phase", "dark", "rank", "series-rel", "series-cap")
+TOL_TAKES = {"analyze": ("phase", "dark", "rank"), "simulate": ("phase", "dark", "series-rel", "series-cap"),
+             "spectrum": ("phase",), "quotient": (), "resonances": ()}
+TOL_PAIRS = [(command, key) for command in TOL_TAKES for key in TOL_KEYS]
+
+
+class TestToleranceKeys:
+    """Each command takes the ``--tol`` keys its report reads, and refuses every other one."""
+
+    RUNS = {"analyze": ["--detect", "0", "--init", "1"], "simulate": ["--detect", "0", "--init", "1"],
+            "spectrum": [], "quotient": ["--detect", "0"], "resonances": ["--tau", "3"]}
+    NEAR_THIRD = ["--tau", TestAnalyze.NEAR_THIRD]
+    SERIES = ["--detect", "0", "--init", "1", "--tau", "2.0"]
+    #: (command, key): the arguments, the override, and a report value before and after it.
+    CHANGES = {
+        # 2 pi / 3 + 2e-9 folds ring:6's levels into two sectors of three, unless the phase tolerance is 0
+        ("analyze", "phase"): (["--detect", "0", "--init", "1", *NEAR_THIRD], "phase=0",
+                               lambda r: round(r["results"][0]["pdet"], 9), 0.0, 0.5),
+        ("simulate", "phase"): (["--detect", "0", "--init", "1", *NEAR_THIRD, "--tol", "series-cap=64"],
+                                "phase=0", lambda r: round(r["spectral_pdet"], 9), 0.0, 0.5),
+        ("spectrum", "phase"): (NEAR_THIRD, "phase=0",
+                                lambda r: [s["degeneracy"] for s in r["sectors"]], [3, 3], [1, 1, 1, 2, 1]),
+        # a dark tolerance of 1 empties the bright sectors
+        ("analyze", "dark"): (["--detect", "0", "--init", "1"], "dark=1",
+                              lambda r: r["results"][0]["bright_dim"], 4, 0),
+        ("simulate", "dark"): (SERIES, "dark=1", lambda r: round(r["spectral_pdet"], 9), 0.5, 0.0),
+        # 0.6 |0> + 0.8 |1> and its mirror image about the detector span a plane, at rank_tol 1 a line
+        ("analyze", "rank"): (["--detect", "0", "--init", "STATE"], "rank=1",
+                              lambda r: r["results"][0]["orbit_rank"], 2, 1),
+        ("simulate", "series-rel"): (SERIES, "series-rel=1e-2", lambda r: r["series"]["n_used"], 384, 128),
+        ("simulate", "series-cap"): (SERIES, "series-cap=64", lambda r: r["series"]["n_used"], 384, 64),
+    }
+
+    @pytest.mark.parametrize("command, key", TOL_PAIRS, ids=[f"{c}-{k}" for c, k in TOL_PAIRS])
+    def test_each_key_is_read_or_refused(self, capsys, tmp_path, command, key):
+        if (command, key) not in self.CHANGES:
+            self.assert_refused(capsys, [command, "--graph", "ring:6", *self.RUNS[command], "--tol", f"{key}=1"])
+            return
+        args, entry, read, before, after = self.CHANGES[command, key]
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"amplitudes": [0.6, 0.8, 0, 0, 0, 0]}))
+        argv = [command, "--graph", "ring:6", *[str(state) if a == "STATE" else a for a in args]]
+        assert read(run_json(capsys, *argv)) == before
+        assert read(run_json(capsys, *argv, "--tol", entry)) == after
+
+    def assert_refused(self, capsys, argv):
+        """A key the command does not read exits 2: a named error, or argparse's for a command without --tol."""
+        command, entry = argv[0], argv[-1]
+        if TOL_TAKES[command]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (f"error: bad --tol entry {entry!r}; expected KEY=VALUE with KEY in "
+                                               f"{', '.join(TOL_TAKES[command])}\n")
+        else:
+            with pytest.raises(SystemExit) as refused:
+                main(argv)
+            assert refused.value.code == 2
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(TOL_TAKES))
+    def test_an_unknown_key_names_the_keys_of_its_command(self, capsys, command):
+        self.assert_refused(capsys, [command, "--graph", "ring:6", *self.RUNS[command], "--tol", "resonance=nan"])
+
+
 class TestSpectrumCommand:
     def test_ring6_sectors(self, capsys, schema):
         report = run_json(capsys, "spectrum", "--graph", "ring:6", "--tau", "1.0")
@@ -898,8 +957,8 @@ class TestFormatsAndErrors:
             ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "0", "--tol", "bogus=1"],
             ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "all"],
             ["resonances", "--graph", "ring:6", "--tau", "scan:5:2"],
-            ["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "bogus=1"],
-            ["quotient", "--graph", "ring:6", "--detect", "0", "--tol", "bogus=1"],
+            ["spectrum", "--graph", "ring:6", "--tau", "3", "--tol", "bogus=1"],
+            ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "all", "--tol", "series-cap=500"],
             ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=nan"],
             ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=inf"],
             ["simulate", "--graph", "ring:6", "--detect", "0", "--init", "2", "--tol", "series-cap=0"],
@@ -909,17 +968,12 @@ class TestFormatsAndErrors:
             ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "all", "--tol", "dark=nan"],
             ["analyze", "--graph", "complete:8", "--detect", "0", "--init", "3", "--tau", "1.0", "--tol", "phase=-1"],
             ["analyze", "--graph", "ring:6", "--detect", "0", "--init", "all", "--tol", "rank=-inf"],
-            ["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "resonance=nan"],
+            ["spectrum", "--graph", "ring:6", "--tau", "3", "--tol", "resonance=nan"],
         ],
     )
     def test_config_errors_exit_2(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
-
-    def test_the_tolerance_keys_are_five(self, capsys):
-        assert main(["resonances", "--graph", "ring:6", "--tau", "3", "--tol", "resonance=nan"]) == 2
-        assert capsys.readouterr().err == ("error: bad --tol entry 'resonance=nan'; expected KEY=VALUE with KEY in "
-                                           "phase, dark, rank, series-rel, series-cap\n")
 
     @pytest.mark.parametrize("command", [["analyze", "--init", "0"], ["quotient"]])
     def test_detector_is_checked_before_the_group_search(self, capsys, command):
@@ -961,6 +1015,19 @@ class TestFormatsAndErrors:
         assert main(["spectrum", "--graph", str(path)]) == 3
         assert capsys.readouterr().err == "numerical error: matrix dimension 1000000 exceeds the cap 512\n"
         assert built == []
+
+    @pytest.mark.parametrize("command", [["spectrum"], ["analyze", "--detect", "0", "--init", "all"],
+                                         ["simulate", "--detect", "0", "--init", "1", "--tol", "series-cap=64"]],
+                             ids=["spectrum", "analyze", "simulate"])
+    def test_a_tau_at_which_a_phase_overflows_exits_3(self, capsys, command):
+        # |E| = 2 times 1e308 is no finite phase; at 1e307 every phase is
+        argv = [command[0], "--graph", "ring:6", *command[1:], "--format", "json", "--tau"]
+        assert main([*argv, "1e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: E * tau overflows at tau=1e+308: the largest |E| is ")
+        assert main([*argv, "1e307"]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=pytest.fail)  # no NaN
 
     def test_numerical_failure_exits_3(self, capsys, tmp_path):
         # 600 nodes exceeds the eigendecomposition cap

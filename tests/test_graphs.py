@@ -137,6 +137,28 @@ class TestInvariants:
         with pytest.raises(GraphInvariantError):
             sw.WeightedGraph(node_count=2, edges=((0, 2, 1.0),), onsite=(0.0, 0.0))
 
+    def test_a_non_integer_index_is_rejected(self):
+        # a comparison accepts 1.5, which hamiltonian then cannot index
+        with pytest.raises(GraphInvariantError, match=r"edges\[0\]: node index must be an integer, got 1.5"):
+            sw.WeightedGraph(3, ((0, 1.5, 1.0),), (0.0, 0.0, 0.0))
+
+    def test_a_bool_index_is_rejected(self):
+        # True compares as 1, but a saved [true, 2, 1.0] is no edge for load_graph
+        for index in (True, np.True_):
+            with pytest.raises(GraphInvariantError, match="node index must be an integer"):
+                sw.WeightedGraph(3, ((index, 2, 1.0),), (0.0, 0.0, 0.0))
+
+    def test_numpy_indices_are_kept_as_python_ints(self):
+        g = sw.WeightedGraph(np.int64(3), ((np.int64(0), np.int32(2), 1.0),), (0.0, 0.0, 0.0))
+        assert type(g.node_count) is int and g.edges == ((0, 2, 1.0),)
+        assert all(type(i) is int for edge in g.edges for i in edge[:2])
+        assert sw.load_graph(sw.save_graph(g)) == g
+
+    @pytest.mark.parametrize("count", [True, 3.0, "3"])
+    def test_a_non_integer_node_count_is_rejected(self, count):
+        with pytest.raises(GraphInvariantError, match="node_count must be an integer"):
+            sw.WeightedGraph(count, (), (0.0,) * 3)
+
     def test_onsite_length_mismatch_rejected(self):
         with pytest.raises(GraphInvariantError):
             sw.WeightedGraph(node_count=3, edges=(), onsite=(0.0, 0.0))

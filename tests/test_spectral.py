@@ -165,6 +165,18 @@ class TestSectors:
         with pytest.raises(ValueError):
             sw.fold_sectors(helpers.eigensystem("ring:3"), 0.0)
 
+    def test_an_overflowing_phase_raises(self):
+        # ring:6's levels at |E| = 2 overflow at tau = 1e308, and their phases would be NaN
+        es = helpers.eigensystem("ring:6")
+        h = helpers.ham("ring:6")
+        for build in (lambda: sw.fold_sectors(es, 1e308), lambda: sw.evolution_operator(es, 1e308),
+                      lambda: sw.DetectionSetup(hamiltonian=h, detect_state=sw.localized_state(6, 0),
+                                                initial_state=sw.localized_state(6, 1), tau=1e308)):
+            with pytest.raises(SpectralError, match=r"E \* tau overflows at tau=1e\+308"):
+                build()
+        assert np.isfinite(sw.fold_sectors(es, 1e307).phases).all()
+        assert np.isfinite(sw.evolution_operator(es, 1e307)).all()
+
 
 class TestResonances:
     def test_ring6_periods_up_to_seven(self):
