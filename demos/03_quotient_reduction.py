@@ -29,7 +29,7 @@ for detect_node, name in ((0, "root"), (1, "middle"), (3, "leaf")):
         mark = "  <- detector" if cls.id == q.detect_class else ""
         print(f"  class {cls.id}: nodes {list(cls.members)}{mark}")
     print("  folded couplings (negated weights):")
-    for i, j, w in qgraph.edges:
+    for i, j, w in zip(qgraph.tails.tolist(), qgraph.heads.tolist(), qgraph.weights.tolist()):
         print(f"    {i} -- {j}  weight {w:.6f}")
     ev = q.eigensystem.eigenvalues
     print(f"  reduced spectrum: {np.round(ev, 6)}")

@@ -25,6 +25,7 @@ from .errors import (
     AsymmetricStateError,
     GraphFormatError,
     GraphInvariantError,
+    GraphSizeError,
     GraphSpecError,
     GroupSearchError,
     NonLocalizedDetectionError,
@@ -87,7 +88,7 @@ __all__ = [
     # quotient
     "NodeClass", "QuotientSystem", "symmetrize", "pdet_symmetrized", "quotient_graph",
     # errors
-    "StrobewalkError", "GraphSpecError", "GraphFormatError", "GraphInvariantError",
+    "StrobewalkError", "GraphSpecError", "GraphFormatError", "GraphInvariantError", "GraphSizeError",
     "StateError", "SpectralError", "GroupSearchError", "AsymmetricStateError",
     "NonLocalizedDetectionError",
 ]

@@ -36,3 +36,7 @@ class AsymmetricStateError(StrobewalkError, ValueError):
 
 class NonLocalizedDetectionError(StrobewalkError, ValueError):
     """Quotient construction requires a detection state localized on a node."""
+
+
+class GraphSizeError(StrobewalkError, ValueError):
+    """Graph has more nodes or edges than ``graphs.MAX_NODES`` or ``graphs.MAX_EDGES``."""

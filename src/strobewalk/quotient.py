@@ -151,6 +151,5 @@ def quotient_graph(q: QuotientSystem) -> WeightedGraph:
     a, b = np.triu_indices(k, 1)  # row by row, as a nested loop over a < b
     w = h[a, b]
     kept = w != 0.0
-    edges = tuple(zip(a[kept].tolist(), b[kept].tolist(), (-w[kept]).tolist()))
     labels = tuple(",".join(map(str, cls.members)) for cls in q.classes)
-    return WeightedGraph(node_count=k, edges=edges, onsite=tuple(h.diagonal().tolist()), labels=labels)
+    return WeightedGraph(k, a[kept], b[kept], -w[kept], h.diagonal(), labels)

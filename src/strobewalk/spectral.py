@@ -205,7 +205,12 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     The levels are grouped as columns, in one pass of array operations:
     sorted by (phase, energy), a phase gap above ``phase_tol`` starts a
     group, and the last group joins the first when the gap across the seam
-    closes.  The groups come out in phase order.  One stable sort by
+    closes.  A fold never splits an energy level, as :func:`energy_sectors`
+    groups them: groups that share a level merge.  That matters where one
+    level's eigenvalues lie more than ``phase_tol`` apart in phase: at a
+    ``tau`` so large that their last-bit spread shows, or at a
+    ``phase_tol`` below it.  The groups come out in phase order, each at
+    its first member.  One stable sort by
     (group, energy) then orders the levels, each sector's phase is the
     least phase of its members, and one gather of the eigenvector columns
     serves every sector.  Raises :class:`SpectralError` when some
@@ -233,11 +238,36 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
             warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
     level_group = np.empty_like(group)
     level_group[order] = group
+    level_group = _whole_levels(level_group, ev)
     levels = np.lexsort((ev, level_group))
-    bounds = np.append(0, np.cumsum(np.bincount(group)))
+    bounds = np.append(0, np.cumsum(np.bincount(level_group)))
     sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]) if ev.size else np.zeros(0)
     return SpectralDecomposition(energies=ev[levels], vectors=es.eigenvectors[:, levels], bounds=bounds,
                                  phases=sector_phases, tau=float(tau), warnings=tuple(warnings))
+
+
+def _whole_levels(group: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """``group``, a phase group per eigenvalue in ascending order, with the groups that share a level merged.
+
+    A level is a run of eigenvalues as :func:`energy_sectors` groups them.
+    Its eigenvalues differ in their last bits, so at a large ``tau`` their
+    phases can lie more than ``phase_tol`` apart (about ``2e-15 * tau`` on
+    hypercube:3).  The groups are merged as the components of the graph
+    that joins the groups of consecutive eigenvalues of one level, by
+    hooking each group onto the least group it meets until every pair
+    agrees; they are numbered again in the order of their least group.
+    """
+    split = (ev[1:] - ev[:-1] <= _energy_tol(ev)) & (group[1:] != group[:-1])
+    if not split.any():
+        return group
+    a, b = group[:-1][split], group[1:][split]
+    label = np.arange(int(group.max()) + 1)
+    while not np.array_equal(label[a], label[b]):
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, label[a], low)
+        np.minimum.at(label, label[b], low)
+        label = label[label]
+    return np.unique(label[group], return_inverse=True)[1]
 
 
 def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:

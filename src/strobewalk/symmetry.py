@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -298,11 +297,8 @@ class _Search:
 
     def __init__(self, graph: WeightedGraph):
         self.n = graph.node_count
-        m = len(graph.edges)
-        edges = np.fromiter(chain.from_iterable(graph.edges), float, 3 * m).reshape(m, 3)
-        self.tails, self.heads = edges[:, 0].astype(np.intp), edges[:, 1].astype(np.intp)
-        self.edge_weights = edges[:, 2]
-        self.onsite = np.array(graph.onsite)
+        self.tails, self.heads, self.edge_weights = graph.tails, graph.heads, graph.weights
+        self.onsite = graph.onsite
         self._distances: dict[int, np.ndarray] = {}
 
     # The dense arrays are built on first use: a search whose input coloring

@@ -1,7 +1,10 @@
 """Shared cached builders and independent oracles for the test suite."""
 
 import itertools
+import json
 import math
+import operator
+from dataclasses import replace
 from functools import cache
 from typing import NamedTuple
 
@@ -169,6 +172,91 @@ def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int
     )
 
 
+def edge_graph(n: int, edges, onsite=None, labels=None) -> sw.WeightedGraph:
+    """A graph from ``(i, j, w)`` triples, whose three columns go to the constructor; on-site energies default to 0."""
+    tails, heads, weights = zip(*edges) if len(edges) else ((), (), ())
+    return sw.WeightedGraph(n, tails, heads, weights, (0.0,) * n if onsite is None else onsite, labels)
+
+
+def edge_triples(g: sw.WeightedGraph) -> list[tuple[int, int, float]]:
+    """A graph's edges as ``(i, j, w)`` triples of Python numbers, in edge order."""
+    return list(zip(g.tails.tolist(), g.heads.tolist(), g.weights.tolist()))
+
+
+class OracleGraph(NamedTuple):
+    """A graph as ``WeightedGraph`` held it before it held arrays: tuples of Python numbers."""
+
+    node_count: int
+    edges: tuple[tuple[int, int, float], ...]
+    onsite: tuple[float, ...]
+    labels: tuple[str, ...] | None = None
+
+
+def _oracle_index(value, what: str) -> int:
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise sw.GraphInvariantError(f"{what} must be an integer, got {value!r}")
+
+
+def oracle_graph(node_count, edges, onsite, labels=None) -> OracleGraph:
+    """The edge-by-edge checks and normalization of the tuple-based ``WeightedGraph``:
+    a reference for the arrays, and for the error and message of each bad input."""
+    n = _oracle_index(node_count, "node_count")
+    if n < 1:
+        raise sw.GraphInvariantError(f"node_count must be positive, got {n}")
+    normalized = []
+    seen: set[tuple[int, int]] = set()
+    for k, edge in enumerate(edges):
+        if len(edge) != 3:
+            raise sw.GraphInvariantError(f"edges[{k}]: expected (i, j, w), got {edge!r}")
+        i, j, w = edge
+        if type(i) is not int or type(j) is not int:
+            i, j = _oracle_index(i, f"edges[{k}]: node index"), _oracle_index(j, f"edges[{k}]: node index")
+        if not (0 <= i < n and 0 <= j < n):
+            raise sw.GraphInvariantError(f"edges[{k}]: node index out of range for {n} nodes: ({i}, {j})")
+        if i == j:
+            raise sw.GraphInvariantError(f"edges[{k}]: self-loop ({i}, {j}) is not allowed")
+        w = float(w)
+        if not math.isfinite(w):
+            raise sw.GraphInvariantError(f"edges[{k}]: weight must be finite, got {w}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in seen:
+            raise sw.GraphInvariantError(f"edges[{k}]: duplicate edge {pair}")
+        seen.add(pair)
+        normalized.append((*pair, w))
+    if len(onsite) != n:
+        raise sw.GraphInvariantError(f"onsite has length {len(onsite)}, expected {n}")
+    onsite = tuple(float(e) for e in onsite)
+    if any(not math.isfinite(e) for e in onsite):
+        raise sw.GraphInvariantError("onsite energies must be finite")
+    if labels is not None:
+        labels = tuple(str(s) for s in labels)
+        if len(labels) != n:
+            raise sw.GraphInvariantError(f"labels has length {len(labels)}, expected {n}")
+    return OracleGraph(n, tuple(normalized), onsite, labels)
+
+
+def oracle_hamiltonian(g: OracleGraph, gamma: float) -> np.ndarray:
+    """The edge-by-edge Hamiltonian: ``-gamma * w`` into both triangles, on-site energies on the diagonal."""
+    h = np.zeros((g.node_count, g.node_count))
+    for i, j, w in g.edges:
+        h[i, j] = -gamma * w
+        h[j, i] = -gamma * w
+    for i, e in enumerate(g.onsite):
+        h[i, i] = e
+    return h
+
+
+def oracle_save_graph(g: OracleGraph) -> bytes:
+    """The graph file that ``save_graph`` wrote from the tuples."""
+    labels = {} if g.labels is None else {"labels": list(g.labels)}
+    doc = {"nodes": g.node_count, "edges": [[i, j, w] for i, j, w in g.edges], "onsite": list(g.onsite), **labels}
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
 def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool = True) -> np.ndarray:
     a = rng.normal(size=(dim, dim))
     if complex_entries:
@@ -185,13 +273,13 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 10) -> sw.WeightedGr
         for j in range(i + 1, n)
         if rng.random() < p
     ]
-    return sw.WeightedGraph(node_count=n, edges=tuple(edges), onsite=(0.0,) * n)
+    return edge_graph(n, edges)
 
 
 def unit_graph(n: int, pairs) -> sw.WeightedGraph:
     """Unit-weight graph on ``n`` nodes from unordered node pairs, duplicates dropped."""
     edges = sorted({(min(i, j), max(i, j)) for i, j in pairs})
-    return sw.WeightedGraph(node_count=n, edges=tuple((i, j, 1.0) for i, j in edges), onsite=(0.0,) * n)
+    return edge_graph(n, [(i, j, 1.0) for i, j in edges])
 
 
 def petersen() -> sw.WeightedGraph:
@@ -224,10 +312,10 @@ def frucht() -> sw.WeightedGraph:
 def relabeled(g: sw.WeightedGraph, perm: np.ndarray) -> sw.WeightedGraph:
     """The same graph with node ``r`` renamed ``perm[r]``, on-site energies carried along."""
     onsite = [0.0] * g.node_count
-    for r, e in enumerate(g.onsite):
+    for r, e in enumerate(g.onsite.tolist()):
         onsite[perm[r]] = e
-    edges = tuple((int(perm[i]), int(perm[j]), w) for i, j, w in g.edges)
-    return sw.WeightedGraph(node_count=g.node_count, edges=edges, onsite=tuple(onsite))
+    edges = [(int(perm[i]), int(perm[j]), w) for i, j, w in edge_triples(g)]
+    return edge_graph(g.node_count, edges, onsite)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -264,7 +352,7 @@ def brute_force_automorphisms(g: sw.WeightedGraph) -> list[tuple[int, ...]]:
     if g.node_count > 8:
         raise ValueError("brute force is limited to 8 nodes")
     adj = [dict() for _ in range(g.node_count)]
-    for i, j, w in g.edges:
+    for i, j, w in edge_triples(g):
         adj[i][j] = w
         adj[j][i] = w
     out = []
@@ -363,7 +451,7 @@ def oracle_quotient_graph(q: sw.QuotientSystem) -> sw.WeightedGraph:
                 edges.append((a, b, -w))
     onsite = tuple(float(np.real(q.h_s[c, c])) for c in range(k))
     labels = tuple(",".join(str(m) for m in cls.members) for cls in q.classes)
-    return sw.WeightedGraph(node_count=k, edges=tuple(edges), onsite=onsite, labels=labels)
+    return edge_graph(k, edges, onsite, labels)
 
 
 def disordered(spec: str, seed: int, symmetric_about: int | None = None) -> sw.WeightedGraph:
@@ -377,7 +465,7 @@ def disordered(spec: str, seed: int, symmetric_about: int | None = None) -> sw.W
     if symmetric_about is not None:
         mirror = (2 * symmetric_about - np.arange(g.node_count)) % g.node_count
         onsite = np.minimum(onsite, onsite[mirror])
-    return sw.WeightedGraph(node_count=g.node_count, edges=g.edges, onsite=tuple(onsite.tolist()))
+    return replace(g, onsite=onsite)
 
 
 def _oracle_levels(es: sw.EigenSystem) -> np.ndarray:
@@ -467,8 +555,10 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
 
     Groups the (phase, energy)-sorted levels by phase gaps, warns on gaps
     below 100 ``phase_tol``, joins the last group to the first across the
-    seam, then builds each sector from its own indices, sorted by energy,
-    and puts the sectors side by side in phase order.
+    seam, joins any two groups that share an energy level (a step of at
+    most 1e-8 * max(1, max|E|) between ascending eigenvalues), then builds
+    each sector from its own indices, sorted by energy, and puts the
+    sectors side by side in phase order.
     """
     two_pi = 2.0 * math.pi
     ev = es.eigenvalues
@@ -490,6 +580,18 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
             groups[0] = groups.pop() + groups[0]
         elif seam_gap < 100.0 * phase_tol:
             warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
+    level_tol = 1e-8 * max(1.0, float(np.max(np.abs(ev)))) if ev.size else 0.0
+    level_of = [0]
+    for prev, e in zip(ev, ev[1:]):
+        level_of.append(level_of[-1] + (e - prev > level_tol))
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if {level_of[i] for i in order[groups[a]]} & {level_of[i] for i in order[groups[b]]}:
+                groups[a] += groups.pop(b)
+                merged = True
+                break
     sectors = []
     for g in groups:
         idx = order[g]

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import sys
+import time
+from dataclasses import replace
 from itertools import chain
 from fractions import Fraction
 from importlib import resources
@@ -59,7 +61,7 @@ def spy(monkeypatch, module, name):
 def disordered_ring(tmp_path, seed):
     """ring:64 with on-site energies uniform in [-1, 1], as a graph file."""
     onsite = np.random.default_rng(seed).uniform(-1.0, 1.0, 64)
-    g = sw.WeightedGraph(node_count=64, edges=helpers.graph("ring:64").edges, onsite=tuple(onsite))
+    g = replace(helpers.graph("ring:64"), onsite=onsite)
     path = tmp_path / f"ring64-{seed}.json"
     path.write_bytes(sw.save_graph(g))
     return str(path)
@@ -107,6 +109,18 @@ class TestAnalyze:
 
     # 2 pi / 3 plus 2e-9: the phase gap of the merging pairs lies between 1e-9 and the phase tolerance 1e-8
     NEAR_THIRD = "2.094395104393195"
+
+    def test_a_large_tau_keeps_each_level_whole(self, capsys, schema):
+        # At 1e9 the phases of hypercube:3's level at 1 lie about 2e-6 apart; split, its
+        # parts would count as bright sectors of their own, with pdet above the 1/3 bound.
+        argv = ["analyze", "--graph", "hypercube:3", "--detect", "0", "--init", "all", "--tau"]
+        report = run_json(capsys, *argv, "1e9")
+        jsonschema.validate(report, schema)
+        moderate = run_json(capsys, *argv, "1.0")
+        assert report["tau_resonant"] is False
+        assert [row["bright_dim"] for row in report["results"]] == [4] * 8
+        assert [row["pdet"] for row in report["results"]] == [row["pdet"] for row in moderate["results"]]
+        assert all(row["pdet"] <= row["upper_bound"] for row in report["results"])
 
     def test_a_gap_the_fold_merges_is_resonant(self, capsys, schema):
         sd = sw.fold_sectors(helpers.eigensystem("ring:6"), float(self.NEAR_THIRD))
@@ -829,13 +843,14 @@ class TestToleranceKeys:
     SERIES = ["--detect", "0", "--init", "1", "--tau", "2.0"]
     #: (command, key): the arguments, the override, and a report value before and after it.
     CHANGES = {
-        # 2 pi / 3 + 2e-9 folds ring:6's levels into two sectors of three, unless the phase tolerance is 0
+        # 2 pi / 3 + 2e-9 folds ring:6's levels into two sectors of three, unless the phase tolerance
+        # is 0; the degenerate levels -1 and 1 stay whole either way
         ("analyze", "phase"): (["--detect", "0", "--init", "1", *NEAR_THIRD], "phase=0",
                                lambda r: round(r["results"][0]["pdet"], 9), 0.0, 0.5),
         ("simulate", "phase"): (["--detect", "0", "--init", "1", *NEAR_THIRD, "--tol", "series-cap=64"],
                                 "phase=0", lambda r: round(r["spectral_pdet"], 9), 0.0, 0.5),
         ("spectrum", "phase"): (NEAR_THIRD, "phase=0",
-                                lambda r: [s["degeneracy"] for s in r["sectors"]], [3, 3], [1, 1, 1, 2, 1]),
+                                lambda r: [s["degeneracy"] for s in r["sectors"]], [3, 3], [1, 2, 2, 1]),
         # a dark tolerance of 1 empties the bright sectors
         ("analyze", "dark"): (["--detect", "0", "--init", "1"], "dark=1",
                               lambda r: r["results"][0]["bright_dim"], 4, 0),
@@ -1008,13 +1023,31 @@ class TestFormatsAndErrors:
         assert not any((tmp_path / "dir").iterdir())
 
     def test_a_huge_graph_file_exits_3_before_its_hamiltonian_is_built(self, capsys, monkeypatch, tmp_path):
-        # A million nodes: a dense H would need 7.3 TiB.  The cap is checked on the node count.
+        # A million nodes: a dense H would need 7.3 TiB.  The graph's own node limit refuses the
+        # file before its lists are built; below that limit, the dense cap refuses it before H.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"nodes": 1_000_000, "edges": [[0, 1]]}))
         built = spy(monkeypatch, sw.graphs, "hamiltonian")
         assert main(["spectrum", "--graph", str(path)]) == 3
-        assert capsys.readouterr().err == "numerical error: matrix dimension 1000000 exceeds the cap 512\n"
+        assert capsys.readouterr().err == "numerical error: graph has 1000000 nodes, above the limit of 65536\n"
+        path.write_text(json.dumps({"nodes": 10_000, "edges": [[0, 1]]}))
+        assert main(["spectrum", "--graph", str(path)]) == 3
+        assert capsys.readouterr().err == "numerical error: matrix dimension 10000 exceeds the cap 512\n"
         assert built == []
+
+    @pytest.mark.parametrize("source, nodes", [("FILE", 10**9), ("ring:1000000000", 10**9),
+                                               ("complete:1000000", 10**6)])
+    def test_a_graph_above_the_size_limit_exits_3_at_once(self, capsys, tmp_path, source, nodes):
+        # The counts are checked before any per-node or per-edge array, so no list of a
+        # billion entries is built first.
+        if source == "FILE":
+            source = str(tmp_path / "billion.json")
+            Path(source).write_text('{"nodes":1000000000,"edges":[]}')
+            assert Path(source).stat().st_size < 32
+        start = time.perf_counter()
+        assert main(["spectrum", "--graph", source]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == f"numerical error: graph has {nodes} nodes, above the limit of 65536\n"
 
     @pytest.mark.parametrize("command", [["spectrum"], ["analyze", "--detect", "0", "--init", "all"],
                                          ["simulate", "--detect", "0", "--init", "1", "--tol", "series-cap=64"]],

@@ -29,7 +29,11 @@ TREE2_ADJACENCY = np.array(
 
 
 def edge_pairs(g):
-    return {(i, j) for i, j, _ in g.edges}
+    return set(zip(g.tails.tolist(), g.heads.tolist()))
+
+
+def degrees(g):
+    return np.bincount(np.concatenate((g.tails, g.heads)), minlength=g.node_count).tolist()
 
 
 class TestGenerators:
@@ -37,12 +41,12 @@ class TestGenerators:
         g = helpers.graph("ring:6")
         assert g.node_count == 6
         assert edge_pairs(g) == {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
-        assert all(w == 1.0 for _, _, w in g.edges)
-        assert g.onsite == (0.0,) * 6
+        assert g.weights.tolist() == [1.0] * 6
+        assert g.onsite.tolist() == [0.0] * 6
 
     def test_tree2_matches_reference_adjacency(self):
         g = helpers.graph("tree:2")
-        np.testing.assert_array_equal(g.adjacency_matrix(), TREE2_ADJACENCY)
+        assert edge_pairs(g) == set(zip(*np.nonzero(np.triu(TREE2_ADJACENCY))))
 
     def test_cross4_center_hub(self):
         g = helpers.graph("cross:4")
@@ -52,7 +56,7 @@ class TestGenerators:
     def test_square_center_structure(self):
         g = helpers.graph("square_center")
         assert g.node_count == 5
-        assert g.degree_sequence() == (3, 3, 3, 3, 4)
+        assert degrees(g) == [3, 3, 3, 3, 4]
 
     @pytest.mark.parametrize(
         "spec, degree",
@@ -62,16 +66,18 @@ class TestGenerators:
     )
     def test_degree_sequences(self, spec, degree):
         g = helpers.graph(spec)
-        assert set(g.degree_sequence()) == {degree}
+        assert set(degrees(g)) == {degree}
 
     def test_adjacency_is_symmetric(self):
         for spec in ("ring:7", "hypercube:3", "tree:3", "lattice:3x5", "square_center"):
-            a = helpers.graph(spec).adjacency_matrix()
+            g = helpers.graph(spec)
+            assert (g.tails < g.heads).all()
+            a = sw.hamiltonian(g, 1.0)
             np.testing.assert_array_equal(a, a.T)
 
     def test_hypercube_edges_flip_one_bit(self):
         g = helpers.graph("hypercube:3")
-        for i, j, _ in g.edges:
+        for i, j in edge_pairs(g):
             assert bin(i ^ j).count("1") == 1
 
     def test_lattice_wraps_periodically(self):
@@ -113,7 +119,7 @@ class TestHamiltonian:
         np.testing.assert_array_equal(h2[off], 2.0 * h1[off])
 
     def test_onsite_on_diagonal_unscaled_by_gamma(self):
-        g = sw.WeightedGraph(node_count=2, edges=((0, 1, 2.0),), onsite=(0.5, -0.25))
+        g = sw.WeightedGraph(2, [0], [1], [2.0], (0.5, -0.25))
         h = sw.hamiltonian(g, 3.0)
         np.testing.assert_array_equal(h, [[0.5, -6.0], [-6.0, -0.25]])
 
@@ -125,55 +131,55 @@ class TestHamiltonian:
 class TestInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphInvariantError):
-            sw.WeightedGraph(node_count=2, edges=((0, 0, 1.0),), onsite=(0.0, 0.0))
+            helpers.edge_graph(2, [(0, 0, 1.0)])
 
     def test_duplicate_edge_rejected_either_orientation(self):
         with pytest.raises(GraphInvariantError):
-            sw.WeightedGraph(
-                node_count=3, edges=((0, 1, 1.0), (1, 0, 2.0)), onsite=(0.0,) * 3
-            )
+            helpers.edge_graph(3, [(0, 1, 1.0), (1, 0, 2.0)])
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(GraphInvariantError):
-            sw.WeightedGraph(node_count=2, edges=((0, 2, 1.0),), onsite=(0.0, 0.0))
+            helpers.edge_graph(2, [(0, 2, 1.0)])
 
     def test_a_non_integer_index_is_rejected(self):
         # a comparison accepts 1.5, which hamiltonian then cannot index
         with pytest.raises(GraphInvariantError, match=r"edges\[0\]: node index must be an integer, got 1.5"):
-            sw.WeightedGraph(3, ((0, 1.5, 1.0),), (0.0, 0.0, 0.0))
+            sw.WeightedGraph(3, [0], [1.5], [1.0], (0.0, 0.0, 0.0))
 
     def test_a_bool_index_is_rejected(self):
         # True compares as 1, but a saved [true, 2, 1.0] is no edge for load_graph
         for index in (True, np.True_):
             with pytest.raises(GraphInvariantError, match="node index must be an integer"):
-                sw.WeightedGraph(3, ((index, 2, 1.0),), (0.0, 0.0, 0.0))
+                sw.WeightedGraph(3, [index], [2], [1.0], (0.0, 0.0, 0.0))
 
     def test_numpy_indices_are_kept_as_python_ints(self):
-        g = sw.WeightedGraph(np.int64(3), ((np.int64(0), np.int32(2), 1.0),), (0.0, 0.0, 0.0))
-        assert type(g.node_count) is int and g.edges == ((0, 2, 1.0),)
-        assert all(type(i) is int for edge in g.edges for i in edge[:2])
+        # The arrays are intp; the node count, and the indices a graph document holds, are ints.
+        g = sw.WeightedGraph(np.int64(3), [np.int64(0)], [np.int32(2)], [1.0], (0.0, 0.0, 0.0))
+        assert type(g.node_count) is int and helpers.edge_triples(g) == [(0, 2, 1.0)]
+        assert g.tails.dtype == g.heads.dtype == np.intp
+        assert all(type(i) is int for edge in sw.graph_document(g)["edges"] for i in edge[:2])
         assert sw.load_graph(sw.save_graph(g)) == g
 
     @pytest.mark.parametrize("count", [True, 3.0, "3"])
     def test_a_non_integer_node_count_is_rejected(self, count):
         with pytest.raises(GraphInvariantError, match="node_count must be an integer"):
-            sw.WeightedGraph(count, (), (0.0,) * 3)
+            sw.WeightedGraph(count, (), (), (), (0.0,) * 3)
 
     def test_onsite_length_mismatch_rejected(self):
         with pytest.raises(GraphInvariantError):
-            sw.WeightedGraph(node_count=3, edges=(), onsite=(0.0, 0.0))
+            sw.WeightedGraph(3, (), (), (), (0.0, 0.0))
 
     def test_nonfinite_weight_rejected(self):
         with pytest.raises(GraphInvariantError):
-            sw.WeightedGraph(node_count=2, edges=((0, 1, float("inf")),), onsite=(0.0, 0.0))
+            helpers.edge_graph(2, [(0, 1, float("inf"))])
 
 
 class TestFileFormat:
     def test_minimal_two_node_file(self):
         g = sw.load_graph(b'{"nodes": 2, "edges": [[0, 1]]}')
         assert g.node_count == 2
-        assert g.edges == ((0, 1, 1.0),)
-        assert g.onsite == (0.0, 0.0)
+        assert helpers.edge_triples(g) == [(0, 1, 1.0)]
+        assert g.onsite.tolist() == [0.0, 0.0]
         assert g.labels is None
 
     def test_round_trip_generator(self):
@@ -181,9 +187,9 @@ class TestFileFormat:
         assert sw.load_graph(sw.save_graph(g)) == g
 
     def test_round_trip_weighted_labeled(self):
-        g = sw.WeightedGraph(
-            node_count=3,
-            edges=((0, 1, 0.1), (1, 2, -1.0 / 3.0), (0, 2, 5e-324)),
+        g = helpers.edge_graph(
+            3,
+            [(0, 1, 0.1), (1, 2, -1.0 / 3.0), (0, 2, 5e-324)],
             onsite=(0.3333333333333333, -2.5e17, 0.0),
             labels=("a", "b", "c"),
         )
@@ -251,7 +257,7 @@ def arbitrary_graphs(draw):
     edges = tuple((i, j, draw(finite_weights)) for i, j in chosen)
     onsite = tuple(draw(st.lists(finite_weights, min_size=n, max_size=n)))
     labels = draw(st.none() | st.lists(st.text(max_size=5), min_size=n, max_size=n).map(tuple))
-    return sw.WeightedGraph(node_count=n, edges=edges, onsite=onsite, labels=labels)
+    return helpers.edge_graph(n, edges, onsite, labels)
 
 
 @given(arbitrary_graphs())
@@ -266,14 +272,158 @@ def test_round_trip_is_bit_exact(g):
 def test_hamiltonian_is_hermitian_and_respects_graph(g, gamma):
     h = sw.hamiltonian(g, gamma)
     np.testing.assert_array_equal(h, h.T)
-    for i, j, w in g.edges:
+    for i, j, w in helpers.edge_triples(g):
         assert h[i, j] == -gamma * w
-    for i, e in enumerate(g.onsite):
+    for i, e in enumerate(g.onsite.tolist()):
         assert h[i, i] == e
 
 
 def test_save_uses_shortest_round_trip_doubles():
-    g = sw.WeightedGraph(node_count=2, edges=((0, 1, 0.1),), onsite=(0.0, 0.0))
+    g = helpers.edge_graph(2, [(0, 1, 0.1)])
     doc = json.loads(sw.save_graph(g))
     assert doc["edges"][0][2] == 0.1
     assert "0.1" in sw.save_graph(g).decode()
+
+
+class TestArraysAgainstTheEdgeLoop:
+    """The arrays, ``H`` and the file against the tuple-based graph of ``helpers.oracle_graph``."""
+
+    @staticmethod
+    def random_edges(rng, n, index_type):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        weights = rng.choice([1.0, -0.5, 2.0, 0.1, 1e-300, -7.25e12], size=len(pairs)).tolist()
+        return [(index_type(j), index_type(i), w) if rng.random() < 0.5 else (index_type(i), index_type(j), w)
+                for (i, j), w in zip(pairs, weights)]
+
+    @pytest.mark.parametrize("index_type", [int, np.int64], ids=["int", "int64"])
+    def test_arrays_hamiltonian_and_file_match_the_oracle(self, index_type):
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            edges = self.random_edges(rng, n, index_type)
+            onsite = rng.uniform(-2.0, 2.0, n).tolist() if rng.random() < 0.5 else [0.0] * n
+            labels = [f"v{r}" for r in range(n)] if rng.random() < 0.5 else None
+            g = helpers.edge_graph(index_type(n), edges, onsite, labels)
+            want = helpers.oracle_graph(index_type(n), edges, onsite, labels)
+            assert helpers.edge_triples(g) == list(want.edges)
+            assert g.tails.dtype == g.heads.dtype == np.intp and g.weights.dtype == g.onsite.dtype == np.float64
+            assert g.onsite.tolist() == list(want.onsite) and g.labels == want.labels
+            for gamma in (1.0, 0.7, -3.0):
+                assert sw.hamiltonian(g, gamma).tobytes() == helpers.oracle_hamiltonian(want, gamma).tobytes()
+            assert sw.save_graph(g) == helpers.oracle_save_graph(want)
+            assert sw.load_graph(sw.save_graph(g)) == g
+
+    def test_the_arrays_are_read_only_and_the_graph_unhashable(self):
+        g = helpers.graph("ring:5")
+        for array in (g.tails, g.heads, g.weights, g.onsite):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(TypeError):
+            hash(g)
+
+    def test_the_constructor_copies_its_inputs(self):
+        tails, heads, onsite = np.array([0, 2]), np.array([1, 1]), np.zeros(3)
+        g = sw.WeightedGraph(3, tails, heads, np.ones(2), onsite)
+        tails[0], onsite[0] = 2, 5.0
+        assert helpers.edge_triples(g) == [(0, 1, 1.0), (1, 2, 1.0)] and g.onsite.tolist() == [0.0] * 3
+        assert tails.flags.writeable and onsite.flags.writeable
+
+    @pytest.mark.parametrize("edges, onsite", [
+        ([(0, 1.5, 1.0)], None),
+        ([(True, 2, 1.0)], None),
+        ([(np.True_, 2, 1.0)], None),
+        ([(0, 1, 1.0), (1, False, 1.0)], None),
+        ([(0, "1", 1.0)], None),
+        ([(0, np.float64(1.0), 1.0)], None),
+        ([(0, 3, 1.0)], None),
+        ([(-1, 1, 1.0)], None),
+        ([(0, 10**30, 1.0)], None),
+        ([(0, 1, 1.0), (2, 2, 1.0)], None),
+        ([(0, 1, 1.0), (2, 1, 1.0), (1, 0, 2.0)], None),
+        ([(0, 1, float("inf"))], None),
+        ([(0, 1, float("nan"))], None),
+        ([(0, 1, "x")], None),
+        ([(0, 1, None)], None),
+        ([(0, 1, 10**400)], None),
+        ([(0, 1, "2.5"), (1, 2, 1.0)], None),
+        # the first bad edge wins, whatever its fault and whatever comes after it
+        ([(0, 1, 1.0), (1, 1, 1.0), (0, 1.5, 1.0), (0, 9, 1.0), (0, 2, "x")], None),
+        ([(0, 1, 1.0), (0, 2, "x"), (1, 1, 1.0)], None),
+        ([(0, 1, 1.0), (1, 0, float("inf"))], None),
+        # one edge with several faults reports the first check it fails
+        ([(5, 5, float("nan"))], None),
+        ([(True, 9, 1.0)], None),
+        ([(1, 1, float("inf"))], None),
+        ([(0, 1, 1.0)], (0.0, 0.0)),
+        ([(0, 1, 1.0)], (0.0, float("inf"), 0.0)),
+        ([(0, 1, 1.0)], (0.0, "y", 0.0)),
+    ], ids=["float-index", "bool-index", "numpy-bool-index", "false-head", "str-index", "numpy-float-index",
+            "out-of-range", "negative", "huge", "self-loop", "duplicate", "infinite", "nan", "str-weight",
+            "none-weight", "huge-weight", "numeric-str-weight", "first-bad-edge", "weight-error-first",
+            "duplicate-before-infinite", "range-before-loop", "type-before-range", "loop-before-weight",
+            "onsite-length", "onsite-infinite", "onsite-str"])
+    def test_each_bad_input_raises_the_oracles_error_and_message(self, edges, onsite):
+        onsite = (0.0,) * 3 if onsite is None else onsite
+        try:
+            want = helpers.oracle_graph(3, edges, onsite)
+        except Exception as exc:  # noqa: BLE001 - the oracle's own error is the expectation
+            with pytest.raises(type(exc)) as caught:
+                helpers.edge_graph(3, edges, onsite)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+        else:
+            g = helpers.edge_graph(3, edges, onsite)
+            assert helpers.edge_triples(g) == list(want.edges)
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(GraphInvariantError, match="tails, heads and weights have lengths 2, 1 and 1"):
+            sw.WeightedGraph(3, [0, 1], [1], [1.0], (0.0,) * 3)
+
+    @pytest.mark.parametrize("spec, pairs", [
+        ("ring:7", [(r, (r + 1) % 7) for r in range(7)]),
+        ("complete:6", [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+        ("hypercube:4", [(v, v ^ (1 << b)) for v in range(16) for b in range(4) if v < v ^ (1 << b)]),
+        ("tree:4", [(v, c) for v in range(15) for c in (2 * v + 1, 2 * v + 2)]),
+        ("cross:5", [(0, k) for k in range(1, 6)]),
+        ("square_center", [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]),
+        ("lattice:5x3", sorted({(min(v, w), max(v, w)) for y in range(3) for x in range(5) for v, w in
+                                ((5 * y + x, 5 * y + (x + 1) % 5), (5 * y + x, 5 * ((y + 1) % 3) + x))})),
+    ])
+    def test_generators_give_the_edge_order_of_their_loops(self, spec, pairs):
+        g = helpers.graph(spec)
+        n = max(max(p) for p in pairs) + 1
+        assert sw.save_graph(g) == helpers.oracle_save_graph(helpers.oracle_graph(n, [(i, j, 1.0) for i, j in pairs], (0.0,) * n))
+
+
+class TestSizeLimits:
+    """Node and edge counts are checked before any per-node or per-edge array is built."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("ring:1000000000", "graph has 1000000000 nodes, above the limit of 65536"),
+        ("complete:1000000", "graph has 1000000 nodes, above the limit of 65536"),
+        ("complete:2000", "graph has 1999000 edges, above the limit of 1048576"),
+        ("tree:16", "graph has 131071 nodes, above the limit of 65536"),
+        ("tree:1000000000", "graph has 2**1000000001 - 1 nodes, above the limit of 65536"),
+        ("cross:65536", "graph has 65537 nodes, above the limit of 65536"),
+        ("lattice:100000x100000", "graph has 10000000000 nodes, above the limit of 65536"),
+    ])
+    def test_a_spec_above_the_limits_builds_nothing(self, spec, message):
+        with pytest.raises(sw.GraphSizeError) as caught:
+            sw.build_named(spec)
+        assert str(caught.value) == message
+
+    def test_the_limits_admit_tree_12_and_lattice_256x256(self):
+        assert sw.graphs.MAX_NODES > helpers.graph("tree:12").node_count
+        assert sw.build_named("lattice:256x256").edge_count == 131072 <= sw.graphs.MAX_EDGES
+        assert sw.build_named("tree:15").node_count == 65535
+
+    def test_a_file_declaring_a_billion_nodes_is_refused_before_its_lists(self):
+        with pytest.raises(sw.GraphSizeError, match="^graph has 1000000000 nodes, above the limit of 65536$"):
+            sw.load_graph(b'{"nodes": 1000000000}')
+
+    def test_the_constructor_checks_the_counts_first(self):
+        with pytest.raises(sw.GraphSizeError, match="1000000000 nodes"):
+            sw.WeightedGraph(10**9, [], [], [], ())
+        with pytest.raises(sw.GraphSizeError, match="2000000 edges"):
+            sw.WeightedGraph(3, range(2 * 10**6), range(2 * 10**6), range(2 * 10**6), ())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,9 +122,9 @@ def test_random_graph_group_axioms_and_commutation(seed, decorate):
     n = g.node_count
     if decorate:
         # heavier links and raised nodes break some of the symmetry
-        g = sw.WeightedGraph(
-            node_count=n,
-            edges=tuple((i, j, float(rng.choice([1.0, 2.0]))) for i, j, _ in g.edges),
+        g = helpers.edge_graph(
+            n,
+            [(i, j, float(rng.choice([1.0, 2.0]))) for i, j, _ in helpers.edge_triples(g)],
             onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(n)),
         )
     h = sw.hamiltonian(g, 1.0)
@@ -145,8 +146,7 @@ def test_relabeling_keeps_the_orders_and_carries_the_orbits(source, seed, data):
     rng = np.random.default_rng(seed)
     if source == "random":
         g = helpers.random_graph(rng, max_nodes=12)
-        g = sw.WeightedGraph(node_count=g.node_count, edges=g.edges,
-                             onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(g.node_count)))
+        g = replace(g, onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(g.node_count)))
     else:
         g = helpers.graph(source)
     n = g.node_count
@@ -173,8 +173,7 @@ def _disordered_eigensystem(args) -> sw.EigenSystem:
     spec, seed, strength = args
     g = helpers.graph(spec)
     onsite = np.random.default_rng(seed).uniform(-strength, strength, g.node_count)
-    return sw.diagonalize(sw.hamiltonian(
-        sw.WeightedGraph(node_count=g.node_count, edges=g.edges, onsite=tuple(onsite)), 1.0))
+    return sw.diagonalize(sw.hamiltonian(replace(g, onsite=onsite), 1.0))
 
 
 eigensystems = st.one_of(
@@ -291,7 +290,8 @@ def test_fold_sectors_matches_the_oracle_on_the_named_cases(name):
         "one-level": lambda: degeneracies == [1],
         "two-level": lambda: degeneracies == [1, 1],
         "degenerate": lambda: degeneracies == [3, 2] and len(set(energies[0])) == 1,
-        "warning-gaps": lambda: degeneracies == [1, 2, 1] and len(sd.warnings) == 2,
+        # the two lower levels lie 5e-8 apart, within the energy tolerance 1e-8 * 7.28: one level
+        "warning-gaps": lambda: degeneracies == [3, 1] and len(sd.warnings) == 2,
         "seam-merge": lambda: degeneracies == [4, 1] and not sd.warnings,
         "seam-warning": lambda: degeneracies == [1, 1, 1] and "seam" in sd.warnings[-1],
         "resonance": lambda: degeneracies == [4, 1] and len(set(energies[0])) == 3,
@@ -314,7 +314,7 @@ def protocol_setups(draw):
         g = helpers.graph(source)
     n = g.node_count
     if draw(st.booleans()):
-        g = sw.WeightedGraph(node_count=n, edges=g.edges, onsite=tuple(rng.uniform(-0.5, 0.5, n)))
+        g = replace(g, onsite=rng.uniform(-0.5, 0.5, n))
     h = sw.hamiltonian(g, 1.0)
     kind = draw(st.sampled_from(["node", "random", "eigenstate"]))
     if kind == "node":

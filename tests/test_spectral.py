@@ -177,6 +177,28 @@ class TestSectors:
         assert np.isfinite(sw.fold_sectors(es, 1e307).phases).all()
         assert np.isfinite(sw.evolution_operator(es, 1e307)).all()
 
+    @pytest.mark.parametrize("spec", ["hypercube:3", "hypercube:4", "ring:8", "lattice:4x4", "tree:3", "complete:5"])
+    def test_a_fold_never_splits_a_level(self, spec):
+        # The eigenvalues of one level differ in their last bits (hypercube:3's level at 1 holds
+        # 0.9999999999999998, 1.0000000000000002 and 1.0000000000000007), so from a tau of about
+        # 5e6 on their phases lie more than the phase tolerance apart.
+        es = helpers.eigensystem(spec)
+        levels = sw.energy_sectors(es)
+        for tau in np.geomspace(1e6, 1e9, 31):
+            sd = sw.fold_sectors(es, tau)
+            sector_of = np.repeat(np.arange(sd.bounds.size - 1), sd.degeneracies)
+            for a, b in zip(levels.bounds[:-1], levels.bounds[1:]):
+                members = np.flatnonzero(np.isin(sd.energies, levels.energies[a:b]))
+                assert members.size == b - a and np.unique(sector_of[members]).size == 1, (tau, a, b)
+
+    def test_a_level_kept_whole_takes_its_least_phase(self):
+        # two eigenvalues 5e-9 apart are one level; at tau 10 their phases lie 5e-8 apart
+        es = sw.EigenSystem(eigenvalues=np.array([0.5, 0.5 + 5e-9, 2.0]), eigenvectors=np.eye(3, dtype=complex))
+        sd = sw.fold_sectors(es, 10.0)
+        assert sd.degeneracies.tolist() == [1, 2]  # the level at 2 has phase 20 - 6 pi, below 5
+        assert sd.phases[1] == 5.0 and sd.energies[1:].tolist() == [0.5, 0.5 + 5e-9]
+        assert not sw.is_resonant(sd)
+
 
 class TestResonances:
     def test_ring6_periods_up_to_seven(self):
@@ -196,7 +218,7 @@ class TestResonances:
         np.testing.assert_allclose([p.tau for p in periods], [math.pi, TWO_PI], atol=1e-12)
 
     def test_single_level_system_empty(self):
-        g = sw.WeightedGraph(node_count=1, edges=(), onsite=(0.0,))
+        g = sw.WeightedGraph(1, (), (), (), (0.0,))
         assert helpers.resonance_entries(sw.resonant_periods(sw.diagonalize(sw.hamiltonian(g, 1.0)), 10.0)) == []
         # three degenerate states are still one level
         degenerate = sw.EigenSystem(eigenvalues=np.full(3, 1.5), eigenvectors=np.eye(3, dtype=complex))

@@ -99,21 +99,13 @@ class TestAutomorphisms:
 
     def test_weights_break_symmetry(self):
         # ring:4 with one heavier link keeps only the reflection through it.
-        g = sw.WeightedGraph(
-            node_count=4,
-            edges=((0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)),
-            onsite=(0.0,) * 4,
-        )
+        g = helpers.edge_graph(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
         group = sw.automorphisms(g)
         assert set(helpers.group_elements(group)) == {(0, 1, 2, 3), (1, 0, 3, 2)}
         assert set(helpers.brute_force_automorphisms(g)) == {(0, 1, 2, 3), (1, 0, 3, 2)}
 
     def test_onsite_energy_breaks_symmetry(self):
-        g = sw.WeightedGraph(
-            node_count=6,
-            edges=tuple((r, (r + 1) % 6, 1.0) for r in range(6)),
-            onsite=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        )
+        g = helpers.edge_graph(6, [(r, (r + 1) % 6, 1.0) for r in range(6)], onsite=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         group = sw.automorphisms(g)
         # only the identity and the reflection fixing node 0 survive
         assert group.order == 2
@@ -406,7 +398,7 @@ class TestSaturation:
         # ring:64 with on-site energies uniform in [-1, 1] from default_rng(0): the group is
         # trivial, and two sectors have detector weights between 1e-20 and 1e-12
         onsite = tuple(np.random.default_rng(0).uniform(-1.0, 1.0, 64))
-        g = sw.WeightedGraph(node_count=64, edges=helpers.graph("ring:64").edges, onsite=onsite)
+        g = dataclasses.replace(helpers.graph("ring:64"), onsite=onsite)
         sd = sw.energy_sectors(sw.diagonalize(sw.hamiltonian(g, 1.0)))
         stab = sw.stabilizer(sw.automorphisms(g), sw.localized_state(64, 0))
         psi_d = sw.localized_state(64, 0)
@@ -520,17 +512,14 @@ class TestSearchAgainstBruteForce:
 
     def test_weighted_graph_with_onsite_energies(self):
         # ring:6 with two heavy links and one raised node: only the mirror through 0 and 3 survives
-        g = sw.WeightedGraph(
-            node_count=6,
-            edges=((0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 5, 2.0)),
-            onsite=(0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
-        )
+        g = helpers.edge_graph(6, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0), (0, 5, 2.0)],
+                               onsite=(0.5, 0.0, 0.0, 0.0, 0.0, 0.0))
         helpers.assert_search_matches_brute_force(g)
         assert sw.automorphisms(g).order == 2
 
     def test_zero_weight_edge_is_still_an_edge(self):
         # a path 0-1-2 whose second link has weight 0 has no symmetry
-        g = sw.WeightedGraph(node_count=3, edges=((0, 1, 1.0), (1, 2, 0.0)), onsite=(0.0,) * 3)
+        g = helpers.edge_graph(3, [(0, 1, 1.0), (1, 2, 0.0)])
         helpers.assert_search_matches_brute_force(g)
         assert sw.automorphisms(g).order == 1
 
