@@ -31,12 +31,9 @@ sd = sw.fold_sectors(es, tau)
 spectral = sw.pdet_spectral(sd, psi_d, psi_in)
 print(f"\nseries total   : {series.estimate:.9f}  (n_used={series.n_used}, converged={series.converged})")
 print(f"spectral total : {spectral.pdet:.9f}")
-print(f"bright/dark    : {spectral.bright_dim}/{spectral.dark_dim}")
-
 # The value 1/3 < 1: two of the four levels are doubly degenerate, and each
 # degenerate level hides one dark state from the detector.
-dark = sw.dark_space_basis(sd, psi_d)
-print(f"\ndark subspace dimension: {dark.shape[1]}")
+print(f"bright/dark    : {spectral.bright_dim}/{spectral.dark_dim}")
 
 # The listing is a column table: entry e holds the level pairs
 # starts[e]:starts[e + 1] of the columns l0, l1 and k.

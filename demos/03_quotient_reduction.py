@@ -25,9 +25,9 @@ for detect_node, name in ((0, "root"), (1, "middle"), (3, "leaf")):
 
     print(f"\n=== detector on the {name} (node {detect_node}) ===")
     print(f"stabilizer order {stab.order}; {q.original_dim} nodes -> {q.reduced_dim} classes")
-    for cls in q.classes:
-        mark = "  <- detector" if cls.id == q.detect_class else ""
-        print(f"  class {cls.id}: nodes {list(cls.members)}{mark}")
+    for c, members in enumerate(q.classes):
+        mark = "  <- detector" if c == q.detect_class else ""
+        print(f"  class {c}: nodes {list(members)}{mark}")
     print("  folded couplings (negated weights):")
     for i, j, w in zip(qgraph.tails.tolist(), qgraph.heads.tolist(), qgraph.weights.tolist()):
         print(f"    {i} -- {j}  weight {w:.6f}")

@@ -15,8 +15,6 @@ from .detection import (
     DetectionReport,
     DetectionSetup,
     SeriesResult,
-    bright_eigenstates,
-    dark_space_basis,
     first_detection_amplitudes,
     pdet_series,
     pdet_spectral,
@@ -34,13 +32,7 @@ from .errors import (
     StrobewalkError,
 )
 from .graphs import WeightedGraph, build_named, graph_document, hamiltonian, load_graph, save_graph
-from .quotient import (
-    NodeClass,
-    QuotientSystem,
-    pdet_symmetrized,
-    quotient_graph,
-    symmetrize,
-)
+from .quotient import QuotientSystem, pdet_symmetrized, quotient_graph, symmetrize
 from .spectral import (
     EigenSystem,
     ResonanceListing,
@@ -52,7 +44,7 @@ from .spectral import (
     is_resonant,
     resonant_periods,
 )
-from .states import as_state, localized_state, uniform_state
+from .states import as_state, localized_state
 from .symmetry import (
     StabilizerGroup,
     SymmetryGroup,
@@ -72,21 +64,20 @@ __all__ = [
     # graphs
     "WeightedGraph", "build_named", "hamiltonian", "load_graph", "save_graph", "graph_document",
     # states
-    "as_state", "localized_state", "uniform_state",
+    "as_state", "localized_state",
     # spectral
     "EigenSystem", "SpectralDecomposition", "ResonanceListing",
     "diagonalize", "energy_sectors", "fold_sectors", "evolution_operator",
     "resonant_periods", "is_resonant",
     # detection
     "DetectionSetup", "DetectionReport", "SeriesResult",
-    "first_detection_amplitudes", "pdet_series", "bright_eigenstates",
-    "pdet_spectral", "dark_space_basis",
+    "first_detection_amplitudes", "pdet_series", "pdet_spectral",
     # symmetry
     "SymmetryGroup", "StabilizerGroup", "automorphisms",
     "stabilizer", "orbit_rank", "symmetry_projector", "symmetric_part",
     "equivalent_dark_basis", "upper_bound", "saturation_check", "node_orbits",
     # quotient
-    "NodeClass", "QuotientSystem", "symmetrize", "pdet_symmetrized", "quotient_graph",
+    "QuotientSystem", "symmetrize", "pdet_symmetrized", "quotient_graph",
     # errors
     "StrobewalkError", "GraphSpecError", "GraphFormatError", "GraphInvariantError", "GraphSizeError",
     "StateError", "SpectralError", "GroupSearchError", "AsymmetricStateError",

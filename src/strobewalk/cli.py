@@ -714,15 +714,21 @@ def cmd_simulate(q: _Query) -> dict:
     psi_in = _parse_state(args.init, q.graph.node_count, "init")
     setup = DetectionSetup(hamiltonian=q.h, detect_state=psi_d, initial_state=psi_in, tau=tau)
     q.eigensystem = setup.eigensystem  # the setup's diagonalization serves the whole query
-    warnings = []
+    warnings = list(q.sectors.warnings)
     resonant = is_resonant(q.sectors)
     if resonant:
         warnings.append(
             f"tau={tau} is a resonant detection period; the series may not converge"
         )
     series = pdet_series(setup, rel_tol=q.tols["series-rel"], n_cap=int(q.tols["series-cap"]))
-    (exact,) = q.projection.reports(psi_in[:, None], dark_tol=q.tols["dark"])
+    exact = q.projection.pdet_columns(psi_in[:, None], dark_tol=q.tols["dark"])
     warnings += q.dark_warnings()
+    stop_dim = setup.bright_basis.shape[1]
+    if stop_dim < exact.bright.size:
+        warnings.append(
+            f"the series stop rule sees {stop_dim} bright directions of U(tau), but the sectors hold "
+            f"{exact.bright.size} bright sectors: the series may stop before its slow part"
+        )
     if not series.converged:
         warnings.append(f"series did not converge within n={series.n_used}")
     return {
@@ -735,7 +741,7 @@ def cmd_simulate(q: _Query) -> dict:
             "n_used": series.n_used,
             "converged": series.converged,
         },
-        "spectral_pdet": exact.pdet,
+        "spectral_pdet": exact.pdet[0],
         "first_detection": _Array(series.probabilities),
         "partial_sums": _Array(np.cumsum(series.probabilities)),
         "warnings": warnings,
@@ -753,8 +759,8 @@ def cmd_quotient(q: _Query) -> dict:
         "reduced_dim": qs.reduced_dim,
         "detect_class": qs.detect_class,
         "classes": [
-            {"id": cls.id, "members": list(cls.members), "multiplicity": cls.multiplicity}
-            for cls in qs.classes
+            {"id": c, "members": list(members), "multiplicity": len(members)}
+            for c, members in enumerate(qs.classes)
         ],
         "symmetric_spectrum": qs.eigensystem.eigenvalues.tolist(),
         "quotient_graph": graph_document(graph),

@@ -12,7 +12,10 @@ Two independent routes to the same number:
   tested a block at a time.
 * ``pdet_spectral`` evaluates the closed-form sector sum over the
   eigendecomposition, skipping sectors with no weight on the detection
-  state (the completely dark levels).
+  state (the completely dark levels).  The detection state's projection
+  onto every sector, ``_DetectorProjection``, is the one source of the
+  bright sectors: their columns span the bright space, and the dark space
+  is its complement.
 
 Off the resonant detection periods the two agree; the tests rely on that
 cross-check throughout.
@@ -36,9 +39,7 @@ __all__ = [
     "SeriesResult",
     "first_detection_amplitudes",
     "pdet_series",
-    "bright_eigenstates",
     "pdet_spectral",
-    "dark_space_basis",
     "DARK_OVERLAP_TOL",
 ]
 
@@ -103,15 +104,13 @@ class SeriesResult:
     """Outcome of the direct protocol summation.
 
     ``probabilities`` holds the first-detection probability of each summed
-    attempt, 1..``n_used``; ``estimate`` is their compensated sum.  ``stop``
-    is ``"bright-survival"`` when the rest of the series fell below the
-    tolerance (see ``pdet_series``), or ``"cap"`` when the step cap came
-    first; ``converged`` is ``stop != "cap"``.
+    attempt, 1..``n_used``; ``estimate`` is their compensated sum.
+    ``converged`` is True when the rest of the series fell below the
+    tolerance (see ``pdet_series``), and False when the step cap came first.
     """
 
     estimate: float
     converged: bool
-    stop: str
     probabilities: np.ndarray = field(repr=False)
 
     @property
@@ -137,8 +136,6 @@ class DetectionReport:
     bright_dim: int
     dark_dim: int
     excluded_sectors: tuple[int, ...]
-    method: str
-    sector_degeneracies: tuple[int, ...] = ()
     discarded_weight: float = 0.0
 
 
@@ -170,8 +167,9 @@ def _bright_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
     at the first step whose squared residual is at most
     ``DARK_OVERLAP_TOL``, the weight below which a sector counts as dark.
     It is built from the evolution operator alone, never from the sectors,
-    so it is an independent check on ``bright_eigenstates``; at a resonant
-    period it is the smaller bright space of the sectors folded there.
+    so it is an independent check on the bright sector columns of
+    ``_DetectorProjection``; at a resonant period it is the smaller bright
+    space of the sectors folded there.
     """
     dim = unitary.shape[0]
     basis = np.empty((dim, dim), dtype=complex)
@@ -244,20 +242,20 @@ def pdet_series(
     cyclic space of ``U(tau)`` generated by the detection state; a failed
     attempt leaves ``B^perp`` alone, so the rest of the series is exactly
     the bright survival ``||Q^H psi_n||^2``.  After each full window the
-    series stops (``"bright-survival"``) once that is below ``rel_tol``
-    times the running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully
-    dark initial state stops after one window.
+    series stops, converged, once that is below ``rel_tol`` times the
+    running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully dark
+    initial state stops after one window.
 
     The windows run in blocks (see ``_protocol_blocks``), and the rule is
     tested for a whole block at once (see ``_first_below``), with the
     decisions of the window-by-window rule: the same probabilities,
-    ``n_used`` and ``stop``, bit for bit.
+    ``n_used`` and ``converged``, bit for bit.
 
     Near a resonant detection period the decay can be arbitrarily slow; in
     that case the sum stops at ``n_cap`` (a last partial window is summed
-    but not tested) with ``stop="cap"`` and ``converged=False``, and the
-    partial value is returned.  ``rel_tol`` must be finite and positive,
-    and ``n_cap`` an int >= 1.
+    but not tested) with ``converged=False``, and the partial value is
+    returned.  ``rel_tol`` must be finite and positive, and ``n_cap`` an
+    int >= 1.
     """
     try:
         valid = math.isfinite(rel_tol) and rel_tol > 0
@@ -270,7 +268,7 @@ def pdet_series(
     q_conj = setup.bright_basis.conj()
     blocks: list[np.ndarray] = []
     total = 0.0
-    stop, n_used = "cap", n_cap
+    converged, n_used = False, n_cap
     done = 0  # full windows before the block
     for block in _protocol_blocks(setup, full + (rest > 0)):
         blocks.append(np.abs(block[:, :SERIES_WINDOW]) ** 2)
@@ -284,16 +282,11 @@ def pdet_series(
         total = float(totals[-1])
         first = _first_below(block[:tested, SERIES_WINDOW:], totals, rel_tol, q_conj)
         if first is not None:
-            stop, n_used = "bright-survival", (done + first + 1) * SERIES_WINDOW
+            converged, n_used = True, (done + first + 1) * SERIES_WINDOW
             break
         done += tested
     probabilities = np.concatenate(blocks, axis=None)[:n_used]
-    return SeriesResult(
-        estimate=math.fsum(probabilities),
-        converged=stop != "cap",
-        stop=stop,
-        probabilities=probabilities,
-    )
+    return SeriesResult(estimate=math.fsum(probabilities), converged=converged, probabilities=probabilities)
 
 
 def _first_below(states: np.ndarray, totals: np.ndarray, rel_tol: float, q_conj: np.ndarray) -> int | None:
@@ -407,42 +400,24 @@ class _DetectorProjection:
             excluded_sectors=tuple(np.flatnonzero(self.weights <= dark_tol).tolist()),
         )
 
-    def reports(self, initial_states: np.ndarray, *, dark_tol: float) -> list[DetectionReport]:
-        """One report per column of ``initial_states``, from :meth:`pdet_columns`."""
-        cols = self.pdet_columns(initial_states, dark_tol=dark_tol)
-        sectors = cols.bright.tolist()
-        degeneracies = tuple(self.sd.degeneracies.tolist())
-        return [
-            DetectionReport(
-                pdet=pdet,
-                per_sector=tuple(zip(sectors, column)),
-                bright_dim=cols.bright.size,
-                dark_dim=cols.dark_dim,
-                excluded_sectors=cols.excluded_sectors,
-                method="spectral",
-                sector_degeneracies=degeneracies,
-            )
-            for pdet, column in zip(cols.pdet, cols.contributions.T.tolist())
-        ]
 
-
-def bright_eigenstates(
+def _report(
     sd: SpectralDecomposition,
     detect_state: np.ndarray,
-    *,
-    dark_tol: float = DARK_OVERLAP_TOL,
-) -> list[tuple[int, np.ndarray]]:
-    """Normalized projection of the detection state onto each sector.
-
-    Returns ``(sector index, state)`` pairs for every sector whose squared
-    overlap with the detection state exceeds ``dark_tol``.  Sectors below
-    the threshold carry no detectable current at all and are omitted; these
-    are the completely dark levels.  The returned states span the bright
-    subspace: any initial state is eventually detected with probability
-    equal to its squared projection onto that span.
-    """
-    proj = _DetectorProjection(sd, detect_state)
-    return [(int(l), proj.columns[:, l] / math.sqrt(proj.weights[l])) for l in proj.bright(dark_tol)]
+    initial_state: np.ndarray,
+    dark_tol: float,
+    discarded_weight: float = 0.0,
+) -> DetectionReport:
+    """The report of one initial state, from :meth:`_DetectorProjection.pdet_columns`."""
+    cols = _DetectorProjection(sd, detect_state).pdet_columns(initial_state[:, None], dark_tol=dark_tol)
+    return DetectionReport(
+        pdet=cols.pdet[0],
+        per_sector=tuple(zip(cols.bright.tolist(), cols.contributions[:, 0].tolist())),
+        bright_dim=cols.bright.size,
+        dark_dim=cols.dark_dim,
+        excluded_sectors=cols.excluded_sectors,
+        discarded_weight=discarded_weight,
+    )
 
 
 def pdet_spectral(
@@ -462,27 +437,4 @@ def pdet_spectral(
     not depend on the basis chosen inside degenerate sectors, nor on the
     detection period as long as the sector structure is the same.
     """
-    psi_in = as_state(initial_state, sd.dim)
-    return _DetectorProjection(sd, detect_state).reports(psi_in[:, None], dark_tol=dark_tol)[0]
-
-
-def dark_space_basis(
-    sd: SpectralDecomposition,
-    detect_state: np.ndarray,
-    *,
-    dark_tol: float = DARK_OVERLAP_TOL,
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the never-detected subspace.
-
-    The dark space is the orthogonal complement of the bright states; its
-    dimension is ``dim - (number of bright states)``.  Every returned
-    column has vanishing first-detection amplitude at every attempt.
-    """
-    bright = bright_eigenstates(sd, detect_state, dark_tol=dark_tol)
-    if not bright:
-        return np.eye(sd.dim, dtype=complex)
-    b = np.column_stack([state for _, state in bright])
-    # Null space of B^H via SVD: the trailing right-singular directions.
-    _, svals, vh = np.linalg.svd(b.conj().T, full_matrices=True)
-    rank = int(np.sum(svals > 1e-12 * max(1.0, float(svals[0]))))
-    return vh[rank:].conj().T
+    return _report(sd, detect_state, as_state(initial_state, sd.dim), dark_tol)

@@ -338,11 +338,15 @@ def hamiltonian(graph: WeightedGraph, gamma: float) -> np.ndarray:
 
     The result is a real symmetric ``node_count x node_count`` matrix: the
     edge arrays scatter into both triangles, the on-site energies onto the
-    diagonal.
+    diagonal.  Raises ``ValueError`` when some ``gamma * w`` overflows; then
+    so does ``gamma`` times the largest ``|w|``.
     """
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
+    largest = float(np.max(np.abs(graph.weights))) if graph.weights.size else 0.0
+    if not math.isfinite(gamma * largest):
+        raise ValueError(f"gamma * weight overflows: gamma={gamma!r}, and the largest |weight| is {largest!r}")
     h = np.zeros((graph.node_count, graph.node_count))
     h[graph.tails, graph.heads] = h[graph.heads, graph.tails] = -gamma * graph.weights
     np.fill_diagonal(h, graph.onsite)

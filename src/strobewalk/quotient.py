@@ -8,19 +8,20 @@ states live in that subspace, so the total detection probability computed
 there matches the full-space value exactly, at a fraction of the
 diagonalization cost.
 
-The classes are the stabilizer's one orbit labelling (one label per node,
-numbered by least member), so the lift is one scatter of ``1/sqrt(size)``.
+The classes are the stabilizer's node orbits (``node_orbits``), numbered by
+least member: a class is the tuple of its members, its id its position and
+its multiplicity its length.  They read the stabilizer's one orbit
+labelling, so the lift is one scatter of ``1/sqrt(size)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .detection import DARK_OVERLAP_TOL, DetectionReport, _DetectorProjection
+from .detection import DARK_OVERLAP_TOL, DetectionReport, _report
 from .errors import NonLocalizedDetectionError, StrobewalkError
 from .graphs import WeightedGraph
 from .spectral import EigenSystem, diagonalize, energy_sectors, fold_sectors
@@ -28,7 +29,6 @@ from .states import as_state, localized_node, localized_state
 from .symmetry import StabilizerGroup, node_orbits
 
 __all__ = [
-    "NodeClass",
     "QuotientSystem",
     "symmetrize",
     "pdet_symmetrized",
@@ -36,28 +36,21 @@ __all__ = [
 ]
 
 
-class NodeClass(NamedTuple):
-    """One equivalence class of nodes: id, members, and multiplicity."""
-
-    id: int
-    members: tuple[int, ...]
-    multiplicity: int
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientSystem:
     """Symmetrized Hamiltonian on the space of node equivalence classes.
 
-    ``lift`` has one orthonormal column per class: the uniform
-    superposition of the class members in the original space.  By
-    construction ``lift.T @ H @ lift == h_s`` entrywise (within roundoff),
-    and lifting any eigenvector of ``h_s`` gives an eigenvector of the
-    original Hamiltonian with the same eigenvalue.  ``h_s`` is
-    diagonalized once, on first use of ``eigensystem``.
+    ``classes`` holds each class's members, in class order.  ``lift`` has
+    one orthonormal column per class: the uniform superposition of the
+    class members in the original space.  By construction
+    ``lift.T @ H @ lift == h_s`` entrywise (within roundoff), and lifting
+    any eigenvector of ``h_s`` gives an eigenvector of the original
+    Hamiltonian with the same eigenvalue.  ``h_s`` is diagonalized once, on
+    first use of ``eigensystem``.
     """
 
     h_s: np.ndarray
-    classes: tuple[NodeClass, ...]
+    classes: tuple[tuple[int, ...], ...]
     lift: np.ndarray
     detect_class: int
 
@@ -97,8 +90,7 @@ def symmetrize(h: np.ndarray, stab: StabilizerGroup, detect_state: np.ndarray) -
     if not stab.has_trivial_phases:
         raise StrobewalkError("localized detection state must have trivial stabilizer phases")
 
-    orbits = node_orbits(stab)
-    classes = tuple(NodeClass(c, members, len(members)) for c, members in enumerate(orbits))
+    classes = tuple(node_orbits(stab))
     labels, sizes = stab._orbit_labels, stab._orbit_sizes
     if sizes[detect_node] != 1:
         raise StrobewalkError("detection node is not fixed by the stabilizer")
@@ -133,9 +125,7 @@ def pdet_symmetrized(
     discarded = max(0.0, 1.0 - float(np.real(np.vdot(reduced, reduced))))
     es = q.eigensystem
     sd = energy_sectors(es) if tau is None else fold_sectors(es, tau)
-    (report,) = _DetectorProjection(sd, localized_state(q.reduced_dim, q.detect_class)).reports(
-        reduced[:, None], dark_tol=dark_tol)
-    return replace(report, method="symmetrized", discarded_weight=discarded)
+    return _report(sd, localized_state(q.reduced_dim, q.detect_class), reduced, dark_tol, discarded)
 
 
 def quotient_graph(q: QuotientSystem) -> WeightedGraph:
@@ -151,5 +141,5 @@ def quotient_graph(q: QuotientSystem) -> WeightedGraph:
     a, b = np.triu_indices(k, 1)  # row by row, as a nested loop over a < b
     w = h[a, b]
     kept = w != 0.0
-    labels = tuple(",".join(map(str, cls.members)) for cls in q.classes)
+    labels = tuple(",".join(map(str, members)) for members in q.classes)
     return WeightedGraph(k, a[kept], b[kept], -w[kept], h.diagonal(), labels)

@@ -163,9 +163,9 @@ def _group_starts(keys: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(keys) > tol) + 1))
 
 
-def _near_degenerate_warnings(keys: np.ndarray, starts: np.ndarray, tol: float, what: str) -> list[str]:
-    """One note per gap between clusters that lies below ``NEAR_DEGENERATE_FACTOR * tol``."""
-    later = starts[1:]
+def _near_degenerate_warnings(keys: np.ndarray, later: np.ndarray, tol: float, what: str) -> list[str]:
+    """One note per gap below ``NEAR_DEGENERATE_FACTOR * tol`` at the cluster starts ``later``,
+    each the first index of a cluster after the first."""
     near = later[keys[later] - keys[later - 1] < NEAR_DEGENERATE_FACTOR * tol]
     below, above = keys[near - 1].tolist(), keys[near].tolist()
     return [
@@ -189,7 +189,7 @@ def energy_sectors(es: EigenSystem) -> SpectralDecomposition:
     ev = es.eigenvalues
     tol = _energy_tol(ev)
     starts = _group_starts(ev, tol)
-    warnings = tuple(_near_degenerate_warnings(ev, starts, tol, "energy"))
+    warnings = tuple(_near_degenerate_warnings(ev, starts[1:], tol, "energy"))
     return SpectralDecomposition(energies=ev, vectors=es.eigenvectors, bounds=np.append(starts, ev.shape[0]),
                                  phases=None, tau=None, warnings=warnings)
 
@@ -210,11 +210,11 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     level's eigenvalues lie more than ``phase_tol`` apart in phase: at a
     ``tau`` so large that their last-bit spread shows, or at a
     ``phase_tol`` below it.  The groups come out in phase order, each at
-    its first member.  One stable sort by
-    (group, energy) then orders the levels, each sector's phase is the
-    least phase of its members, and one gather of the eigenvector columns
-    serves every sector.  Raises :class:`SpectralError` when some
-    ``E * tau`` overflows.
+    its first member, and only a gap between two of these sectors can be
+    near-degenerate.  One stable sort by (group, energy) then orders the
+    levels, each sector's phase is the least phase of its members, and one
+    gather of the eigenvector columns serves every sector.  Raises
+    :class:`SpectralError` when some ``E * tau`` overflows.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -224,21 +224,24 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     order = np.lexsort((ev, phases))
     sorted_phases = phases[order]
     starts = _group_starts(sorted_phases, phase_tol)
-    warnings = _near_degenerate_warnings(sorted_phases, starts, phase_tol, "phase")
     group = np.zeros(ev.shape[0], dtype=np.intp)
     group[starts[1:]] = 1
     group = np.cumsum(group)
-    if starts.size > 1:
-        # Merge across the wraparound seam: the last group joins the first
-        # when the circular gap closes.
-        seam_gap = (sorted_phases[0] + TWO_PI) - sorted_phases[-1]
-        if seam_gap <= phase_tol:
-            group[starts[-1]:] = 0
-        elif seam_gap < NEAR_DEGENERATE_FACTOR * phase_tol:
-            warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
+    seam_gap = (sorted_phases[0] + TWO_PI) - sorted_phases[-1] if starts.size > 1 else math.inf
+    # Merge across the wraparound seam: the last group joins the first
+    # when the circular gap closes.
+    if seam_gap <= phase_tol:
+        group[starts[-1]:] = 0
     level_group = np.empty_like(group)
     level_group[order] = group
     level_group = _whole_levels(level_group, ev)
+    # The gaps that still divide two sectors, in phase order.
+    sector = level_group[order]
+    later = starts[1:]
+    later = later[sector[later] != sector[later - 1]]
+    warnings = _near_degenerate_warnings(sorted_phases, later, phase_tol, "phase")
+    if seam_gap < NEAR_DEGENERATE_FACTOR * phase_tol and sector[0] != sector[-1]:
+        warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
     levels = np.lexsort((ev, level_group))
     bounds = np.append(0, np.cumsum(np.bincount(level_group)))
     sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]) if ev.size else np.zeros(0)

@@ -10,7 +10,6 @@ __all__ = [
     "as_state",
     "localized_node",
     "localized_state",
-    "uniform_state",
     "NORM_TOL",
 ]
 
@@ -37,16 +36,6 @@ def localized_state(dim: int, node: int) -> np.ndarray:
         raise StateError(f"node {node} out of range for dimension {dim}")
     psi = np.zeros(dim, dtype=complex)
     psi[node] = 1.0
-    return psi
-
-
-def uniform_state(dim: int, nodes) -> np.ndarray:
-    """Equal-amplitude superposition over the given nodes."""
-    nodes = list(nodes)
-    if not nodes:
-        raise StateError("need at least one node")
-    psi = np.zeros(dim, dtype=complex)
-    psi[nodes] = 1.0 / np.sqrt(len(nodes))
     return psi
 
 

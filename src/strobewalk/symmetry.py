@@ -13,10 +13,11 @@ generators, one integer array with a row of node images each, with the
 exact order: the product of the basic orbit lengths along the base.  No
 element list is built.  A stabilizer keeps the phase of each generator
 next to that array, and labels each node with its orbit, numbered by least
-member; orbit sizes, the quotient classes and, with trivial phases, the
-projector and the symmetric dimension (the orbit count) all read that one
-labelling.  With phases the symmetric subspace is the joint phase
-eigenspace of the generator matrices.
+member; orbit sizes, the quotient classes (``node_orbits``, one tuple of
+members per orbit) and, with trivial phases, the projector and the
+symmetric dimension (the orbit count) all read that one labelling.  With
+phases the symmetric subspace is the joint phase eigenspace of the
+generator matrices.
 
 Two shortcuts cut the work of a search without changing its result:
 

@@ -77,6 +77,37 @@ def basis(spec: str, node: int) -> np.ndarray:
     return sw.localized_state(graph(spec).node_count, node)
 
 
+def uniform_state(dim: int, nodes) -> np.ndarray:
+    """Equal-amplitude superposition over the given nodes."""
+    nodes = list(nodes)
+    psi = np.zeros(dim, dtype=complex)
+    psi[nodes] = 1.0 / np.sqrt(len(nodes))
+    return psi
+
+
+def bright_states(sd: sw.SpectralDecomposition, detect_state: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(sector, state)`` for each bright sector: the detector's projection
+    ``P_l psi_d`` onto it, normalized.  These are the columns of
+    ``_DetectorProjection`` for the sectors of weight above
+    ``DARK_OVERLAP_TOL``; they span the bright space."""
+    proj = sw.detection._DetectorProjection(sd, detect_state)
+    return [(l, proj.columns[:, l] / math.sqrt(proj.weights[l]))
+            for l in proj.bright(sw.detection.DARK_OVERLAP_TOL).tolist()]
+
+
+def dark_basis(sd: sw.SpectralDecomposition, detect_state: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the never-detected space: the orthogonal
+    complement of :func:`bright_states`, as the trailing right-singular
+    directions of the bright states' conjugate rows."""
+    bright = bright_states(sd, detect_state)
+    if not bright:
+        return np.eye(sd.dim, dtype=complex)
+    b = np.column_stack([state for _, state in bright])
+    _, svals, vh = np.linalg.svd(b.conj().T, full_matrices=True)
+    rank = int(np.sum(svals > 1e-12 * max(1.0, float(svals[0]))))
+    return vh[rank:].conj().T
+
+
 def ring_eigenstate(length: int, k: int) -> np.ndarray:
     """Free-wave eigenstate of the ring Hamiltonian with wavenumber k."""
     x = np.arange(length)
@@ -116,11 +147,11 @@ def oracle_amplitude_stream(u, detect_state, initial_state):
 
 def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
     """Step-by-step series with the stop rule of ``pdet_series``, tested every
-    32 attempts: the weight of the undetected state on the bright eigenstates
-    of ``bright_eigenstates`` below ``rel_tol`` times the running sum, floored
-    at 1e-12.  Returns ``(probabilities, stop)``."""
+    32 attempts: the weight of the undetected state on the bright states of
+    :func:`bright_states` below ``rel_tol`` times the running sum, floored
+    at 1e-12.  Returns ``(probabilities, converged)``."""
     sd = sw.fold_sectors(setup.eigensystem, setup.tau)
-    bright = np.column_stack([b for _, b in sw.bright_eigenstates(sd, setup.detect_state)])
+    bright = np.column_stack([b for _, b in bright_states(sd, setup.detect_state)])
     stream = oracle_amplitude_stream(setup.unitary, setup.detect_state, setup.initial_state)
     terms: list[float] = []
     for n, (amp, psi) in zip(range(1, n_cap + 1), stream):
@@ -129,8 +160,8 @@ def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
             continue
         rest = float(np.sum(np.abs(bright.conj().T @ psi) ** 2))
         if rest < rel_tol * max(math.fsum(terms), 1e-12):
-            return np.array(terms), "bright-survival"
-    return np.array(terms), "cap"
+            return np.array(terms), True
+    return np.array(terms), False
 
 
 def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
@@ -157,19 +188,14 @@ def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int
         total += float(np.sum(blocks[-1]))
         bright = q_h @ psi
         if float(np.vdot(bright, bright).real) < rel_tol * max(total, sw.detection.DARK_OVERLAP_TOL):
-            stop = "bright-survival"
+            converged = True
             break
     else:
-        stop = "cap"
+        converged = False
         if rest:
             blocks.append(np.abs(next(windows)[0][:rest]) ** 2)
     probabilities = np.concatenate(blocks) if blocks else np.zeros(0)
-    return sw.SeriesResult(
-        estimate=math.fsum(probabilities),
-        converged=stop != "cap",
-        stop=stop,
-        probabilities=probabilities,
-    )
+    return sw.SeriesResult(estimate=math.fsum(probabilities), converged=converged, probabilities=probabilities)
 
 
 def edge_graph(n: int, edges, onsite=None, labels=None) -> sw.WeightedGraph:
@@ -450,7 +476,7 @@ def oracle_quotient_graph(q: sw.QuotientSystem) -> sw.WeightedGraph:
             if w != 0.0:
                 edges.append((a, b, -w))
     onsite = tuple(float(np.real(q.h_s[c, c])) for c in range(k))
-    labels = tuple(",".join(str(m) for m in cls.members) for cls in q.classes)
+    labels = tuple(",".join(str(m) for m in members) for members in q.classes)
     return edge_graph(k, edges, onsite, labels)
 
 
@@ -553,12 +579,12 @@ def _oracle_groups(keys: np.ndarray, tol: float) -> list[list[int]]:
 def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8) -> sw.SpectralDecomposition:
     """Phase folding group by group: a reference for ``fold_sectors``, bit for bit.
 
-    Groups the (phase, energy)-sorted levels by phase gaps, warns on gaps
-    below 100 ``phase_tol``, joins the last group to the first across the
-    seam, joins any two groups that share an energy level (a step of at
-    most 1e-8 * max(1, max|E|) between ascending eigenvalues), then builds
-    each sector from its own indices, sorted by energy, and puts the
-    sectors side by side in phase order.
+    Groups the (phase, energy)-sorted levels by phase gaps, joins the last
+    group to the first across the seam, joins any two groups that share an
+    energy level (a step of at most 1e-8 * max(1, max|E|) between ascending
+    eigenvalues), warns on the gaps below 100 ``phase_tol`` between two
+    groups that stay apart, then builds each sector from its own indices,
+    sorted by energy, and puts the sectors side by side in phase order.
     """
     two_pi = 2.0 * math.pi
     ev = es.eigenvalues
@@ -566,20 +592,12 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
     order = np.lexsort((ev, phases))
     sorted_phases = phases[order]
     groups = _oracle_groups(sorted_phases, phase_tol)
-    warnings = []
-    for g0, g1 in zip(groups, groups[1:]):
-        gap = float(sorted_phases[g1[0]] - sorted_phases[g0[-1]])
-        if gap < 100.0 * phase_tol:
-            warnings.append(
-                f"near-degenerate phase gap {gap:.3e} between groups at "
-                f"{float(sorted_phases[g0[-1]]):.12g} and {float(sorted_phases[g1[0]]):.12g}"
-            )
+    gaps = [(g0[-1], g1[0]) for g0, g1 in zip(groups, groups[1:])]
+    seam_gap = math.inf
     if len(groups) > 1:
         seam_gap = (sorted_phases[groups[0][0]] + two_pi) - sorted_phases[groups[-1][-1]]
         if seam_gap <= phase_tol:
             groups[0] = groups.pop() + groups[0]
-        elif seam_gap < 100.0 * phase_tol:
-            warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
     level_tol = 1e-8 * max(1.0, float(np.max(np.abs(ev)))) if ev.size else 0.0
     level_of = [0]
     for prev, e in zip(ev, ev[1:]):
@@ -592,6 +610,17 @@ def oracle_fold_sectors(es: sw.EigenSystem, tau: float, phase_tol: float = 1e-8)
                 groups[a] += groups.pop(b)
                 merged = True
                 break
+    group_of = {i: k for k, g in enumerate(groups) for i in g}
+    warnings = []
+    for lo, hi in gaps:
+        gap = float(sorted_phases[hi] - sorted_phases[lo])
+        if gap < 100.0 * phase_tol and group_of[lo] != group_of[hi]:
+            warnings.append(
+                f"near-degenerate phase gap {gap:.3e} between groups at "
+                f"{float(sorted_phases[lo]):.12g} and {float(sorted_phases[hi]):.12g}"
+            )
+    if seam_gap < 100.0 * phase_tol and group_of[0] != group_of[len(ev) - 1]:
+        warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
     sectors = []
     for g in groups:
         idx = order[g]

@@ -253,6 +253,8 @@ class TestAnalyze:
         sim = run_json(capsys, "simulate", "--graph", path, "--detect", "0", "--init", "1",
                        "--tol", "series-cap=64")
         assert any("--tol dark=" in w for w in sim["warnings"])
+        # 64 Krylov directions against the 62 bright sectors kept: the stop is only conservative
+        assert not any("bright directions" in w for w in sim["warnings"])
 
     def test_roundoff_dark_sectors_do_not_warn(self, capsys):
         report = run_json(capsys, "analyze", "--graph", "tree:4", "--detect", "0", "--init", "all")
@@ -390,6 +392,24 @@ class TestSimulate:
         jsonschema.validate(report, schema)
         assert report["tau_resonant"] is True
         assert any("resonant" in w for w in report["warnings"])
+
+    def test_just_off_a_resonance_the_bright_count_shortfall_warns(self, capsys, schema):
+        # 2 pi / 3 plus 1e-7: Arnoldi stops after 2 directions of U(tau), while the fold keeps
+        # 4 bright sectors, their phase gap of 3e-7 being above the phase tolerance; the stop
+        # rule never sees the slow part, and the series reports converged far from 1/2
+        report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0", "--init", "2",
+                          "--tau", "2.0943952023931953")
+        jsonschema.validate(report, schema)
+        assert report["series"]["converged"] is True and report["series"]["estimate"] < 1e-9
+        assert report["spectral_pdet"] == pytest.approx(0.5, abs=1e-9)
+        gaps = [w for w in report["warnings"] if w.startswith("near-degenerate phase gap 3.000e-07 ")]
+        assert len(gaps) == 2
+        analyzed = run_json(capsys, "analyze", "--graph", "ring:6", "--detect", "0", "--init", "2",
+                            "--tau", "2.0943952023931953")
+        assert gaps == [w for w in analyzed["warnings"] if w.startswith("near-degenerate")]
+        assert report["warnings"][:2] == gaps
+        (shortfall,) = [w for w in report["warnings"] if "bright directions" in w]
+        assert "sees 2 bright directions" in shortfall and "hold 4 bright sectors" in shortfall
 
     def test_a_gap_the_fold_merges_warns(self, capsys, schema):
         report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0", "--init", "1",

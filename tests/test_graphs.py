@@ -270,12 +270,25 @@ def test_round_trip_is_bit_exact(g):
 
 @given(arbitrary_graphs(), st.floats(min_value=-4, max_value=4, allow_nan=False))
 def test_hamiltonian_is_hermitian_and_respects_graph(g, gamma):
+    largest = max((abs(w) for _, _, w in helpers.edge_triples(g)), default=0.0)
+    if not math.isfinite(gamma * largest):
+        with pytest.raises(ValueError, match="gamma"):
+            sw.hamiltonian(g, gamma)
+        return
     h = sw.hamiltonian(g, gamma)
     np.testing.assert_array_equal(h, h.T)
     for i, j, w in helpers.edge_triples(g):
         assert h[i, j] == -gamma * w
     for i, e in enumerate(g.onsite.tolist()):
         assert h[i, i] == e
+
+
+def test_an_overflowing_coupling_names_gamma_and_the_weight():
+    # -1e308 * 10 is -inf: the matrix would be refused later as "not Hermitian"
+    g = helpers.edge_graph(3, [(0, 1, 1.0), (1, 2, 10.0)])
+    with pytest.raises(ValueError, match=r"gamma=1e\+308, and the largest \|weight\| is 10\.0"):
+        sw.hamiltonian(g, 1e308)
+    assert sw.hamiltonian(g, 1e307)[1, 2] == -1e308
 
 
 def test_save_uses_shortest_round_trip_doubles():

@@ -46,25 +46,25 @@ class TestSymmetrize:
     def test_tree_root_collapses_to_a_line(self):
         q = tree_quotient(0)
         np.testing.assert_allclose(q.h_s, TREE_ROOT_HS, atol=1e-12)
-        assert [c.members for c in q.classes] == [(0,), (1, 2), (3, 4, 5, 6)]
+        assert list(q.classes) == [(0,), (1, 2), (3, 4, 5, 6)]
         assert q.detect_class == 0
 
     def test_tree_middle_five_classes(self):
         q = tree_quotient(1)
         np.testing.assert_allclose(q.h_s, TREE_MIDDLE_HS, atol=1e-12)
-        assert [c.members for c in q.classes] == [(0,), (1,), (2,), (3, 4), (5, 6)]
+        assert list(q.classes) == [(0,), (1,), (2,), (3, 4), (5, 6)]
         assert q.detect_class == 1
 
     def test_tree_leaf_six_classes(self):
         q = tree_quotient(3)
         np.testing.assert_allclose(q.h_s, TREE_LEAF_HS, atol=1e-12)
-        assert [c.members for c in q.classes] == [(0,), (1,), (2,), (3,), (4,), (5, 6)]
+        assert list(q.classes) == [(0,), (1,), (2,), (3,), (4,), (5, 6)]
         assert q.detect_class == 3
 
     def test_lift_columns_are_the_member_uniform_states(self):
         q = tree_quotient(0)
-        np.testing.assert_allclose(q.lift[:, 1], sw.uniform_state(7, [1, 2]).real, atol=1e-15)
-        np.testing.assert_allclose(q.lift[:, 2], sw.uniform_state(7, [3, 4, 5, 6]).real, atol=1e-15)
+        np.testing.assert_allclose(q.lift[:, 1], helpers.uniform_state(7, [1, 2]).real, atol=1e-15)
+        np.testing.assert_allclose(q.lift[:, 2], helpers.uniform_state(7, [3, 4, 5, 6]).real, atol=1e-15)
         gram = q.lift.T @ q.lift
         np.testing.assert_allclose(gram, np.eye(3), atol=1e-14)
 
@@ -80,11 +80,11 @@ class TestSymmetrize:
         for node in (0, 1, 3):
             stab = helpers.node_stabilizer("tree:2", node)
             q = sw.symmetrize(h, stab, helpers.basis("tree:2", node))
-            for a in q.classes:
-                for b in q.classes:
-                    total = sum(h[x, y] for x in a.members for y in b.members)
-                    expected = total / math.sqrt(a.multiplicity * b.multiplicity)
-                    assert q.h_s[a.id, b.id] == pytest.approx(expected, abs=1e-13)
+            for a, members_a in enumerate(q.classes):
+                for b, members_b in enumerate(q.classes):
+                    total = sum(h[x, y] for x in members_a for y in members_b)
+                    expected = total / math.sqrt(len(members_a) * len(members_b))
+                    assert q.h_s[a, b] == pytest.approx(expected, abs=1e-13)
             np.testing.assert_array_equal(q.h_s, q.h_s.conj().T)
 
     def test_projector_factorizes_through_the_lift(self):
@@ -109,7 +109,7 @@ class TestSymmetrize:
 
     def test_delocalized_detection_rejected(self):
         stab = helpers.node_stabilizer("tree:2", 0)
-        psi = sw.uniform_state(7, [0, 1])
+        psi = helpers.uniform_state(7, [0, 1])
         with pytest.raises(NonLocalizedDetectionError):
             sw.symmetrize(helpers.ham("tree:2"), stab, psi)
 
@@ -127,7 +127,7 @@ class TestSymmetricEigensystem:
         np.testing.assert_allclose(es.eigenvalues, [-2.0, 0.0, 2.0], atol=1e-12)
         sd = sw.energy_sectors(es)
         detect = sw.localized_state(3, q.detect_class)
-        assert len(sw.bright_eigenstates(sd, detect)) == 3
+        assert len(helpers.bright_states(sd, detect)) == 3
 
     def test_tree_middle_five_nondegenerate_levels(self):
         q = tree_quotient(1)
@@ -164,7 +164,7 @@ class TestPdetSymmetrized:
         q = tree_quotient(3)
         assert sw.pdet_symmetrized(q, helpers.basis("tree:2", 5)).pdet == pytest.approx(0.4, abs=1e-12)
         # the class state (|5>+|6>)/sqrt(2) carries twice the localized value
-        u5 = sw.uniform_state(7, [5, 6])
+        u5 = helpers.uniform_state(7, [5, 6])
         assert sw.pdet_symmetrized(q, u5).pdet == pytest.approx(0.8, abs=1e-12)
 
     def test_tree_middle_and_root_reference_values(self):
@@ -185,18 +185,20 @@ class TestPdetSymmetrized:
     def test_asymmetric_component_is_discarded_and_recorded(self):
         q = tree_quotient(0)
         # mix the symmetric uniform pair state with an antisymmetric part
-        psi = (sw.uniform_state(7, [1, 2]) + np.array([0, 1, -1, 0, 0, 0, 0]) / S2) / S2
+        psi = (helpers.uniform_state(7, [1, 2]) + np.array([0, 1, -1, 0, 0, 0, 0]) / S2) / S2
         psi = psi / np.linalg.norm(psi)
         rep = sw.pdet_symmetrized(q, psi)
-        assert rep.method == "symmetrized"
         assert rep.discarded_weight == pytest.approx(0.5, abs=1e-12)
         full = sw.pdet_spectral(helpers.sectors("tree:2"), helpers.basis("tree:2", 0), psi).pdet
         assert rep.pdet == pytest.approx(full, abs=1e-9)
 
     def test_degeneracies_reported_between_one_and_full(self):
+        # the report's sectors are the energy levels of the quotient, which the caller holds
         q = tree_quotient(3)
         rep = sw.pdet_symmetrized(q, helpers.basis("tree:2", 0))
-        assert rep.sector_degeneracies == (1, 1, 2, 1, 1)
+        sd = sw.energy_sectors(q.eigensystem)
+        assert sd.degeneracies.tolist() == [1, 1, 2, 1, 1]
+        assert {l for l, _ in rep.per_sector} | set(rep.excluded_sectors) == set(range(sd.degeneracies.size))
 
     def test_folding_at_a_period_matches_energy_grouping_off_resonance(self):
         q = tree_quotient(1)
@@ -246,7 +248,7 @@ class TestWeightedEndToEnd:
         assert stab.order == 2
         q = sw.symmetrize(h, stab, sw.localized_state(6, 0))
         graph = sw.quotient_graph(q)
-        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 5), 2: (2, 4), 3: (3,)}
+        assert dict(enumerate(q.classes)) == {0: (0,), 1: (1, 5), 2: (2, 4), 3: (3,)}
         assert graph.weights.tolist() == pytest.approx([S2, 2.0, S2], abs=1e-12)
         s3 = math.sqrt(3.0)
         np.testing.assert_allclose(
@@ -276,7 +278,7 @@ class TestQuotientGraph:
         assert {(i, j) for i, j, _ in helpers.edge_triples(graph)} == {(0, 1), (1, 2)}
         for w in graph.weights.tolist():
             assert w == pytest.approx(S2, abs=1e-12)
-        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 2), 2: (3, 4, 5, 6)}
+        assert dict(enumerate(q.classes)) == {0: (0,), 1: (1, 2), 2: (3, 4, 5, 6)}
 
     def test_graph_reproduces_the_reduced_hamiltonian(self):
         for node in (0, 1, 3):
@@ -299,7 +301,7 @@ class TestQuotientGraph:
         stab = helpers.node_stabilizer("ring:8", 0)
         q = sw.symmetrize(helpers.ham("ring:8"), stab, helpers.basis("ring:8", 0))
         graph = sw.quotient_graph(q)
-        assert {c.id: c.members for c in q.classes} == {0: (0,), 1: (1, 7), 2: (2, 6), 3: (3, 5), 4: (4,)}
+        assert dict(enumerate(q.classes)) == {0: (0,), 1: (1, 7), 2: (2, 6), 3: (3, 5), 4: (4,)}
         assert {(i, j) for i, j, _ in helpers.edge_triples(graph)} == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_complete8_two_classes(self):
@@ -331,7 +333,7 @@ class TestQuotientGraphAgainstNestedLoops:
         q = sw.symmetrize(sw.hamiltonian(g, 1.0), stab, psi_d)
         graph = sw.quotient_graph(q)
         assert graph == helpers.oracle_quotient_graph(q)
-        # the classes number the orbits in order and partition the nodes
-        assert [c.id for c in q.classes] == list(range(q.reduced_dim))
-        assert sorted(m for c in q.classes for m in c.members) == list(range(g.node_count))
+        # the classes are the orbits in order, one per reduced dimension, and partition the nodes
+        assert list(q.classes) == sw.node_orbits(stab) and len(q.classes) == q.reduced_dim
+        assert sorted(m for members in q.classes for m in members) == list(range(g.node_count))
         assert graph.edge_count > 0

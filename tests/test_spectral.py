@@ -191,6 +191,20 @@ class TestSectors:
                 members = np.flatnonzero(np.isin(sd.energies, levels.energies[a:b]))
                 assert members.size == b - a and np.unique(sector_of[members]).size == 1, (tau, a, b)
 
+    def test_gaps_inside_a_kept_level_do_not_warn(self):
+        # at 1e9 the phase groups of hypercube:3's levels lie 4.8e-7 and 6.0e-7 apart, inside
+        # the warning band, but the fold merges each level's groups into one sector
+        es = helpers.eigensystem("hypercube:3")
+        sd = sw.fold_sectors(es, 1e9)
+        assert sd.degeneracies.size == sw.energy_sectors(es).degeneracies.size
+        assert sd.warnings == ()
+        # a gap in the band between two distinct levels still warns at that tau:
+        # 6.3e-8 apart in energy, their phases lie 20 pi + 5e-8 apart
+        near = sw.EigenSystem(eigenvalues=np.array([0.0, (20 * math.pi + 5e-8) / 1e9, 1.0]),
+                              eigenvectors=np.eye(3, dtype=complex))
+        (warning,) = sw.fold_sectors(near, 1e9).warnings
+        assert warning.startswith("near-degenerate phase gap 5.000e-08 between groups at 0 and ")
+
     def test_a_level_kept_whole_takes_its_least_phase(self):
         # two eigenvalues 5e-9 apart are one level; at tau 10 their phases lie 5e-8 apart
         es = sw.EigenSystem(eigenvalues=np.array([0.5, 0.5 + 5e-9, 2.0]), eigenvectors=np.eye(3, dtype=complex))

@@ -64,7 +64,7 @@ class TestPermutation:
         stab = sw.StabilizerGroup(images=[shift], phases=[1.0], order=6, dim=6)
         # neighbor pairs span all but the alternating state; every other node gives two states
         for nodes, rank in [([0, 1], 5), ([0, 1, 3], 6), ([0, 2, 4], 2)]:
-            orbit = [sw.uniform_state(6, nodes)]
+            orbit = [helpers.uniform_state(6, nodes)]
             for _ in range(5):
                 orbit.append(helpers.apply(shift, orbit[-1]))
             assert sw.orbit_rank(stab, orbit[0]) == np.linalg.matrix_rank(np.array(orbit)) == rank
@@ -208,7 +208,7 @@ class TestOrbitRank:
 
     def test_superposition_can_have_lower_rank(self):
         stab = helpers.node_stabilizer("cross:4", 0)
-        u = sw.uniform_state(5, [1, 2, 3, 4])
+        u = helpers.uniform_state(5, [1, 2, 3, 4])
         assert sw.orbit_rank(stab, u) == 1
 
     def test_square_corner_detector_equivalences(self):
@@ -258,7 +258,7 @@ class TestProjector:
         for node in (0, 1, 3):
             stab = helpers.node_stabilizer("tree:2", node)
             p = sw.symmetry_projector(stab)
-            for _, beta in sw.bright_eigenstates(sd, helpers.basis("tree:2", node)):
+            for _, beta in helpers.bright_states(sd, helpers.basis("tree:2", node)):
                 np.testing.assert_allclose(p @ beta, beta, atol=1e-10)
 
 
@@ -267,11 +267,11 @@ class TestSymmetricPart:
         stab = helpers.node_stabilizer("cross:4", 0)
         u, weight = sw.symmetric_part(stab, helpers.basis("cross:4", 1))
         assert weight == pytest.approx(0.25, abs=1e-12)
-        np.testing.assert_allclose(u, sw.uniform_state(5, [1, 2, 3, 4]), atol=1e-12)
+        np.testing.assert_allclose(u, helpers.uniform_state(5, [1, 2, 3, 4]), atol=1e-12)
 
     def test_symmetric_input_is_a_fixed_point(self):
         stab = helpers.node_stabilizer("cross:4", 0)
-        u0 = sw.uniform_state(5, [1, 2, 3, 4])
+        u0 = helpers.uniform_state(5, [1, 2, 3, 4])
         u, weight = sw.symmetric_part(stab, u0)
         assert weight == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(u, u0, atol=1e-12)
@@ -315,7 +315,7 @@ class TestEquivalentDarkBasis:
         assert len(dark) == 3
         mat = np.column_stack(dark)
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(3), atol=1e-12)
-        u = sw.uniform_state(5, [1, 2, 3, 4])
+        u = helpers.uniform_state(5, [1, 2, 3, 4])
         np.testing.assert_allclose(mat.conj().T @ u, 0.0, atol=1e-12)
         for state in dark:
             setup = sw.DetectionSetup(
@@ -606,7 +606,7 @@ class TestGeneratorRoutesMatchElementSums:
         stab = self._stab(spec, wave)
         rng = np.random.default_rng(8)
         n = stab.dim
-        states = [helpers.random_state(rng, n), sw.localized_state(n, 1), sw.uniform_state(n, [0, 1])]
+        states = [helpers.random_state(rng, n), sw.localized_state(n, 1), helpers.uniform_state(n, [0, 1])]
         for psi in states:
             orbit = np.array([helpers.apply(p, psi) for p in helpers.group_elements(stab)])
             assert sw.orbit_rank(stab, psi) == np.linalg.matrix_rank(orbit, tol=1e-8)
