@@ -48,9 +48,9 @@ echo '{"amplitudes": [0.6, 0.8, 0, 0, 0, 0]}' > "$work/plane-state.json"
 strobewalk analyze --graph ring:6 --detect 0 --init "$work/plane-state.json" --tol rank=1 --format json | python -c "import json, sys; r = json.load(sys.stdin); assert r['results'][0]['orbit_rank'] == 1, r"
 # 2 pi / 3 + 2e-9 folds two levels into one sector at --tol phase: the report says resonant.
 strobewalk analyze --graph ring:6 --detect 0 --init all --tau 2.094395104393195 --format json | python -c "import json, sys; r = json.load(sys.stdin); assert r['tau_resonant'] is True, r"
-# 2 pi / 3 + 1e-7: the protocol's bright basis has 2 directions, the fold 4 bright
-# sectors, and the series stops early; the report must say so.
-strobewalk simulate --graph ring:6 --detect 0 --init 2 --tau 2.0943952023931953 --format json | python -c "import json, sys; w = json.load(sys.stdin)['warnings']; assert any('sees 2 bright directions' in x and 'hold 4 bright sectors' in x for x in w), w"
+# 2 pi / 3 + 1e-7: the series stops on the fold's 4 bright sectors, whose slow part
+# outlasts the cap; the report must say that it did not converge.
+strobewalk simulate --graph ring:6 --detect 0 --init 2 --tau 2.0943952023931953 --tol series-cap=2000 --format json | python -c "import json, sys; r = json.load(sys.stdin); assert r['series']['converged'] is False and not any('bright directions' in x for x in r['warnings']), r['series']"
 # At tau 1e9 the fold keeps each energy level whole: bright 4, no pdet above its bound,
 # and no warning of the gaps inside a level.
 strobewalk analyze --graph hypercube:3 --detect 0 --init all --tau 1e9 --format json | python -c "import json, sys; r = json.load(sys.stdin); rows = r['results']; assert all(x['bright_dim'] == 4 and x['pdet'] <= x['upper_bound'] for x in rows) and not r['warnings'], r"

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, detection, spectral, symmetry
-from .detection import DetectionSetup, _DetectorProjection, pdet_series
+from .detection import DetectionSetup, _DetectorProjection, _series
 from .errors import (
     GraphFormatError,
     GraphInvariantError,
@@ -720,15 +720,11 @@ def cmd_simulate(q: _Query) -> dict:
         warnings.append(
             f"tau={tau} is a resonant detection period; the series may not converge"
         )
-    series = pdet_series(setup, rel_tol=q.tols["series-rel"], n_cap=int(q.tols["series-cap"]))
+    # The series stops on the bright sectors that spectral_pdet sums.
+    series = _series(setup, q.projection.bright_basis(q.tols["dark"]), q.tols["series-rel"],
+                     int(q.tols["series-cap"]))
     exact = q.projection.pdet_columns(psi_in[:, None], dark_tol=q.tols["dark"])
     warnings += q.dark_warnings()
-    stop_dim = setup.bright_basis.shape[1]
-    if stop_dim < exact.bright.size:
-        warnings.append(
-            f"the series stop rule sees {stop_dim} bright directions of U(tau), but the sectors hold "
-            f"{exact.bright.size} bright sectors: the series may stop before its slow part"
-        )
     if not series.converged:
         warnings.append(f"series did not converge within n={series.n_used}")
     return {

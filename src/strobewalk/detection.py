@@ -1,21 +1,23 @@
 """The stroboscopic detection protocol and the total detection probability.
 
-Two independent routes to the same number:
+Two routes to the same number:
 
 * ``pdet_series`` iterates the protocol itself (evolve, attempt detection,
   project out the detected component), ``SERIES_WINDOW`` attempts per
   matrix product, and sums first-detection probabilities until the bright
   survival is negligible: the undetected state's weight on the bright
-  space, the cyclic space of ``U(tau)`` generated by the detection state,
-  which is exactly the rest of the series.  The windows run in blocks of
-  up to ``SERIES_BLOCK``, and the stop rule, unchanged for each window, is
-  tested a block at a time.
+  space, which is exactly the rest of the series.  The windows run in
+  blocks of up to ``SERIES_BLOCK``, and the stop rule, unchanged for each
+  window, is tested a block at a time.  The probabilities come from
+  ``U(tau)`` and the detector alone; only where the sum stops reads the
+  sectors.
 * ``pdet_spectral`` evaluates the closed-form sector sum over the
   eigendecomposition, skipping sectors with no weight on the detection
-  state (the completely dark levels).  The detection state's projection
-  onto every sector, ``_DetectorProjection``, is the one source of the
-  bright sectors: their columns span the bright space, and the dark space
-  is its complement.
+  state (the completely dark levels).
+
+The detection state's projection onto every sector, ``_DetectorProjection``,
+is the one source of the bright sectors: their columns, normalized, are the
+bright basis that both routes read, and the dark space is its complement.
 
 Off the resonant detection periods the two agree; the tests rely on that
 cross-check throughout.
@@ -30,7 +32,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import StateError
-from .spectral import EigenSystem, SpectralDecomposition, diagonalize, evolution_operator
+from .spectral import EigenSystem, SpectralDecomposition, diagonalize, evolution_operator, fold_sectors
 from .states import as_state
 
 __all__ = [
@@ -67,10 +69,9 @@ class DetectionSetup:
     """Hamiltonian, detection state, initial state and detection period.
 
     The Hamiltonian is diagonalized once, on construction: ``eigensystem``,
-    the one-period evolution ``unitary = U(tau)``, the protocol's
-    ``window_operator`` (see ``_window_operator``) and the orthonormal
-    ``bright_basis`` of the detectable space (see ``_bright_basis``) serve
-    every protocol run on this setup.
+    the one-period evolution ``unitary = U(tau)`` and the protocol's
+    ``window_operator`` (see ``_window_operator``) serve every protocol run
+    on this setup.
     """
 
     hamiltonian: np.ndarray
@@ -80,7 +81,6 @@ class DetectionSetup:
     eigensystem: EigenSystem = field(init=False, repr=False)
     unitary: np.ndarray = field(init=False, repr=False)
     window_operator: np.ndarray = field(init=False, repr=False)
-    bright_basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
@@ -96,7 +96,6 @@ class DetectionSetup:
         object.__setattr__(self, "eigensystem", es)
         object.__setattr__(self, "unitary", evolution_operator(es, self.tau))
         object.__setattr__(self, "window_operator", _window_operator(self.unitary, self.detect_state))
-        object.__setattr__(self, "bright_basis", _bright_basis(self.unitary, self.detect_state))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,34 +158,6 @@ def _window_operator(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarra
     return op
 
 
-def _bright_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the cyclic space of ``unitary``
-    generated by ``detect_state``: the bright space.
-
-    Arnoldi with a second reorthogonalization pass.  The space is complete
-    at the first step whose squared residual is at most
-    ``DARK_OVERLAP_TOL``, the weight below which a sector counts as dark.
-    It is built from the evolution operator alone, never from the sectors,
-    so it is an independent check on the bright sector columns of
-    ``_DetectorProjection``; at a resonant period it is the smaller bright
-    space of the sectors folded there.
-    """
-    dim = unitary.shape[0]
-    basis = np.empty((dim, dim), dtype=complex)
-    basis[:, 0] = detect_state / np.linalg.norm(detect_state)
-    k = 1
-    while k < dim:
-        w = unitary @ basis[:, k - 1]
-        for _ in range(2):
-            w -= basis[:, :k] @ (basis[:, :k].conj().T @ w)
-        residual = float(np.vdot(w, w).real)
-        if residual <= DARK_OVERLAP_TOL:
-            break
-        basis[:, k] = w / math.sqrt(residual)
-        k += 1
-    return basis[:, :k]
-
-
 def _protocol_blocks(setup: DetectionSetup, windows: int) -> Iterator[np.ndarray]:
     """Yield the first ``windows`` windows of the protocol in blocks of 1, 2,
     4, ... up to ``SERIES_BLOCK`` windows, a row each: the window's
@@ -238,13 +209,14 @@ def pdet_series(
     The protocol advances one window of ``SERIES_WINDOW`` attempts per
     matrix product with ``setup.window_operator``, which yields the
     window's first-detection amplitudes and the undetected state ``psi_n``
-    after it.  The bright space ``B`` (``setup.bright_basis``, ``Q``) is the
-    cyclic space of ``U(tau)`` generated by the detection state; a failed
-    attempt leaves ``B^perp`` alone, so the rest of the series is exactly
-    the bright survival ``||Q^H psi_n||^2``.  After each full window the
-    series stops, converged, once that is below ``rel_tol`` times the
-    running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully dark
-    initial state stops after one window.
+    after it.  A failed attempt leaves the dark space alone, so the rest of
+    the series is exactly the bright survival ``||Q^H psi_n||^2``, where the
+    columns of ``Q`` are the bright sectors of ``U(tau)``: those of
+    ``fold_sectors`` and ``DARK_OVERLAP_TOL``, as ``pdet_spectral`` sums by
+    default (see :meth:`_DetectorProjection.bright_basis`).  After each
+    full window the series stops, converged, once that is below ``rel_tol``
+    times the running sum, floored at ``DARK_OVERLAP_TOL`` so that a fully
+    dark initial state stops after one window.
 
     The windows run in blocks (see ``_protocol_blocks``), and the rule is
     tested for a whole block at once (see ``_first_below``), with the
@@ -257,6 +229,14 @@ def pdet_series(
     returned.  ``rel_tol`` must be finite and positive, and ``n_cap`` an
     int >= 1.
     """
+    sd = fold_sectors(setup.eigensystem, setup.tau)
+    basis = _DetectorProjection(sd, setup.detect_state).bright_basis(DARK_OVERLAP_TOL)
+    return _series(setup, basis, rel_tol, n_cap)
+
+
+def _series(setup: DetectionSetup, basis: np.ndarray, rel_tol: float, n_cap: int) -> SeriesResult:
+    """:func:`pdet_series`, stopped on the bright survival in the orthonormal
+    columns of ``basis``."""
     try:
         valid = math.isfinite(rel_tol) and rel_tol > 0
     except TypeError:
@@ -265,7 +245,7 @@ def pdet_series(
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     n_cap = _check_count("n_cap", n_cap)
     full, rest = divmod(n_cap, SERIES_WINDOW)
-    q_conj = setup.bright_basis.conj()
+    q_conj = basis.conj()
     blocks: list[np.ndarray] = []
     total = 0.0
     converged, n_used = False, n_cap
@@ -373,6 +353,13 @@ class _DetectorProjection:
     def bright(self, dark_tol: float) -> np.ndarray:
         """Indices of the sectors that overlap the detection state."""
         return np.flatnonzero(self.weights > dark_tol)
+
+    def bright_basis(self, dark_tol: float) -> np.ndarray:
+        """Orthonormal basis (columns) of the bright space: each bright column
+        divided by its norm.  Distinct sectors are orthogonal, and column ``l``
+        has squared norm ``weights[l]``."""
+        bright = self.bright(dark_tol)
+        return self.columns[:, bright] / np.sqrt(self.weights[bright])
 
     def near_dark(self, dark_tol: float) -> float | None:
         """Largest weight dropped as dark that still exceeds ``dark_tol**2``;

@@ -164,6 +164,40 @@ def oracle_pdet_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
     return np.array(terms), False
 
 
+def krylov_basis(unitary: np.ndarray, detect_state: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the cyclic space of ``unitary``
+    generated by ``detect_state``: the bright space, built from the
+    evolution operator alone, never from the sectors.
+
+    Arnoldi with a second reorthogonalization pass.  The space is complete
+    at the first step whose squared residual is at most ``DARK_OVERLAP_TOL``,
+    the weight below which a sector counts as dark; at a resonant period it
+    is the smaller bright space of the sectors folded there.
+    """
+    dim = unitary.shape[0]
+    basis = np.empty((dim, dim), dtype=complex)
+    basis[:, 0] = detect_state / np.linalg.norm(detect_state)
+    k = 1
+    while k < dim:
+        w = unitary @ basis[:, k - 1]
+        for _ in range(2):
+            w -= basis[:, :k] @ (basis[:, :k].conj().T @ w)
+        residual = float(np.vdot(w, w).real)
+        if residual <= sw.detection.DARK_OVERLAP_TOL:
+            break
+        basis[:, k] = w / math.sqrt(residual)
+        k += 1
+    return basis[:, :k]
+
+
+def stop_basis(setup: sw.DetectionSetup) -> np.ndarray:
+    """The bright basis that ``pdet_series`` stops on: the normalized bright
+    sector columns of the default fold and dark cut."""
+    sd = sw.fold_sectors(setup.eigensystem, setup.tau)
+    projection = sw.detection._DetectorProjection(sd, setup.detect_state)
+    return projection.bright_basis(sw.detection.DARK_OVERLAP_TOL)
+
+
 def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int):
     """The protocol series window by window: one matrix product and one test
     of the stop rule per window of 32 attempts.  ``pdet_series``, which
@@ -180,7 +214,7 @@ def window_by_window_series(setup: sw.DetectionSetup, rel_tol: float, n_cap: int
 
     full, rest = divmod(max(n_cap, 0), window)
     windows = protocol_windows()
-    q_h = setup.bright_basis.conj().T
+    q_h = stop_basis(setup).conj().T
     blocks: list[np.ndarray] = []
     total = 0.0
     for amps, psi in itertools.islice(windows, full):

@@ -156,7 +156,7 @@ def test_criterion_5_randomized_oracle_equivalence():
         assert gap < 1e-5
         worst_gap = max(worst_gap, gap)
 
-        span = setup.bright_basis
+        span = helpers.krylov_basis(setup.unitary, psi_d)
         assert span.shape[1] == spectral.bright_dim
         overlap = float(np.sum(np.abs(span.conj().T @ psi_in) ** 2))
         assert abs(spectral.pdet - overlap) < 1e-9

@@ -253,7 +253,7 @@ class TestAnalyze:
         sim = run_json(capsys, "simulate", "--graph", path, "--detect", "0", "--init", "1",
                        "--tol", "series-cap=64")
         assert any("--tol dark=" in w for w in sim["warnings"])
-        # 64 Krylov directions against the 62 bright sectors kept: the stop is only conservative
+        # the series stops on the 62 bright sectors kept, and says no more of them
         assert not any("bright directions" in w for w in sim["warnings"])
 
     def test_roundoff_dark_sectors_do_not_warn(self, capsys):
@@ -393,14 +393,15 @@ class TestSimulate:
         assert report["tau_resonant"] is True
         assert any("resonant" in w for w in report["warnings"])
 
-    def test_just_off_a_resonance_the_bright_count_shortfall_warns(self, capsys, schema):
-        # 2 pi / 3 plus 1e-7: Arnoldi stops after 2 directions of U(tau), while the fold keeps
-        # 4 bright sectors, their phase gap of 3e-7 being above the phase tolerance; the stop
-        # rule never sees the slow part, and the series reports converged far from 1/2
+    def test_just_off_a_resonance_the_series_does_not_converge(self, capsys, schema):
+        # 2 pi / 3 plus 1e-7: the fold keeps 4 bright sectors, their phase gap of 3e-7 being
+        # above the phase tolerance, and the series stops on all of them; its slow part
+        # outlasts the cap, so the report says it did not converge
         report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0", "--init", "2",
-                          "--tau", "2.0943952023931953")
+                          "--tau", "2.0943952023931953", "--tol", "series-cap=2000")
         jsonschema.validate(report, schema)
-        assert report["series"]["converged"] is True and report["series"]["estimate"] < 1e-9
+        assert report["series"]["converged"] is False and report["series"]["n_used"] == 2000
+        assert report["series"]["estimate"] < 1e-9
         assert report["spectral_pdet"] == pytest.approx(0.5, abs=1e-9)
         gaps = [w for w in report["warnings"] if w.startswith("near-degenerate phase gap 3.000e-07 ")]
         assert len(gaps) == 2
@@ -408,8 +409,24 @@ class TestSimulate:
                             "--tau", "2.0943952023931953")
         assert gaps == [w for w in analyzed["warnings"] if w.startswith("near-degenerate")]
         assert report["warnings"][:2] == gaps
-        (shortfall,) = [w for w in report["warnings"] if "bright directions" in w]
-        assert "sees 2 bright directions" in shortfall and "hold 4 bright sectors" in shortfall
+        assert "series did not converge within n=2000" in report["warnings"]
+        assert not any("bright directions" in w for w in report["warnings"])
+
+    def test_the_dark_tolerance_sets_where_the_series_stops(self, capsys, tmp_path):
+        # --tol dark=1e-4 drops a sector of detector weight 1.6e-9 from the spectral sum and
+        # from the stop rule alike: the series converges to the spectral value, where with
+        # that sector kept its slow decay runs the series to the cap
+        path = tmp_path / "ring8-4.json"
+        path.write_bytes(sw.save_graph(helpers.disordered("ring:8", 4)))
+        argv = ("simulate", "--graph", str(path), "--detect", "5", "--init", "0", "--tau", "1.0")
+        report = run_json(capsys, *argv, "--tol", "dark=1e-4")
+        assert report["spectral_pdet"] == pytest.approx(0.880427, abs=1e-6)
+        assert report["series"]["converged"] is True and report["series"]["n_used"] == 2752
+        assert report["series"]["estimate"] == pytest.approx(report["spectral_pdet"], abs=1e-4)
+        assert not report["warnings"]
+        kept = run_json(capsys, *argv, "--tol", "series-cap=3000")
+        assert kept["spectral_pdet"] == pytest.approx(1.0, abs=1e-9)
+        assert kept["series"]["converged"] is False
 
     def test_a_gap_the_fold_merges_warns(self, capsys, schema):
         report = run_json(capsys, "simulate", "--graph", "ring:6", "--detect", "0", "--init", "1",

@@ -189,18 +189,22 @@ class TestSeries:
         assert 1.0 - result.estimate == pytest.approx(survival, abs=1e-12)
 
     def test_protocol_never_reads_the_sectors(self, monkeypatch):
-        # the series is an independent route: U(tau) and the detector only
+        # the amplitudes are an independent route: U(tau) and the detector only
         def refuse(*args, **kwargs):
             raise AssertionError("the protocol read the sector decomposition")
 
+        setup = setup_for("ring:16", 0, 5, 1.3)
+        # the series reads the sectors only to stop: its probabilities are the amplitudes'
+        series = sw.pdet_series(setup)
+        assert series.converged
+        expected = np.abs(sw.first_detection_amplitudes(setup, series.n_used)) ** 2
+        assert series.probabilities.tobytes() == expected.tobytes()
         originals = (sw.spectral.fold_sectors, sw.spectral.energy_sectors)
         for key, mod in list(sys.modules.items()):
             if key == "strobewalk" or key.startswith("strobewalk."):
                 for attr, value in list(vars(mod).items()):
                     if any(value is fn for fn in originals):
                         monkeypatch.setattr(mod, attr, refuse)
-        setup = setup_for("ring:16", 0, 5, 1.3)
-        assert sw.pdet_series(setup).converged
         assert sw.first_detection_amplitudes(setup, 40).shape == (40,)
 
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-6, math.inf, -math.inf, math.nan, "1e-6", None, 1j])
@@ -242,7 +246,7 @@ class TestSeries:
         # rel_tol puts window 5's limit on its bright survival, to the last bits, so the
         # block-wise survival is within the re-test band and the window's own survival decides.
         setup = setup_for("ring:16", 0, 8, 1.3)
-        q_h = setup.bright_basis.conj().T
+        q_h = helpers.stop_basis(setup).conj().T
         psi, total = setup.initial_state.astype(complex), 0.0
         for _ in range(6):
             out = setup.window_operator @ psi
@@ -427,10 +431,9 @@ class TestResonantDetection:
 
 
 def bright_span(spec, node, tau):
-    """The protocol's Krylov bright basis for the detector at ``node``."""
+    """The Krylov bright basis of ``U(tau)`` for the detector at ``node``."""
     psi_d = helpers.basis(spec, node)
-    setup = sw.DetectionSetup(hamiltonian=helpers.ham(spec), detect_state=psi_d, initial_state=psi_d, tau=tau)
-    return setup.bright_basis
+    return helpers.krylov_basis(sw.evolution_operator(helpers.eigensystem(spec), tau), psi_d)
 
 
 class TestKrylov:

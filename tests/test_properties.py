@@ -368,12 +368,14 @@ def test_blocks_of_windows_give_the_window_by_window_series(setup, n_cap, rel_to
 def test_running_sum_plus_bright_survival_is_the_spectral_pdet(setup):
     # a failed attempt leaves the dark space alone, so after every window the
     # rest of the series is exactly the bright survival: to 1e-12 on the
-    # spectral bright states, and on the Krylov basis Q up to the distance
-    # between the two spaces, which Krylov roundoff keeps below 1e-8
+    # spectral bright states and on the basis the series stops on, and on the
+    # Krylov basis Q up to the distance between the two spaces, which Krylov
+    # roundoff keeps below 1e-8
     sd = sw.fold_sectors(setup.eigensystem, setup.tau)
     expected = sw.pdet_spectral(sd, setup.detect_state, setup.initial_state).pdet
     bright = np.column_stack([b for _, b in helpers.bright_states(sd, setup.detect_state)])
-    q = setup.bright_basis
+    stop = helpers.stop_basis(setup)
+    q = helpers.krylov_basis(setup.unitary, setup.detect_state)
     distance = float(np.linalg.norm(q @ q.conj().T - bright @ bright.conj().T, 2))
     assert distance < 1e-8
     total = 0.0
@@ -382,5 +384,6 @@ def test_running_sum_plus_bright_survival_is_the_spectral_pdet(setup):
         total += float(np.sum(np.abs(amps) ** 2))
         survival = float(np.vdot(psi, psi).real)
         assert total + float(np.sum(np.abs(bright.conj().T @ psi) ** 2)) == pytest.approx(expected, abs=1e-12)
+        assert abs(total + float(np.sum(np.abs(stop.conj().T @ psi) ** 2)) - expected) <= 1e-12
         rest = float(np.sum(np.abs(q.conj().T @ psi) ** 2))
         assert abs(total + rest - expected) <= 1e-12 + distance * survival
