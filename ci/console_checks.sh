@@ -54,6 +54,8 @@ strobewalk simulate --graph ring:6 --detect 0 --init 2 --tau 2.0943952023931953 
 # At tau 1e9 the fold keeps each energy level whole: bright 4, no pdet above its bound,
 # and no warning of the gaps inside a level.
 strobewalk analyze --graph hypercube:3 --detect 0 --init all --tau 1e9 --format json | python -c "import json, sys; r = json.load(sys.stdin); rows = r['results']; assert all(x['bright_dim'] == 4 and x['pdet'] <= x['upper_bound'] for x in rows) and not r['warnings'], r"
+# --tol dark=0 keeps sectors of roundoff weight as bright: the report must warn of them.
+strobewalk analyze --graph tree:3 --detect 0 --init 1 --tau 1.0 --tol dark=0 --format json | python -c "import json, sys; r = json.load(sys.stdin); assert any('kept as bright' in x for x in r['warnings']), r"
 # A graph file that declares 10^9 nodes exits 3 before any per-node list is built.
 echo '{"nodes": 1000000000}' > "$work/billion.json"
 test "$(code_of strobewalk spectrum --graph "$work/billion.json")" -eq 3

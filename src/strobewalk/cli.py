@@ -644,12 +644,19 @@ class _Query:
         return _DetectorProjection(self.sectors, self.detect)
 
     def dark_warnings(self) -> list[str]:
-        weight = self.projection.near_dark(self.tols["dark"])
-        if weight is None:
-            return []
-        return [f"a sector dropped as dark has detector weight {weight:.3e}, above the square of "
-                f"the dark tolerance {self.tols['dark']:g}: it may be weakly bright; a smaller "
-                "--tol dark= keeps it"]
+        dark_tol, default = self.tols["dark"], detection.DARK_OVERLAP_TOL
+        weight = self.projection.near_dark(dark_tol)
+        warnings = [] if weight is None else [
+            f"a sector dropped as dark has detector weight {weight:.3e}, above the square of the dark "
+            f"tolerance {dark_tol:g}: it may be weakly bright; a smaller --tol dark= keeps it"]
+        # A weight within the default tolerance's square is roundoff, as ``near_dark`` reads it.
+        kept = self.projection.weights[self.projection.bright(dark_tol)]
+        roundoff = kept[kept <= default**2]
+        if roundoff.size:
+            warnings.append(f"{roundoff.size} sector(s) kept as bright have detector weight at most "
+                            f"{roundoff.max():.3e}, within the square of the default dark tolerance "
+                            f"{default:g}: roundoff of dark sectors, which the default --tol dark drops")
+        return warnings
 
 
 def cmd_analyze(q: _Query) -> dict:

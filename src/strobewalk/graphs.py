@@ -353,6 +353,30 @@ def hamiltonian(graph: WeightedGraph, gamma: float) -> np.ndarray:
     return h
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``n`` points joined by the pairs ``(a[k], b[k])``, numbered by least point.
+
+    Union-find on arrays (Shiloach and Vishkin's hooking): each round hooks
+    both roots of every pair onto the lesser, then jumps pointers until
+    every point points at its root again.  Roots only fall, so a component
+    ends rooted at its least point; its number of trees at least halves
+    every two rounds.
+    """
+    points = root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            return (np.cumsum(root == points) - 1)[root]
+        low = np.minimum(ra, rb)
+        hooked = root.copy()
+        np.minimum.at(hooked, ra, low)
+        np.minimum.at(hooked, rb, low)
+        jumped = hooked[hooked]
+        while (jumped != hooked).any():
+            hooked, jumped = jumped, jumped[jumped]
+        root = hooked
+
+
 def graph_document(graph: WeightedGraph) -> dict:
     """A graph in the JSON graph format, as the plain dict that :func:`save_graph` encodes."""
     labels = {} if graph.labels is None else {"labels": list(graph.labels)}

@@ -4,10 +4,11 @@ Repeated detection every ``tau`` time units only sees the evolution operator
 ``U(tau) = exp(-i * tau * H)``, whose spectrum consists of phases
 ``E * tau mod 2*pi``.  Two energy levels whose phases coincide at a given
 ``tau`` are dynamically indistinguishable and must be merged into one
-sector; ``fold_sectors`` performs that grouping, ``energy_sectors`` groups
-by energy alone (the generic, off-resonance sector structure).  The fold is
-the one judge of resonance: ``is_resonant`` reads whether a folded sector
-holds two distinct levels, with no tolerance of its own.
+sector; ``fold_sectors`` performs that grouping, as connected components,
+``energy_sectors`` groups by energy alone (the generic, off-resonance
+sector structure).  The fold is the one judge of resonance: ``is_resonant``
+reads whether a folded sector holds two distinct levels, with no tolerance
+of its own.
 
 A grouping is held as columns, not as one object per sector: the levels'
 energies and eigenvectors in sector order, and the level at which each
@@ -25,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralError
+from .graphs import _components
 
 __all__ = [
     "EigenSystem",
@@ -202,75 +204,45 @@ def fold_sectors(es: EigenSystem, tau: float, *, phase_tol: float = PHASE_GROUP_
     exactly at the resonant detection periods; away from them the sectors
     coincide with the degenerate energy levels.
 
-    The levels are grouped as columns, in one pass of array operations:
-    sorted by (phase, energy), a phase gap above ``phase_tol`` starts a
-    group, and the last group joins the first when the gap across the seam
-    closes.  A fold never splits an energy level, as :func:`energy_sectors`
-    groups them: groups that share a level merge.  That matters where one
-    level's eigenvalues lie more than ``phase_tol`` apart in phase: at a
-    ``tau`` so large that their last-bit spread shows, or at a
-    ``phase_tol`` below it.  The groups come out in phase order, each at
-    its first member, and only a gap between two of these sectors can be
-    near-degenerate.  One stable sort by (group, energy) then orders the
-    levels, each sector's phase is the least phase of its members, and one
-    gather of the eigenvector columns serves every sector.  Raises
-    :class:`SpectralError` when some ``E * tau`` overflows.
+    The levels are sorted by (phase, energy), and a sector is a connected
+    component of that order, joined by three kinds of pair: phase
+    neighbours at most ``phase_tol`` apart; the last and the first level,
+    when the gap across the seam is at most ``phase_tol``; and consecutive
+    eigenvalues of one energy level, as :func:`energy_sectors` groups them.
+    So a fold never splits a level, even where its eigenvalues lie more
+    than ``phase_tol`` apart in phase: at a ``tau`` so large that their
+    last-bit spread shows, or at a ``phase_tol`` below it.  The sectors are
+    numbered in phase order, each at its first member, and only a gap
+    between two of them can be near-degenerate.  One stable sort by
+    (sector, energy) orders the levels, each sector's phase is the least
+    phase of its members, and one gather of the eigenvector columns serves
+    every sector.  Raises :class:`SpectralError` when some ``E * tau`` overflows.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     ev = es.eigenvalues
+    n = ev.shape[0]
     _check_phase_range(ev, tau)
     phases = np.mod(ev * tau, TWO_PI)
     order = np.lexsort((ev, phases))
     sorted_phases = phases[order]
-    starts = _group_starts(sorted_phases, phase_tol)
-    group = np.zeros(ev.shape[0], dtype=np.intp)
-    group[starts[1:]] = 1
-    group = np.cumsum(group)
-    seam_gap = (sorted_phases[0] + TWO_PI) - sorted_phases[-1] if starts.size > 1 else math.inf
-    # Merge across the wraparound seam: the last group joins the first
-    # when the circular gap closes.
-    if seam_gap <= phase_tol:
-        group[starts[-1]:] = 0
-    level_group = np.empty_like(group)
-    level_group[order] = group
-    level_group = _whole_levels(level_group, ev)
-    # The gaps that still divide two sectors, in phase order.
-    sector = level_group[order]
-    later = starts[1:]
-    later = later[sector[later] != sector[later - 1]]
+    position = np.argsort(order)
+    # The phase gap after each level; the last one's runs across the seam to the first level.
+    gaps = np.diff(sorted_phases, append=sorted_phases[:1] + TWO_PI)
+    close = np.flatnonzero(gaps <= phase_tol)
+    level = np.flatnonzero(np.diff(ev) <= _energy_tol(ev))
+    sector = _components(n, np.concatenate((close, position[level])),
+                         np.concatenate(((close + 1) % n, position[level + 1])))
+    later = np.flatnonzero(sector[1:] != sector[:-1]) + 1
     warnings = _near_degenerate_warnings(sorted_phases, later, phase_tol, "phase")
-    if seam_gap < NEAR_DEGENERATE_FACTOR * phase_tol and sector[0] != sector[-1]:
-        warnings.append(f"near-degenerate phase gap {seam_gap:.3e} across the 0/2pi seam")
-    levels = np.lexsort((ev, level_group))
-    bounds = np.append(0, np.cumsum(np.bincount(level_group)))
-    sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]) if ev.size else np.zeros(0)
+    if n and gaps[-1] < NEAR_DEGENERATE_FACTOR * phase_tol and sector[0] != sector[-1]:
+        warnings.append(f"near-degenerate phase gap {gaps[-1]:.3e} across the 0/2pi seam")
+    level_sector = sector[position]
+    levels = np.lexsort((ev, level_sector))
+    bounds = np.append(0, np.cumsum(np.bincount(level_sector)))
+    sector_phases = np.minimum.reduceat(phases[levels], bounds[:-1]) if n else np.zeros(0)
     return SpectralDecomposition(energies=ev[levels], vectors=es.eigenvectors[:, levels], bounds=bounds,
                                  phases=sector_phases, tau=float(tau), warnings=tuple(warnings))
-
-
-def _whole_levels(group: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """``group``, a phase group per eigenvalue in ascending order, with the groups that share a level merged.
-
-    A level is a run of eigenvalues as :func:`energy_sectors` groups them.
-    Its eigenvalues differ in their last bits, so at a large ``tau`` their
-    phases can lie more than ``phase_tol`` apart (about ``2e-15 * tau`` on
-    hypercube:3).  The groups are merged as the components of the graph
-    that joins the groups of consecutive eigenvalues of one level, by
-    hooking each group onto the least group it meets until every pair
-    agrees; they are numbered again in the order of their least group.
-    """
-    split = (ev[1:] - ev[:-1] <= _energy_tol(ev)) & (group[1:] != group[:-1])
-    if not split.any():
-        return group
-    a, b = group[:-1][split], group[1:][split]
-    label = np.arange(int(group.max()) + 1)
-    while not np.array_equal(label[a], label[b]):
-        low = np.minimum(label[a], label[b])
-        np.minimum.at(label, label[a], low)
-        np.minimum.at(label, label[b], low)
-        label = label[label]
-    return np.unique(label[group], return_inverse=True)[1]
 
 
 def evolution_operator(es: EigenSystem, tau: float) -> np.ndarray:

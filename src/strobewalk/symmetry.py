@@ -63,7 +63,7 @@ import numpy as np
 
 from .detection import DARK_OVERLAP_TOL, _DetectorProjection
 from .errors import AsymmetricStateError, GroupSearchError, StateError, StrobewalkError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _components
 from .spectral import SpectralDecomposition
 from .states import as_state, localized_node
 
@@ -164,27 +164,9 @@ class StabilizerGroup:
 
     @cached_property
     def _orbit_labels(self) -> np.ndarray:
-        """Orbit of each node, numbered by least member.
-
-        Union-find on arrays (Shiloach and Vishkin's hooking): each round
-        hooks every root onto the least root next to one of its nodes, then
-        jumps pointers until every node points at its root again.  Roots
-        only fall, so each orbit ends rooted at its least member.  A root
-        that neither hooks nor is hooked onto in one round hooks in the
-        next, so the number of trees in an orbit at least halves every two
-        rounds, and a round jumps about ``log2`` of its longest chain of hooks.
-        """
-        steps = np.vstack([self.images, np.argsort(self.images, axis=1)])
-        nodes = root = np.arange(self.dim)
-        while True:
-            hooked = root.copy()
-            np.minimum.at(hooked, root, root[steps].min(axis=0, initial=self.dim))
-            if np.array_equal(hooked, root):
-                return (np.cumsum(root == nodes) - 1)[root]
-            jumped = hooked[hooked]
-            while not np.array_equal(jumped, hooked):
-                hooked, jumped = jumped, jumped[jumped]
-            root = hooked
+        """Orbit of each node, numbered by least member: the connected components
+        of the pairs that join each node to its image under each generator."""
+        return _components(self.dim, np.tile(np.arange(self.dim), len(self.images)), self.images.ravel())
 
     @cached_property
     def _orbit_sizes(self) -> np.ndarray:

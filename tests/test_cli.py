@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import replace
@@ -260,6 +261,22 @@ class TestAnalyze:
         report = run_json(capsys, "analyze", "--graph", "tree:4", "--detect", "0", "--init", "all")
         assert report["results"][0]["dark_dim"] > 0
         assert not any("dark" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_roundoff_sectors_kept_as_bright_warn(self, capsys, command):
+        # --tol dark=0 keeps 5 sectors of detector weight about 1e-32 as bright, and their
+        # roundoff terms double pdet, above its upper bound of 1/2
+        argv = [command, "--graph", "tree:3", "--detect", "0", "--init", "1", "--tau", "1.0"]
+        kept, default = run_json(capsys, *argv, "--tol", "dark=0"), run_json(capsys, *argv)
+        pdets = [r["results"][0]["pdet"] if command == "analyze" else r["spectral_pdet"] for r in (kept, default)]
+        assert pdets == [pytest.approx(1.0), pytest.approx(0.5)]
+        (warning,) = [w for w in kept["warnings"] if "kept as bright" in w]
+        count, largest = re.fullmatch(
+            r"(\d+) sector\(s\) kept as bright have detector weight at most (\S+), within the square "
+            r"of the default dark tolerance 1e-12: roundoff of dark sectors, which the default --tol dark "
+            r"drops", warning).groups()
+        assert count == "5" and 0.0 < float(largest) <= 1e-24
+        assert not any("kept as bright" in w for w in default["warnings"])
 
     def test_graph_file_source(self, capsys, schema, tmp_path):
         path = tmp_path / "pair.json"
@@ -1027,22 +1044,48 @@ class TestFormatsAndErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--graph", "ring:6", "--detect", "0", "--init", "0", "--tol", "phase=abc"],
+         "bad --tol value in 'phase=abc'"),
+        (["analyze", "--graph", "ring:6", "--detect", "0", "--init", "0", "--tau", "abc"],
+         "--tau must be a number, got 'abc'"),
+        (["resonances", "--graph", "ring:6", "--tau", "scan:a:b"], "bad scan bounds in 'scan:a:b'"),
+        (["spectrum", "--graph", "ring:x"], "invalid integer parameter in generator spec 'ring:x'"),
+    ], ids=["tol-value", "tau", "scan-bounds", "generator-parameter"])
+    def test_a_value_that_does_not_parse_is_named(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "top-level value must be an object, got list"),
+        ('{"nodes": 0}', "field 'nodes' must be a positive integer, got 0"),
+        ('{"nodes": 3, "edges": {}}', "field 'edges' must be a list"),
+        ('{"nodes": 3, "onsite": 1}', "field 'onsite' must be a list"),
+    ], ids=["list", "no-nodes", "edges-object", "onsite-number"])
+    def test_a_malformed_graph_file_exits_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        assert main(["spectrum", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", [["analyze", "--init", "0"], ["quotient"]])
     def test_detector_is_checked_before_the_group_search(self, capsys, command):
         # tree:6 has 127 nodes, above the search cap: the bad detector must be reported first
         assert main([command[0], "--graph", "tree:6", "--detect", "999", *command[1:]]) == 2
         assert capsys.readouterr().err == "error: detect node 999 out of range for 127 nodes\n"
 
-    @pytest.mark.parametrize("case", ["directory", "graph-bytes", "init-bytes", "detect-bytes"])
+    @pytest.mark.parametrize("case", ["directory", "graph-bytes", "init-bytes", "detect-bytes", "missing-init"])
     def test_unreadable_input_files_exit_2(self, capsys, tmp_path, case):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
         graph, detect, init = {"directory": (tmp_path, "0", "1"), "graph-bytes": (path, "0", "1"),
-                               "init-bytes": ("ring:6", "0", path), "detect-bytes": ("ring:6", path, "1")}[case]
+                               "init-bytes": ("ring:6", "0", path), "detect-bytes": ("ring:6", path, "1"),
+                               "missing-init": ("ring:6", "0", tmp_path / "absent.json")}[case]
         assert main(["analyze", "--graph", str(graph), "--detect", str(detect), "--init", str(init)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert ("cannot read graph file" if case == "directory" else "not UTF-8") in err
+        assert {"directory": "cannot read graph file", "missing-init": "cannot read state file"}.get(
+            case, "not UTF-8") in err
 
     @pytest.mark.parametrize("argv, out, target", [
         (["spectrum", "--graph", "ring:6", "--format", "json"], "missing/r.json", "missing/r.json"),
@@ -1130,7 +1173,8 @@ class TestFormatsAndErrors:
         ("[1e400, 0, 0, 0, 0, 0]", "normalized"),
         ("[" + "1" * 400 + ", 0, 0, 0, 0, 0]", "amplitudes[0] is too large"),
         ("5", "an 'amplitudes' list"),
-    ], ids=["nan", "string-part", "null-part", "bools", "bool-part", "inf", "huge-int", "not-a-list"])
+        ("[1, 0", "invalid JSON at line 1: Expecting ',' delimiter"),
+    ], ids=["nan", "string-part", "null-part", "bools", "bool-part", "inf", "huge-int", "not-a-list", "bad-json"])
     @pytest.mark.parametrize("role", ["--init", "--detect"])
     def test_bad_state_file_entries_rejected(self, capsys, tmp_path, amplitudes, message, role):
         path = tmp_path / "bad.json"

@@ -98,6 +98,17 @@ class TestAmplitudes:
             sw.DetectionSetup(hamiltonian=helpers.ham("ring:3"), detect_state=sw.localized_state(4, 0),
                               initial_state=ok, tau=1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sw.as_state(np.eye(2)), r"state must be a 1-d vector, got shape \(2, 2\)"),
+        (lambda: sw.localized_state(3, 5), "node 5 out of range for dimension 3"),
+        (lambda: sw.DetectionSetup(hamiltonian=np.zeros((2, 3)), detect_state=sw.localized_state(2, 0),
+                                   initial_state=sw.localized_state(2, 1), tau=1.0),
+         r"hamiltonian must be square, got shape \(2, 3\)"),
+    ], ids=["2-d-state", "node-out-of-range", "non-square-hamiltonian"])
+    def test_a_malformed_state_or_matrix_is_refused(self, call, message):
+        with pytest.raises(StateError, match=f"^{message}$"):
+            call()
+
     @pytest.mark.parametrize("n_max", [0, -5, 2.5, math.nan, math.inf, True, "40", None])
     def test_n_max_must_be_an_int_of_at_least_one(self, n_max):
         setup = setup_for("ring:8", 0, 3, 1.1)

@@ -165,6 +165,14 @@ class TestInvariants:
         with pytest.raises(GraphInvariantError, match="node_count must be an integer"):
             sw.WeightedGraph(count, (), (), (), (0.0,) * 3)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, [], [], [], []), "node_count must be positive, got 0"),
+        ((2, [0], [1], [1.0], [0.0, 0.0], ("a",)), "labels has length 1, expected 2"),
+    ], ids=["no-nodes", "labels-length"])
+    def test_a_node_count_or_labels_that_do_not_fit_are_rejected(self, args, message):
+        with pytest.raises(GraphInvariantError, match=f"^{message}$"):
+            sw.WeightedGraph(*args)
+
     def test_onsite_length_mismatch_rejected(self):
         with pytest.raises(GraphInvariantError):
             sw.WeightedGraph(3, (), (), (), (0.0, 0.0))
@@ -281,6 +289,42 @@ def test_hamiltonian_is_hermitian_and_respects_graph(g, gamma):
         assert h[i, j] == -gamma * w
     for i, e in enumerate(g.onsite.tolist()):
         assert h[i, i] == e
+
+
+@st.composite
+def point_pairs(draw):
+    """A point count up to 40 and pairs of its points, self-pairs and repeats among them."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    if not n:
+        return 0, []
+    points = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(points, points), max_size=2 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return n, pairs
+
+
+@given(point_pairs())
+def test_components_are_the_breadth_first_ones_numbered_by_least_point(case):
+    n, pairs = case
+    a = np.array([i for i, _ in pairs], dtype=np.intp)
+    b = np.array([j for _, j in pairs], dtype=np.intp)
+    neighbours = [[] for _ in range(n)]
+    for i, j in pairs:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    # Searched from each unlabelled point in ascending order, a component gets its number at its least point.
+    expected, count = [-1] * n, 0
+    for start in range(n):
+        if expected[start] < 0:
+            expected[start], queue = count, [start]
+            for i in queue:
+                for j in neighbours[i]:
+                    if expected[j] < 0:
+                        expected[j] = count
+                        queue.append(j)
+            count += 1
+    assert sw.graphs._components(n, a, b).tolist() == expected
 
 
 def test_an_overflowing_coupling_names_gamma_and_the_weight():

@@ -99,6 +99,10 @@ class TestDiagonalize:
         with pytest.raises(SpectralError, match="Hermitian"):
             sw.diagonalize(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_a_non_square_matrix_is_refused(self):
+        with pytest.raises(SpectralError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            sw.diagonalize(np.zeros((2, 3)))
+
     def test_dimension_cap(self):
         with pytest.raises(SpectralError, match="cap"):
             sw.diagonalize(np.eye(600))
@@ -305,6 +309,10 @@ class TestResonances:
         gaps = {1.0, math.sqrt(2.0), math.sqrt(2.0) - 1.0}
         expected = sorted(k * TWO_PI / g for g in gaps for k in range(1, 20) if k * TWO_PI / g <= TWO_PI * (1 + 1e-12))
         np.testing.assert_allclose(taus, expected, atol=1e-9)
+
+    def test_a_nonpositive_tau_max_is_refused(self):
+        with pytest.raises(ValueError, match="^tau_max must be positive, got 0.0$"):
+            sw.resonant_periods(helpers.eigensystem("ring:6"), 0.0)
 
     @pytest.mark.parametrize("tau_max", [1e300, 1e18, math.inf])
     def test_period_count_beyond_any_array_raises(self, tau_max):
