@@ -56,6 +56,10 @@ strobewalk simulate --graph ring:6 --detect 0 --init 2 --tau 2.0943952023931953 
 strobewalk analyze --graph hypercube:3 --detect 0 --init all --tau 1e9 --format json | python -c "import json, sys; r = json.load(sys.stdin); rows = r['results']; assert all(x['bright_dim'] == 4 and x['pdet'] <= x['upper_bound'] for x in rows) and not r['warnings'], r"
 # --tol dark=0 keeps sectors of roundoff weight as bright: the report must warn of them.
 strobewalk analyze --graph tree:3 --detect 0 --init 1 --tau 1.0 --tol dark=0 --format json | python -c "import json, sys; r = json.load(sys.stdin); assert any('kept as bright' in x for x in r['warnings']), r"
+# complete:64 with 2016 distinct weights: the refinement sums over the edge list, so the
+# search does not grow with the number of weights. Every symmetry is broken.
+python -c "import json; e = [(i, j) for i in range(64) for j in range(i + 1, 64)]; print(json.dumps({'nodes': 64, 'edges': [[i, j, 1 + k / 4096] for k, (i, j) in enumerate(e)]}))" > "$work/weighted-complete.json"
+strobewalk analyze --graph "$work/weighted-complete.json" --detect 0 --init all --format json | python -c "import json, sys; r = json.load(sys.stdin); assert (r['group_order'], r['stabilizer_order']) == (1, 1) and all(x['bright_dim'] + x['dark_dim'] == 64 for x in r['results']), r"
 # A graph file that declares 10^9 nodes exits 3 before any per-node list is built.
 echo '{"nodes": 1000000000}' > "$work/billion.json"
 test "$(code_of strobewalk spectrum --graph "$work/billion.json")" -eq 3

@@ -121,10 +121,10 @@ def test_random_graph_group_axioms_and_commutation(seed, decorate):
     g = helpers.random_graph(rng, max_nodes=7)
     n = g.node_count
     if decorate:
-        # heavier links and raised nodes break some of the symmetry
+        # up to four weights, zero included, and raised nodes break some of the symmetry
         g = helpers.edge_graph(
             n,
-            [(i, j, float(rng.choice([1.0, 2.0]))) for i, j, _ in helpers.edge_triples(g)],
+            [(i, j, float(rng.choice([0.0, 0.5, 1.0, 2.0]))) for i, j, _ in helpers.edge_triples(g)],
             onsite=tuple(float(rng.choice([0.0, 0.0, 1.0])) for _ in range(n)),
         )
     h = sw.hamiltonian(g, 1.0)

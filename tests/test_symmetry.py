@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -757,9 +758,9 @@ class TestSymmetricSubspace:
 
 
 class TestSearchArraysOnFirstUse:
-    """``_Search`` builds its dense adjacency, weight and salt arrays only when a search needs them."""
+    """``_Search`` builds its arcs and its weight matrix only when a search needs them."""
 
-    DENSE = ("adj", "weight", "salt")
+    LAZY = ("arcs", "weight")
     FAMILIES = ["tree:4", "hypercube:4", "lattice:5x5", "ring:16", "complete:8", "cross:5", "square_center"]
 
     @staticmethod
@@ -771,7 +772,7 @@ class TestSearchArraysOnFirstUse:
                 super().__init__(graph)
                 searches.append(self)
                 if eager:
-                    self.adj, self.weight, self.salt
+                    self.arcs, self.weight
 
         monkeypatch.setattr(symmetry, "_Search", Recorded)
         return searches
@@ -783,7 +784,7 @@ class TestSearchArraysOnFirstUse:
         assert group.order == 1
         assert sw.stabilizer(group, sw.localized_state(64, 0)).order == 1
         assert len(searches) == 1
-        assert not set(self.DENSE) & vars(searches[0]).keys()
+        assert not set(self.LAZY) & vars(searches[0]).keys()
 
     @pytest.mark.parametrize("spec", FAMILIES)
     def test_orders_and_generators_match_an_eager_search(self, spec, monkeypatch):
@@ -796,3 +797,40 @@ class TestSearchArraysOnFirstUse:
             assert a.order == b.order
             np.testing.assert_array_equal(a.generators, b.generators)
             assert a._fixed == b._fixed
+
+
+class TestRefinementOnTheEdgeList:
+    """A refinement round sums salts over the edge list read both ways, one salt per
+    (distinct weight, color): its memory does not grow with the distinct weights, and
+    every sum is exact, so no sum depends on the order of its terms."""
+
+    @staticmethod
+    def _distinct_weights() -> sw.WeightedGraph:
+        # 2016 distinct weights, and degree 63, the most that the node cap allows
+        g = helpers.graph("complete:64")
+        return dataclasses.replace(g, weights=1.0 + np.arange(g.edge_count) / 4096)
+
+    def test_memory_does_not_grow_with_the_distinct_weights(self):
+        g = self._distinct_weights()
+        tracemalloc.start()
+        try:
+            group = sw.automorphisms(g, base_point=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group.order == 1
+        assert peak < 8e6
+
+    def test_neighbor_sums_equal_the_integer_sums(self):
+        g = self._distinct_weights()
+        n = g.node_count
+        search = symmetry._Search(g)
+        colors = symmetry._dense_ranks(np.random.default_rng(30).integers(0, n, size=n))
+        salt = search.arcs[-1]
+        rank = {w: r for r, w in enumerate(sorted(set(g.weights.tolist())))}
+        want = [0] * n
+        for i, j, w in helpers.edge_triples(g):
+            want[i] += int(salt[rank[w], colors[j]])
+            want[j] += int(salt[rank[w], colors[i]])
+        assert max(want) < 2**53
+        assert search.neighbor_sums(colors).tolist() == want
